@@ -11,7 +11,7 @@ log potential and the limit potential, then render the n = 100 picture.
 import cmath
 import math
 
-from voroderiv import asympt, measure, rational, rootfind, voronoi
+from voroderiv import asympt, rational, voronoi
 from voroderiv.svg import render_svg
 
 poles = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
@@ -20,14 +20,7 @@ diagram = voronoi.build(poles)
 
 last_roots = None
 for n in (25, 50, 100):
-    st = rational.derivative_state(form, n)
-    res = rational.numerator(st)
-    # high-degree expansions are too ill conditioned for coefficient
-    # Horner, so iterate on the structural evaluator from starts placed
-    # along the skeleton at measure quantiles
-    rs = rootfind.solve(res.r_n,
-                        evaluator=rational.newton_evaluator(st),
-                        start=measure.skeleton_starts(diagram, res.degree))
+    rs = rational.zeros(form, n)
     rep = asympt.project_and_bin(asympt.empirical(rs, n), diagram)
     l1 = asympt.potential_l1(rs.roots, diagram, window=(0.0, 3.0), grid=100)
     ks = ", ".join(f"{ec.ks:.4f}" for ec in rep.edges)

@@ -75,6 +75,12 @@ def trim(p, rel_floor=0.0):
     return p[: k + 1]
 
 
+def all_finite(p):
+    if precision_of(p) == DOUBLE:
+        return bool(np.isfinite(p).all())
+    return all(mpmath.isfinite(c) for c in p)
+
+
 def is_zero(p, rel_floor=0.0, abs_floor=0.0):
     return all(abs(c) <= abs_floor for c in p) or (
         len(trim(p, rel_floor)) == 1 and abs(p[0]) <= abs_floor

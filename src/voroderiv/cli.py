@@ -2,8 +2,9 @@
 
 Every subcommand is pure file-in/file-out: a JSON problem description
 plus flags in, CSV/JSON/SVG artifacts out.  Exit codes: 0 success,
-1 configuration or input errors, 2 numeric escalation (coefficient
-collapse on the double path with extended retry disabled).
+1 configuration or input errors (bad arguments, missing or malformed
+files), 2 numeric failures (coincident poles, coefficient collapse,
+non-convergence).
 """
 
 import argparse
@@ -14,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _poly, asympt, lemniscate, measure, odecheck, rational, rootfind, svg, voronoi
+from . import _poly, asympt, lemniscate, measure, odecheck, rational, svg, voronoi
 from ._poly import DOUBLE, EXTENDED
-from .errors import DegreeCollapse, VoroderivError
+from .errors import VoroderivError
 
 
 def _parse_complex(v):
@@ -61,45 +62,6 @@ def _form(args):
                                precision=args.precision)
 
 
-def _numerator_with_escalation(form, n, args):
-    return _numerator_and_state(form, n, args)[0]
-
-
-def _numerator_and_state(form, n, args):
-    try:
-        state = rational.derivative_state(form, n)
-        return rational.numerator(state), state
-    except DegreeCollapse:
-        if args.precision == EXTENDED or args.no_extended_retry:
-            raise
-        ext = rational.polar_form(
-            [_poly.to_complex(z) for z in form.poles], form.orders,
-            [[_poly.to_complex(c) for c in cs] for cs in form.coeffs],
-            [_poly.to_complex(c) for c in form.polynomial_part],
-            precision=EXTENDED)
-        state = rational.derivative_state(ext, n)
-        return rational.numerator(state), state
-
-
-def _solve_numerator(form, n, args):
-    """Numerator roots for one derivative order.
-
-    On the double path the solver runs from measure-quantile starts
-    with the product-form evaluator, which stays accurate at high n
-    where the expanded coefficients are too ill-scaled for Horner.
-    """
-    res, state = _numerator_and_state(form, n, args)
-    base = state.base
-    if (base.precision == DOUBLE and base.d >= 2
-            and _poly.is_zero(base.polynomial_part, abs_floor=0.0)):
-        diagram = voronoi.build([_poly.to_complex(z) for z in base.poles])
-        return res, rootfind.solve(
-            res.r_n, 1e-12,
-            evaluator=rational.newton_evaluator(state),
-            start=measure.skeleton_starts(diagram, res.degree))
-    return res, rootfind.solve(res.r_n, 1e-12)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -120,7 +82,7 @@ def _window(args):
 def cmd_derive(args, out):
     form = _form(args)
     n = _n_list(args)[0]
-    res = _numerator_with_escalation(form, n, args)
+    res = rational.numerator(rational.derivative_state(form, n))
     rows = [(k, float(_poly.to_complex(c).real), float(_poly.to_complex(c).imag))
             for k, c in enumerate(res.r_n)]
     _write_csv(out / f"rn_{n}.csv", ["k", "re", "im"], rows)
@@ -130,7 +92,7 @@ def cmd_derive(args, out):
 def cmd_roots(args, out):
     form = _form(args)
     n = _n_list(args)[0]
-    res, rs = _solve_numerator(form, n, args)
+    rs = rational.zeros(form, n)
     rows = [
         (float(_poly.to_complex(z).real), float(_poly.to_complex(z).imag),
          float(r), int(c))
@@ -172,7 +134,7 @@ def cmd_compare(args, out):
     diagram = voronoi.build([_poly.to_complex(z) for z in form.poles])
     reports = []
     for n in _n_list(args):
-        res, rs = _solve_numerator(form, n, args)
+        rs = rational.zeros(form, n)
         emp = asympt.empirical(rs, n)
         rep = asympt.project_and_bin(emp, diagram)
         reports.append(json.loads(rep.to_json()))
@@ -192,7 +154,7 @@ def cmd_potential(args, out):
     center, half = _window(args)
     rows = []
     for n in _n_list(args):
-        res, rs = _solve_numerator(form, n, args)
+        rs = rational.zeros(form, n)
         value = asympt.potential_l1(rs.converged_roots(), diagram,
                                     (center, half), grid=args.grid,
                                     seed=args.seed)
@@ -249,7 +211,7 @@ def cmd_render(args, out):
     form = _form(args)
     diagram = voronoi.build([_poly.to_complex(z) for z in form.poles])
     n = _n_list(args)[0]
-    res, rs = _solve_numerator(form, n, args)
+    rs = rational.zeros(form, n)
     center, half = _window(args)
     svg.render_svg(out / f"render_{n}.svg", diagram,
                    roots=[_poly.to_complex(z) for z in rs.roots],
@@ -283,8 +245,6 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--precision", choices=[DOUBLE, EXTENDED], default=DOUBLE)
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--no-extended-retry", action="store_true",
-                    help="fail instead of retrying collapses in extended precision")
     return ap
 
 
@@ -305,9 +265,6 @@ def main(argv=None):
         return 1
     try:
         return COMMANDS[args.command](args, out)
-    except DegreeCollapse as exc:
-        print(f"numeric escalation: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

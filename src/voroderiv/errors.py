@@ -16,7 +16,9 @@ class SharedRoot(VoroderivError):
 class DegreeCollapse(VoroderivError):
     """All numerator coefficients fell below the relative floor.
 
-    Signals catastrophic cancellation; retry on the extended-precision path.
+    Signals catastrophic cancellation.  Nothing retries automatically:
+    rebuild the form with precision="extended" to resolve it.  The CLI
+    reports it with exit code 2.
     """
 
 

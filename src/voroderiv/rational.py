@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _poly
+from . import _poly, measure, rootfind, voronoi
 from ._poly import DOUBLE, EXTENDED
 from .errors import DegreeCollapse, DuplicatePole, SharedRoot
 
@@ -26,6 +26,7 @@ __all__ = [
     "derivative",
     "numerator",
     "newton_evaluator",
+    "zeros",
     "degree_diagnostics",
     "single_pole_derivative",
     "single_pole_numerator_scaled",
@@ -86,13 +87,6 @@ class PolarForm:
         for zi, r in zip(self.poles, self.orders):
             lin = _poly.asarray([-zi, 1.0], self.precision)
             p = _poly.polymul(p, _poly.polypow(lin, r))
-        return p
-
-    def simple_denominator(self):
-        """prod (z - z_i), each pole once."""
-        p = _poly.asarray([1.0], self.precision)
-        for zi in self.poles:
-            p = _poly.polymul(p, _poly.asarray([-zi, 1.0], self.precision))
         return p
 
 
@@ -233,6 +227,7 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE, rng=None):
     return form
 
 
+@_poly.workprec()
 def derivative(state):
     """One more derivative: c_{i,j,n+1} = -c_{i,j,n} (j+n)/(n+1)."""
     n = state.n
@@ -252,6 +247,7 @@ def derivative_state(form, n=0):
     return st
 
 
+@_poly.workprec()
 def numerator(state, rel_floor=None):
     """Monic numerator R_n and scale of Q^{(n)} = alpha_n R_n/(P P0^n).
 
@@ -371,6 +367,28 @@ def newton_evaluator(state):
         return pv, dv
 
     return eval_pd
+
+
+def zeros(form, n):
+    """RootSet of R_n, the numerator of the n-th derivative of form.
+
+    The one path from a PolarForm to derivative zeros.  On the double
+    backend the Aberth iteration runs on newton_evaluator, from
+    measure.skeleton_starts when there are two or more poles and from
+    the Fujiwara circle for one.  On the extended backend it runs on the
+    coefficients of R_n.  Raises NoConvergence with the best-effort
+    RootSet attached.
+    """
+    state = derivative_state(form, n)
+    res = numerator(state)
+    if form.precision == EXTENDED:
+        return rootfind.solve(res.r_n, 1e-12)
+    start = None
+    if form.d >= 2:
+        diagram = voronoi.build([complex(z) for z in form.poles])
+        start = measure.skeleton_starts(diagram, res.degree)
+    return rootfind.solve(res.r_n, 1e-12, evaluator=newton_evaluator(state),
+                          start=start)
 
 
 def numerators(form, n_list):

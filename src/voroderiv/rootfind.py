@@ -186,7 +186,9 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     Starts on the circle of radius 0.5 * fujiwara_bound with angular
     jitter; on non-convergence restarts once from the full Fujiwara
     radius and raises NoConvergence (with the best-effort RootSet
-    attached) if that also stalls.
+    attached) if that also stalls.  Raises ValueError on non-finite
+    coefficients unless an evaluator is given.  Extended-precision
+    arithmetic, monic scaling included, runs at _poly.EXTENDED_DPS digits.
 
     evaluator, when given, supplies (p, p') at an array of points in
     place of coefficient Horner; use newton_evaluator for numerators
@@ -202,14 +204,18 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
         precision = DOUBLE
     if precision is None:
         precision = EXTENDED if (arr is not None and arr.dtype == object) else DOUBLE
-    p = _poly.trim(_poly.asarray(p, precision))
+    p = _poly.asarray(p, precision)
+    if evaluator is None and not _poly.all_finite(p):
+        raise ValueError("polynomial has non-finite coefficients")
+    p = _poly.trim(p)
     m = _poly.degree(p)
     if m < 1:
         raise ZeroPolynomial("need degree >= 1")
-    p = _poly.monic(p)
+    with _poly.workprec():
+        p = _poly.monic(p)
+        bound = fujiwara_bound(p)
     if max_sweeps is None:
         max_sweeps = MAX_SWEEPS[precision]
-    bound = fujiwara_bound(p)
     if bound == 0.0:
         roots = _poly.zeros(m, precision)
         return RootSet(roots=roots, residuals=np.zeros(m), converged=np.ones(m, dtype=bool))

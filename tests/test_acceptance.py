@@ -33,32 +33,19 @@ def multiset_distance(found, expected):
 
 
 def solve_numerator(form, n):
-    """Roots of the n-th derivative numerator, with the structural
-    evaluator and skeleton starts for high degrees.  Flagged clusters
+    """Roots of the n-th derivative numerator.  Flagged clusters
     (multiple roots at Voronoi vertices) are kept best effort."""
-    st = rational.derivative_state(form, n)
-    res = rational.numerator(st)
-    pp = np.asarray(form.polynomial_part, dtype=complex)
-    if res.degree <= 40 or np.any(pp != 0):
-        try:
-            return rootfind.solve(res.r_n), res
-        except rootfind.NoConvergence:
-            if np.any(pp != 0):
-                raise
-    d = voronoi.build(list(form.poles))
     try:
-        rs = rootfind.solve(res.r_n,
-                            evaluator=rational.newton_evaluator(st),
-                            start=measure.skeleton_starts(d, res.degree))
+        return rational.zeros(form, n)
     except rootfind.NoConvergence as e:
         rs = e.rootset
         bad = np.abs(rs.residuals[~rs.converged])
         assert bad.max() < 1e-6, "unconverged roots are not a tight cluster"
-    return rs, res
+    return rs
 
 
 def report_for(form, sites, n):
-    rs, _ = solve_numerator(form, n)
+    rs = solve_numerator(form, n)
     d = voronoi.build(sites)
     return asympt.project_and_bin(asympt.empirical(rs, n), d)
 
@@ -83,8 +70,7 @@ def test_criterion_02_cotangent_exactness():
     form = rational.polar_decompose([1.0], [(1j, 1), (-1j, 1)])
     worst = 0.0
     for n in (2, 5, 10, 30):
-        res = rational.numerator(rational.derivative_state(form, n))
-        rs = rootfind.solve(res.r_n, tolerance=1e-13)
+        rs = rational.zeros(form, n)
         expected = [1.0 / math.tan(k * math.pi / (n + 1))
                     for k in range(1, n + 1)]
         worst = max(worst, multiset_distance(rs.roots, expected))
@@ -107,9 +93,9 @@ def test_criterion_03_twopole_oracle():
         n = int(rng.integers(2, 61))
         # the oracle parameterizes zeros of the (n-1)-th derivative
         form = rational.polar_form([z1, z2], [1, 1], [[a1], [a2]])
-        rs, res = solve_numerator(form, n - 1)
+        rs = solve_numerator(form, n - 1)
         oracle = asympt.twopole_zeros(a1, a2, z1, z2, n)
-        assert len(oracle) == res.degree
+        assert len(oracle) == len(rs)
         worst = max(worst, multiset_distance(rs.roots, oracle))
     dt = time.time() - t0
     assert worst < 1e-8 and dt < 30.0
@@ -160,7 +146,7 @@ def test_criterion_05_potential_l1_trend():
     d = voronoi.build([1j, -1j])
     vals = []
     for n in (25, 50, 100):
-        rs, _ = solve_numerator(form, n)
+        rs = solve_numerator(form, n)
         vals.append(asympt.potential_l1(rs.roots, d,
                                         window=(0.0, 3.0), grid=200))
     assert vals[0] > vals[1] > vals[2]
@@ -337,7 +323,7 @@ def test_criterion_13_figure_reproduction(tmp_path):
     rng = np.random.default_rng(11)
     poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
     form = rational.polar_decompose([1.0], [(p, 1) for p in poles])
-    rs, res = solve_numerator(form, 15)
+    rs = solve_numerator(form, 15)
     diagram = voronoi.build(poles)
     rep = asympt.project_and_bin(asympt.empirical(rs, 15), diagram)
     diam = max(abs(a - b) for a in poles for b in poles)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from voroderiv import asympt, measure, rational, rootfind, voronoi
+from voroderiv import asympt, rational, rootfind, voronoi
 
 
 def multiset_distance(found, expected):
@@ -19,15 +19,7 @@ def multiset_distance(found, expected):
 
 def two_pole_rootset(n):
     form = rational.polar_decompose([1.0], [(1j, 1), (-1j, 1)])
-    st = rational.derivative_state(form, n)
-    res = rational.numerator(st)
-    if res.degree <= 60:
-        return rootfind.solve(res.r_n)
-    # high degrees need the structural evaluator and skeleton starts
-    d = voronoi.build([1j, -1j])
-    return rootfind.solve(res.r_n,
-                          evaluator=rational.newton_evaluator(st),
-                          start=measure.skeleton_starts(d, res.degree))
+    return rational.zeros(form, n)
 
 
 def test_twopole_oracle_frozen_values():
@@ -50,10 +42,9 @@ def test_twopole_oracle_matches_solver():
     z1, z2 = 0.5, -0.5 + 0.3j
     n = 9
     form = rational.polar_form([z1, z2], [1, 1], [[a1], [a2]])
-    res = rational.numerator(rational.derivative_state(form, n - 1))
-    rs = rootfind.solve(res.r_n, tolerance=1e-13)
+    rs = rational.zeros(form, n - 1)
     oracle = asympt.twopole_zeros(a1, a2, z1, z2, n)
-    assert len(oracle) == res.degree == n
+    assert len(oracle) == len(rs) == n
     assert multiset_distance(rs.roots, oracle) < 1e-9
 
 

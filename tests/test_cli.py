@@ -5,7 +5,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+
+from voroderiv import asympt
 
 TWO_POLE = {
     "poles": [
@@ -56,6 +60,29 @@ def test_roots_csv_has_residuals(problem, tmp_path):
     for row in rows:
         assert float(row["residual"]) < 1e-10
         assert row["converged"] == "1"
+
+
+def test_roots_extended_matches_two_pole_oracle(tmp_path):
+    # the numerator's expansion and scaling must run at extended
+    # precision too, not only the root iteration
+    a1, a2 = 1.48 - 1.83j, -0.89j
+    z1, z2 = 0.78 - 2.12j, 0.43 - 1.91j
+    p = tmp_path / "twopole.json"
+    p.write_text(json.dumps({"poles": [
+        {"re": z.real, "im": z.imag, "order": 1,
+         "coeffs": [{"re": a.real, "im": a.imag}]}
+        for z, a in ((z1, a1), (z2, a2))]}))
+    r = run_cli("roots", "--problem", str(p), "--n", "11",
+                "--precision", "extended", "--out", str(tmp_path))
+    assert r.returncode == 0
+    rows = list(csv.DictReader(open(tmp_path / "roots_11.csv")))
+    found = np.array([complex(float(row["re"]), float(row["im"]))
+                      for row in rows])
+    oracle = np.asarray(asympt.twopole_zeros(a1, a2, z1, z2, 12))
+    assert len(found) == len(oracle) == 12
+    cost = np.abs(found[:, None] - oracle[None, :])
+    ri, ci = linear_sum_assignment(cost)
+    assert cost[ri, ci].max() < 1e-8
 
 
 def test_voronoi_json(problem, tmp_path):
@@ -155,3 +182,9 @@ def test_duplicate_pole_exits_2(tmp_path):
     p.write_text(json.dumps({"poles": [pole, pole]}))
     r = run_cli("voronoi", "--problem", str(p))
     assert r.returncode == 2
+
+
+def test_unknown_flag_exits_1(problem, tmp_path):
+    r = run_cli("roots", "--problem", str(problem), "--no-extended-retry",
+                "--out", str(tmp_path))
+    assert r.returncode == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voroderiv import rational
+from voroderiv import _poly, rational
 from voroderiv.rational import (DegreeCollapse, DuplicatePole, derivative,
                                 derivative_state, newton_evaluator, numerator,
                                 numerators, polar_decompose, polar_form)
@@ -149,3 +149,17 @@ def test_extended_precision_numerator_matches_double():
     assert rd.degree == re_.degree == 6
     assert np.allclose(np.asarray(rd.r_n, dtype=complex),
                        np.array([complex(c) for c in re_.r_n]), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_zeros_single_pole_matches_closed_form(n):
+    # 1/(z-p) + 2/(z-p)^2 + (3+i)/(z-p)^3 = r(z-p)/(z-p)^3 with
+    # r(w) = w^2 + 2w + 3 + i; its derivatives keep two zeros
+    p = 0.5 + 0.2j
+    form = polar_form([p], [3], [[1.0, 2.0, 3.0 + 1j]])
+    numer = _poly.taylor_shift(_poly.asarray([3.0 + 1j, 2.0, 1.0]), -p)
+    closed = rational.single_pole_derivative(numer, p, 3, n)
+    expected = np.sort_complex(np.roots(closed[::-1]))
+    rs = rational.zeros(form, n)
+    assert rs.all_converged
+    assert np.abs(np.sort_complex(rs.roots) - expected).max() < 1e-12

@@ -44,6 +44,15 @@ def test_degree_below_one_rejected():
         solve([3.0])
 
 
+@pytest.mark.parametrize("coeffs", [[math.nan, 1.0], [1.0, math.inf, 1.0]])
+def test_non_finite_coefficients_rejected(coeffs):
+    # a NaN must not read as a zero coefficient and yield roots at 0
+    with pytest.raises(ValueError):
+        solve(coeffs)
+    with pytest.raises(ValueError):
+        solve(_poly.asarray(coeffs, _poly.EXTENDED))
+
+
 def test_reconstruction_invariant_degree_200():
     # random degree-200 polynomial: rebuild from the computed roots and
     # compare coefficients relatively; the expansion itself is done in
