@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rational, rootfind
-from .errors import EmptyRootSet, ExclusionTooLarge, NotFound
+from .errors import EmptyRootSet, ExclusionTooLarge, NoConvergence, NotFound
 from .measure import edge_cdf, edge_mass
 from .voronoi import psi
 
@@ -229,12 +229,10 @@ def single_pole_escape(numer, pole, order, radius, n_max=500, streak=5):
         else:
             try:
                 rs = rootfind.solve(p, 1e-10)
-                roots = rs.roots
-            except Exception:
+            except NoConvergence:
                 ok = False
-                roots = []
             else:
-                ok = min(abs(z) for z in roots) > radius
+                ok = min(abs(z) for z in rs.roots) > radius
         if ok:
             if first is None:
                 first = n

@@ -4,6 +4,14 @@ Aberth-Ehrlich iteration with Newton corrections, started on a circle
 sized from the Fujiwara root bound.  Polynomial evaluation rescales on
 the fly so that degrees of several hundred with widely spread roots do
 not overflow double precision.
+
+A root whose correction falls below the tolerance is frozen (Bini 1996).
+Each double-precision sweep evaluates only the roots still active and
+forms their Cauchy sums against all m roots in row blocks of at most
+CHUNK_ELEMENTS entries, so a sweep costs O(active * m) time and its
+memory stays bounded at any degree.  Each row is summed over all m
+columns in index order, so with a pointwise evaluator the roots do not
+depend on the block size or on which other roots are still active.
 """
 
 import math
@@ -21,14 +29,23 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 MAX_SWEEPS = {DOUBLE: 200, EXTENDED: 500}
 
+# complex entries in one block of the active-row Cauchy sums (4 MB)
+CHUNK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots with per-root residuals |p|/|p'| and convergence flags."""
+    """Roots with per-root residuals |p|/|p'| and convergence flags.
+
+    sweeps is the number of Aberth sweeps the returned attempt ran, and
+    active_trace the number of roots still moving at the start of each.
+    """
 
     roots: np.ndarray
     residuals: np.ndarray
     converged: np.ndarray
+    sweeps: int = 0
+    active_trace: tuple = ()
 
     def __len__(self):
         return len(self.roots)
@@ -81,41 +98,68 @@ def _horner_scaled(coeffs, z):
     return p, dp
 
 
+def _row_blocks(roots, idx):
+    """Blocks of z_k - z_j for k in idx against all j, CHUNK_ELEMENTS at most.
+
+    Yields (rows, diag, diff): diff[r, j] = roots[idx[rows][r]] - roots[j],
+    and diag indexes the entries with j == k.
+    """
+    step = max(1, CHUNK_ELEMENTS // len(roots))
+    for s in range(0, len(idx), step):
+        k = idx[s:s + step]
+        yield (slice(s, s + len(k)), (np.arange(len(k)), k),
+               roots[k, None] - roots[None, :])
+
+
+def _cauchy_sums(roots, idx):
+    """sum_{j != k} 1/(z_k - z_j) for each k in idx."""
+    sums = np.empty(len(idx), dtype=complex)
+    for rows, diag, diff in _row_blocks(roots, idx):
+        diff[diag] = 1.0
+        inv = 1.0 / diff
+        inv[diag] = 0.0
+        sums[rows] = inv.sum(axis=1)
+    return sums
+
+
+def _nearest_distance(roots, idx):
+    """min_{j != k} |z_k - z_j| for each k in idx."""
+    near = np.empty(len(idx))
+    for rows, diag, diff in _row_blocks(roots, idx):
+        diff[diag] = np.inf
+        near[rows] = np.abs(diff).min(axis=1)
+    return near
+
+
 def _aberth_double(p, tolerance, start, max_sweeps, eval_pd=None):
     if eval_pd is None:
         eval_pd = lambda z: _horner_scaled(p, z)
     m = _poly.degree(p)
-    roots = start.copy()
-    active = np.ones(m, dtype=bool)
+    roots = np.array(start, dtype=complex)
     converged = np.zeros(m, dtype=bool)
+    trace = []
     tiny = 1e-300
     for _ in range(max_sweeps):
-        pv, dv = eval_pd(roots)
+        idx = np.flatnonzero(~converged)
+        trace.append(len(idx))
+        pv, dv = eval_pd(roots[idx])
         newton = pv / np.where(np.abs(dv) < tiny, tiny, dv)
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        sums = inv.sum(axis=1)
-        denom = 1.0 - newton * sums
+        denom = 1.0 - newton * _cauchy_sums(roots, idx)
         denom = np.where(np.abs(denom) < tiny, tiny, denom)
         corr = newton / denom
-        step = np.where(active, corr, 0.0)
-        roots = roots - step
-        done = np.abs(corr) < tolerance * (1.0 + np.abs(roots))
-        converged |= done & active
-        active &= ~done
-        if not active.any():
+        roots[idx] -= corr
+        done = np.abs(corr) < tolerance * (1.0 + np.abs(roots[idx]))
+        converged[idx[done]] = True
+        if converged.all():
             break
     pv, dv = eval_pd(roots)
     guard = np.abs(dv) < tiny
     resid = np.abs(pv) / np.where(guard, tiny, np.abs(dv))
     if guard.any():
         # derivative underflow: fall back to nearest-neighbour cluster radius
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, np.inf)
-        resid[guard] = np.abs(diff).min(axis=1)[guard]
-    return RootSet(roots=roots, residuals=resid, converged=converged)
+        resid[guard] = _nearest_distance(roots, np.flatnonzero(guard))
+    return RootSet(roots=roots, residuals=resid, converged=converged,
+                   sweeps=len(trace), active_trace=tuple(trace))
 
 
 def _aberth_extended(p, tolerance, start, max_sweeps):
@@ -125,8 +169,10 @@ def _aberth_extended(p, tolerance, start, max_sweeps):
         m = _poly.degree(p)
         roots = list(start)
         converged = [False] * m
+        trace = []
         dp = _poly.polyder(p)
         for _ in range(max_sweeps):
+            trace.append(m - sum(converged))
             moved = False
             for k in range(m):
                 if converged[k]:
@@ -163,6 +209,8 @@ def _aberth_extended(p, tolerance, start, max_sweeps):
         roots=out,
         residuals=np.array(resid, dtype=float),
         converged=np.array(converged, dtype=bool),
+        sweeps=len(trace),
+        active_trace=tuple(trace),
     )
 
 
@@ -193,7 +241,10 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     evaluator, when given, supplies (p, p') at an array of points in
     place of coefficient Horner; use newton_evaluator for numerators
     of high derivative order, whose expanded coefficients are too
-    ill-scaled for double evaluation.  Forces the double path.
+    ill-scaled for double evaluation.  Forces the double path.  Each
+    output must depend only on its own input point: a sweep passes only
+    the roots still active, and a final call passes all m roots for
+    the residuals.
 
     start, when given, replaces the first-attempt circle of initial
     points (skeleton_starts pays off for high-order numerators); the

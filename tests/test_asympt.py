@@ -128,3 +128,23 @@ def test_single_pole_escape_constant_numerator():
 def test_single_pole_escape_not_found():
     with pytest.raises(asympt.NotFound):
         asympt.single_pole_escape([2.0, 1.0], 1.0, 3, 1e9, n_max=15)
+
+
+def test_single_pole_escape_propagates_solver_errors(monkeypatch):
+    # only NoConvergence reads as "a zero inside the disk"; any other
+    # solver failure must surface rather than shift the escape index
+    def broken(*args, **kwargs):
+        raise ValueError("solver bug")
+
+    monkeypatch.setattr(rootfind, "solve", broken)
+    with pytest.raises(ValueError, match="solver bug"):
+        asympt.single_pole_escape([2.0, 1.0], 1.0, 3, 10.0)
+
+
+def test_single_pole_escape_counts_no_convergence_as_inside(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise rootfind.NoConvergence("stalled")
+
+    monkeypatch.setattr(rootfind, "solve", stalled)
+    with pytest.raises(asympt.NotFound):
+        asympt.single_pole_escape([2.0, 1.0], 1.0, 3, 10.0, n_max=15)

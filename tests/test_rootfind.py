@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from voroderiv import _poly, rootfind
+from voroderiv import _poly, measure, rational, rootfind, voronoi
 from voroderiv.rootfind import (NoConvergence, ZeroPolynomial, fujiwara_bound,
                                 solve)
 
@@ -130,3 +130,122 @@ def test_residuals_reported():
     rs = solve([-1.0, 0.0, 1.0])
     assert np.all(rs.residuals < 1e-12)
     assert len(rs.converged_roots()) == 2
+
+
+def dense_aberth(eval_pd, start, tolerance, max_sweeps):
+    """The dense m x m sweep that the active-set sweep must reproduce."""
+    roots = start.copy()
+    m = len(roots)
+    active = np.ones(m, dtype=bool)
+    converged = np.zeros(m, dtype=bool)
+    trace = []
+    tiny = 1e-300
+    for _ in range(max_sweeps):
+        trace.append(int(active.sum()))
+        pv, dv = eval_pd(roots)
+        newton = pv / np.where(np.abs(dv) < tiny, tiny, dv)
+        diff = roots[:, None] - roots[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        denom = 1.0 - newton * inv.sum(axis=1)
+        denom = np.where(np.abs(denom) < tiny, tiny, denom)
+        corr = newton / denom
+        roots = roots - np.where(active, corr, 0.0)
+        done = np.abs(corr) < tolerance * (1.0 + np.abs(roots))
+        converged |= done & active
+        active &= ~done
+        if not active.any():
+            break
+    pv, dv = eval_pd(roots)
+    guard = np.abs(dv) < tiny
+    resid = np.abs(pv) / np.where(guard, tiny, np.abs(dv))
+    diff = roots[:, None] - roots[None, :]
+    np.fill_diagonal(diff, np.inf)
+    resid[guard] = np.abs(diff).min(axis=1)[guard]
+    return roots, resid, converged, trace
+
+
+def eight_pole_case(n=50):
+    """rational.zeros' double-path inputs at criterion 13's eight poles."""
+    rng = np.random.default_rng(11)
+    poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
+    form = rational.polar_decompose([1.0], [(p, 1) for p in poles])
+    state = rational.derivative_state(form, n)
+    res = rational.numerator(state)
+    start = measure.skeleton_starts(voronoi.build(poles), res.degree)
+    return res.r_n, rational.newton_evaluator(state), start
+
+
+def horner_case():
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=61) + 1j * rng.normal(size=61)
+    p[-1] = 1.0  # monic already, so solve iterates on these coefficients
+    start = rootfind._start_points(60, 0.5 * fujiwara_bound(p), _poly.DOUBLE)
+    return p, (lambda z: rootfind._horner_scaled(p, z)), start
+
+
+def counted(eval_pd, sizes):
+    def wrapped(z):
+        sizes.append(np.asarray(z).size)
+        return eval_pd(z)
+    return wrapped
+
+
+@pytest.mark.parametrize("case", [eight_pole_case, horner_case])
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
+    p, eval_pd, start = case()
+    m = len(start)
+    # `chunk` rows per block: many blocks, and a ragged last one whenever
+    # the active count is not a multiple of it
+    monkeypatch.setattr(rootfind, "CHUNK_ELEMENTS", chunk * m + 1)
+    roots, resid, conv, trace = dense_aberth(eval_pd, start, 1e-12, 200)
+    assert conv.all() and any(k % 3 and k > 3 for k in trace)
+    sizes = []
+    if case is horner_case:
+        rs = solve(p, 1e-12)
+    else:
+        rs = solve(p, 1e-12, evaluator=counted(eval_pd, sizes), start=start)
+    assert rs.roots.tobytes() == roots.tobytes()
+    assert rs.residuals.tobytes() == resid.tobytes()
+    assert np.array_equal(rs.converged, conv)
+    assert rs.active_trace == tuple(trace) and rs.sweeps == len(trace)
+    if sizes:
+        # each sweep evaluates only the roots still active after the
+        # previous one; the residual pass evaluates all of them
+        assert sizes[:-1] == trace and sizes[-1] == m
+
+
+def test_residual_falls_back_to_nearest_neighbour():
+    # exact roots as start points, with p' forced to 0 at two of them
+    zs = np.array([0.0, 1.0, 3.0, 3.0 + 2.0j, -1.5j, 4.0 - 1.0j])
+    flat = (3.0, -1.5j)
+
+    def ev(z):
+        z = np.asarray(z, dtype=complex)
+        diff = z[:, None] - zs[None, :]
+        pv = np.prod(diff, axis=1)
+        dv = np.array([sum(np.prod(np.delete(row, j)) for j in range(len(zs)))
+                       for row in diff])
+        dv[np.isin(z, flat)] = 0.0
+        return pv, dv
+
+    coeffs = np.poly(zs)[::-1]
+    rs = solve(coeffs, evaluator=ev, start=zs.astype(complex))
+    assert rs.roots.tobytes() == zs.astype(complex).tobytes()
+    near = np.array([np.abs(np.delete(zs, k) - zs[k]).min()
+                     for k in range(len(zs))])
+    guarded = np.isin(zs, flat)
+    assert np.array_equal(rs.residuals[guarded], near[guarded])
+    assert np.all(rs.residuals[~guarded] == 0.0)
+
+
+def test_sweep_trace_on_every_path():
+    rs = solve([-1.0, 0.0, 0.0, 1.0], tolerance=1e-20, precision="extended")
+    assert rs.sweeps == len(rs.active_trace) >= 1
+    assert rs.active_trace[0] == 3
+    assert list(rs.active_trace) == sorted(rs.active_trace, reverse=True)
+    # z^3 has Fujiwara bound 0 and returns without sweeping
+    rs = solve([0.0, 0.0, 0.0, 1.0])
+    assert rs.sweeps == 0 and rs.active_trace == ()
