@@ -25,10 +25,15 @@ __all__ = [
     "ComparisonReport",
     "empirical",
     "project_and_bin",
+    "grid_points",
+    "grid_discrepancy",
     "potential_l1",
     "twopole_zeros",
     "single_pole_escape",
 ]
+
+# (grid point, atom) pairs per block of grid_discrepancy: 4 MB complex
+GRID_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -91,15 +96,12 @@ class ComparisonReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def _ks_statistic(ts, cdf, mass):
-    """Sup gap between the empirical CDF of ts and cdf(t)/mass."""
-    ts = np.sort(np.asarray(ts, dtype=float))
-    n = len(ts)
-    best = 0.0
-    for k, t in enumerate(ts):
-        f = cdf(t) / mass
-        best = max(best, abs((k + 1) / n - f), abs(k / n - f))
-    return best
+def _ks_statistic(ts, edge, d):
+    """Sup gap between the empirical CDF of ts and the edge's CDF / mass."""
+    ts = np.sort(ts)
+    f = edge_cdf(edge, ts, d) / edge_mass(edge, d)
+    steps = np.arange(len(ts) + 1) / len(ts)  # empirical CDF below, at ts
+    return float(max(np.abs(steps[1:] - f).max(), np.abs(steps[:-1] - f).max()))
 
 
 def project_and_bin(measure, diagram, off_skeleton_cutoff=0.5):
@@ -107,47 +109,73 @@ def project_and_bin(measure, diagram, off_skeleton_cutoff=0.5):
 
     An atom farther from its nearest edge than cutoff * (distance from
     the projected edge point to the defining sites) counts as
-    off-skeleton mass.  Per-edge KS is computed in t against the exact
-    CDF normalized by the edge mass.
+    off-skeleton mass; on a tie the first edge wins.  Per-edge KS is
+    computed in t against the exact CDF normalized by the edge mass.
     """
-    d = diagram.d
-    per_edge_ts = {e.pair: [] for e in diagram.edges}
-    assignments = []
-    off = 0
-    dists = []
-    for z in measure.points:
-        best = None
-        for e in diagram.edges:
-            t, dist = e.project(z)
-            if best is None or dist < best[1]:
-                best = (t, dist, e)
-        t, dist, e = best
-        dists.append(dist)
-        local = e.gap * math.sqrt(0.25 + t * t)  # projected point to its sites
-        if dist > off_skeleton_cutoff * local:
-            off += 1
-            assignments.append((complex(z), None, t, dist))
-            continue
-        per_edge_ts[e.pair].append(t)
-        assignments.append((complex(z), e.pair, t, dist))
+    edges = diagram.edges
+    z = np.asarray(measure.points, dtype=complex)[:, None]
+    mid = np.array([e.midpoint for e in edges])
+    w = np.array([e.direction for e in edges])
+    # EdgeSegment.project on every (atom, edge) pair, in real arithmetic
+    dx, dy = z.real - mid.real, z.imag - mid.imag
+    t = (dx * w.real + dy * w.imag) / np.array([abs(v) ** 2 for v in w])
+    t = np.clip(t, [e.t_lo for e in edges], [e.t_hi for e in edges])
+    dist = np.hypot(z.real - (mid.real + t * w.real),
+                    z.imag - (mid.imag + t * w.imag))
+    best = np.argmin(dist, axis=1)
+    rows = np.arange(len(z))
+    t, dist = t[rows, best], dist[rows, best]
+    gap = np.array([e.gap for e in edges])[best]
+    on = dist <= off_skeleton_cutoff * (gap * np.sqrt(0.25 + t * t))
 
-    m = len(measure.points)
-    edges = []
-    for e in diagram.edges:
-        ts = per_edge_ts[e.pair]
-        mass = edge_mass(e, d)
-        frac = len(ts) / m
-        ks = _ks_statistic(ts, lambda t: edge_cdf(e, t, d), mass) if ts else 1.0
-        edges.append(EdgeComparison(pair=e.pair, theoretical_mass=mass,
-                                    empirical_fraction=frac, ks=ks))
+    m = len(z)
+    comparisons = []
+    for k, e in enumerate(edges):
+        ts = t[on & (best == k)]
+        comparisons.append(EdgeComparison(
+            pair=e.pair, theoretical_mass=edge_mass(e, diagram.d),
+            empirical_fraction=len(ts) / m,
+            ks=_ks_statistic(ts, e, diagram.d) if len(ts) else 1.0))
+    pairs = [edges[k].pair if a else None for k, a in zip(best.tolist(), on.tolist())]
     return ComparisonReport(
         n=measure.n,
         m_n=m,
-        edges=tuple(edges),
-        off_skeleton_fraction=off / m,
-        mean_distance=float(np.mean(dists)),
-        assignments=tuple(assignments),
+        edges=tuple(comparisons),
+        off_skeleton_fraction=int((~on).sum()) / m,
+        mean_distance=float(np.mean(dist)),
+        assignments=tuple(zip(z[:, 0].tolist(), pairs, t.tolist(), dist.tolist())),
     )
+
+
+def grid_points(window, grid, rng):
+    """grid x grid points of window = (center, half_side), jittered by rng."""
+    center, half = complex(window[0]), float(window[1])
+    xs = (np.arange(grid) + rng.random(grid)) / grid
+    ys = (np.arange(grid) + rng.random(grid)) / grid
+    gx, gy = np.meshgrid(xs, ys)
+    return ((center - half - 1j * half) + 2.0 * half * (gx + 1j * gy)).ravel()
+
+
+def grid_discrepancy(points, atoms, log_norm, reference, exclusion_radius):
+    """Mean of |L - reference| over the points away from every atom.
+
+    L(z) = (log_norm[0] + sum_k log|z - atoms[k]|) / log_norm[1], and
+    reference (voronoi.psi, lemniscate.psi_max) takes an array of
+    points.  Points within exclusion_radius of an atom are skipped.
+    Returns (mean, skipped count); the mean is NaN if all are skipped.
+    Blocks of at most GRID_BLOCK_ELEMENTS (point, atom) pairs bound memory.
+    """
+    atoms = np.asarray(atoms, dtype=complex)
+    step = max(1, GRID_BLOCK_ELEMENTS // len(atoms))
+    gaps = [np.empty(0)]
+    for lo in range(0, len(points), step):
+        block = points[lo:lo + step]
+        sep = np.abs(block[:, None] - atoms)
+        keep = sep.min(axis=1) > exclusion_radius
+        ln = (np.log(sep[keep]).sum(axis=1) + log_norm[0]) / log_norm[1]
+        gaps.append(np.abs(ln - reference(block[keep])))
+    gaps = np.concatenate(gaps)
+    return (float(gaps.mean()) if len(gaps) else math.nan), len(points) - len(gaps)
 
 
 def potential_l1(roots, diagram, window, grid=200, exclusion_radius=None,
@@ -159,35 +187,18 @@ def potential_l1(roots, diagram, window, grid=200, exclusion_radius=None,
     or a site are skipped (their count must stay below the allowed
     fraction, since the integrand is integrable but unbounded there).
     """
-    center, half = complex(window[0]), float(window[1])
-    atoms = np.asarray([complex(z) for z in roots])
     if exclusion_radius is None:
-        exclusion_radius = 1e-3 * 2.0 * half
-    rng = np.random.default_rng(seed)
-    xs = (np.arange(grid) + rng.random(grid)) / grid
-    ys = (np.arange(grid) + rng.random(grid)) / grid
-    gx, gy = np.meshgrid(xs, ys)
-    pts = (center - half - 1j * half) + 2.0 * half * (gx + 1j * gy)
-    pts = pts.ravel()
-
-    total = 0.0
-    count = 0
-    excluded = 0
-    for lo in range(0, len(pts), 4096):
-        block = pts[lo:lo + 4096]
-        sep = np.abs(block[:, None] - atoms[None, :])
-        keep = sep.min(axis=1) > exclusion_radius
-        for s in diagram.sites:
-            keep &= np.abs(block - s) > exclusion_radius
-        excluded += int((~keep).sum())
-        ln = np.log(sep[keep]).mean(axis=1)
-        psi_vals = np.array([psi(diagram.sites, z) for z in block[keep]])
-        total += float(np.abs(ln - psi_vals).sum())
-        count += int(keep.sum())
+        exclusion_radius = 1e-3 * 2.0 * float(window[1])
+    pts = grid_points(window, grid, np.random.default_rng(seed))
+    sites = np.asarray(diagram.sites)
+    near_site = np.abs(pts[:, None] - sites).min(axis=1) <= exclusion_radius
+    value, skipped = grid_discrepancy(pts[~near_site], roots, (0.0, len(roots)),
+                                      lambda z: psi(sites, z), exclusion_radius)
+    excluded = int(near_site.sum()) + skipped
     if excluded > max_excluded_fraction * len(pts):
         raise ExclusionTooLarge(
             f"{excluded / len(pts):.2%} of samples excluded")
-    return total / count
+    return value
 
 
 def twopole_zeros(a1, a2, z1, z2, n):

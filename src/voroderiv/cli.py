@@ -173,14 +173,20 @@ def cmd_odecheck(args, out):
     f = odecheck.PowerSumFunction(s=s, poles=tuple(poles), weights=tuple(weights))
     rng = np.random.default_rng(args.seed)
     rows = []
+    sampled = 0
     for n in _n_list(args):
         for _ in range(10):
             z = complex(rng.normal(), rng.normal()) * 2.0
+            sampled += 1
             if min(abs(z - p) for p in poles) < 1e-3:
                 continue
             r = odecheck.powersum_residual(f, n, z)
             rows.append((n, z.real, z.imag, abs(r)))
     _write_csv(out / "odecheck.csv", ["n", "z_re", "z_im", "residual"], rows)
+    # points within 1e-3 of a pole are dropped; say how many
+    summary = {"sampled": sampled, "dropped": sampled - len(rows)}
+    (out / "odecheck_summary.json").write_text(
+        json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 

@@ -22,6 +22,10 @@ class DegreeCollapse(VoroderivError):
     """
 
 
+class CoefficientOverflow(VoroderivError):
+    """An expansion at the requested order has non-finite coefficients."""
+
+
 class ZeroPolynomial(VoroderivError):
     """Operation requires a nonzero polynomial."""
 

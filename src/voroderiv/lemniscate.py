@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _poly, rootfind
-from .errors import NoDominantDegree
+from . import _poly, asympt, rootfind
+from .errors import CoefficientOverflow, NoDominantDegree
 
 __all__ = [
     "LemniscateProblem",
@@ -61,25 +61,21 @@ def build_rn(problem, n):
 
     Negative multipliers are allowed (reciprocal summands): the common
     denominator prod_{m_j < 0} P_j^{-m_j n} is cleared first and the
-    combined numerator is returned.
+    combined numerator is returned.  Raises CoefficientOverflow when a
+    coefficient of the expansion is not finite in double precision.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    polys = problem.polynomials
-    mult = problem.multipliers
-    neg = [k for k, m in enumerate(mult) if m < 0]
     total = None
-    for i in range(len(polys)):
+    for row in _term_exponents(problem, n):
         term = _poly.asarray([1.0])
-        for j in range(len(polys)):
-            e = 0
-            if j == i and mult[i] > 0:
-                e += mult[i] * n
-            if j in neg and j != i:
-                e += -mult[j] * n
+        for p, e in zip(problem.polynomials, row):
             if e:
-                term = _poly.polymul(term, _poly.polypow(polys[j], e))
+                term = _poly.polymul(term, _poly.polypow(p, e))
         total = term if total is None else _poly.polyadd(total, term)
+    if not _poly.all_finite(total):
+        raise CoefficientOverflow(
+            f"order n={n} overflowed: R_n has non-finite coefficients")
     return _poly.trim(total, 1e-300)
 
 
@@ -144,13 +140,24 @@ def rn_evaluator(problem, n):
 
 
 def psi_max(problem, z):
-    """max_i m_i log |P_i(z)|; -inf at common zeros of the maximizers."""
-    z = complex(z)
-    best = -math.inf
+    """max_i m_i log |P_i(z)|; -inf at common zeros of the maximizers.
+
+    z is a scalar (float out) or an array of points.  A vanishing
+    summand counts as -inf, whatever the sign of its multiplier.
+    """
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    best = np.full(z.shape, -np.inf)
     for p, m in zip(problem.polynomials, problem.multipliers):
-        v = abs(_poly.polyval(p, z))
-        best = max(best, m * math.log(v) if v > 0.0 else -math.inf)
-    return best
+        # Horner in real parts rounds as Python's complex scalars do;
+        # numpy's complex multiply and abs round differently per CPU
+        re, im = np.full(z.shape, p[-1].real), np.full(z.shape, p[-1].imag)
+        for c in p[-2::-1]:
+            re, im = re * x - im * y + c.real, re * y + im * x + c.imag
+        v = np.hypot(re, im)
+        with np.errstate(divide="ignore"):
+            best = np.maximum(best, np.where(v > 0.0, m * np.log(v), -np.inf))
+    return float(best) if best.ndim == 0 else best
 
 
 def dominance_radius(problem, samples=720, growth=1.25, max_doublings=60):
@@ -222,9 +229,8 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0,
     except NoDominantDegree:
         radius = float("nan")
         compact = False
-    center, half = complex(window[0]), float(window[1])
     if exclusion_radius is None:
-        exclusion_radius = 1e-3 * 2.0 * half
+        exclusion_radius = 1e-3 * 2.0 * float(window[1])
     rng = np.random.default_rng(seed)
     max_mod = []
     l1 = []
@@ -242,17 +248,10 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0,
         roots = np.asarray([complex(z) for z in rs.roots])
         all_roots.append(tuple(roots))
         max_mod.append(float(np.abs(roots).max()))
-        xs = (np.arange(grid) + rng.random(grid)) / grid
-        ys = (np.arange(grid) + rng.random(grid)) / grid
-        gx, gy = np.meshgrid(xs, ys)
-        pts = (center - half - 1j * half) + 2.0 * half * (gx + 1j * gy)
-        pts = pts.ravel()
-        sep = np.abs(pts[:, None] - roots[None, :])
-        keep = sep.min(axis=1) > exclusion_radius
-        lead = abs(complex(p[-1]))
-        ln = (np.log(sep[keep]).sum(axis=1) + math.log(lead)) / n
-        ref = np.array([psi_max(problem, z) for z in pts[keep]])
-        l1.append(float(np.mean(np.abs(ln - ref))))
+        l1.append(asympt.grid_discrepancy(
+            asympt.grid_points(window, grid, rng), roots,
+            (math.log(abs(complex(p[-1]))), n),
+            lambda z: psi_max(problem, z), exclusion_radius)[0])
     return LemniscateReport(
         n_list=tuple(n_list),
         max_root_modulus=tuple(max_mod),

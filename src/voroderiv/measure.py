@@ -44,9 +44,15 @@ def edge_density(edge, t, d):
 
 
 def edge_cdf(edge, t, d):
-    """Mass of the edge below parameter t; arctan closed form."""
-    t = min(max(t, edge.t_lo), edge.t_hi)
-    return (_atan2t(t) - _atan2t(edge.t_lo)) / ((d - 1) * math.pi)
+    """Mass of the edge below parameter t; arctan closed form.
+
+    t is a scalar, giving a float, or a numpy array of parameters.
+    """
+    if isinstance(t, np.ndarray):
+        u = np.arctan(2.0 * np.clip(t, edge.t_lo, edge.t_hi))
+    else:
+        u = _atan2t(min(max(t, edge.t_lo), edge.t_hi))
+    return (u - _atan2t(edge.t_lo)) / ((d - 1) * math.pi)
 
 
 def edge_mass(edge, d):

@@ -33,6 +33,19 @@ __all__ = [
 ]
 
 
+def _check_distinct(poles):
+    """Raise DuplicatePole if two locations coincide; return the scale.
+
+    The tolerance is 1e-14 times the scale max(1, max |z_i|).
+    """
+    scale = max(max(abs(z) for z in poles), 1.0)
+    for i in range(len(poles)):
+        for j in range(i + 1, len(poles)):
+            if abs(poles[i] - poles[j]) <= 1e-14 * scale:
+                raise DuplicatePole(f"poles {i} and {j} coincide")
+    return scale
+
+
 @dataclass(frozen=True)
 class PolarForm:
     """Poles, orders, polar coefficients and polynomial part.
@@ -50,12 +63,7 @@ class PolarForm:
     def __post_init__(self):
         if len(self.poles) < 1:
             raise ValueError("need at least one pole")
-        locs = list(self.poles)
-        scale = max(max(abs(z) for z in locs), 1.0)
-        for i in range(len(locs)):
-            for j in range(i + 1, len(locs)):
-                if abs(locs[i] - locs[j]) <= 1e-14 * scale:
-                    raise DuplicatePole(f"poles {i} and {j} coincide")
+        _check_distinct(self.poles)
         for i, (r, cs) in enumerate(zip(self.orders, self.coeffs)):
             if r < 1 or len(cs) != r:
                 raise ValueError(f"pole {i}: order/coefficient mismatch")
@@ -173,11 +181,7 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE, rng=None):
     numer = _poly.trim(_poly.asarray(numer, precision))
     poles = [_poly.scalar(z, precision) for z, _ in denominator_poles]
     orders = [int(r) for _, r in denominator_poles]
-    scale = max(max(abs(z) for z in poles), 1.0)
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) <= 1e-14 * scale:
-                raise DuplicatePole(f"poles {i} and {j} coincide")
+    scale = _check_distinct(poles)
 
     # reject a shared root: numerator value at each pole vs its own scale
     for zi in poles:

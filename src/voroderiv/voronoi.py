@@ -193,19 +193,16 @@ def psi(sites, z):
 
     Equals (d-1)^{-1}(log prod|z - z_i| - log min|z - z_i|) away from
     the sites and extends it continuously to the sites themselves by
-    dropping the nearest factor before taking logs.
+    dropping the nearest factor before taking logs.  z is a scalar,
+    giving a float, or an array of points, giving an array of that
+    shape; on ties the lowest site index counts as nearest.
     """
-    z = complex(z)
-    sites = [complex(s) for s in sites]
-    d = len(sites)
-    dists = [abs(z - s) for s in sites]
-    nearest = int(np.argmin(dists))
-    acc = 0.0
-    for k, dist in enumerate(dists):
-        if k == nearest:
-            continue
-        acc += math.log(dist)
-    return acc / (d - 1)
+    diff = np.asarray(z, dtype=complex)[..., None] - np.asarray(sites, dtype=complex)
+    dists = np.hypot(diff.real, diff.imag)  # rounds as Python's abs(complex)
+    # log 1 = 0 drops the nearest factor from the sum
+    np.put_along_axis(dists, np.argmin(dists, axis=-1)[..., None], 1.0, axis=-1)
+    out = np.log(dists).sum(axis=-1) / (dists.shape[-1] - 1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

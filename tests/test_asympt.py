@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from voroderiv import asympt, rational, rootfind, voronoi
+from voroderiv.measure import edge_cdf, edge_mass
 
 
 def multiset_distance(found, expected):
@@ -76,6 +77,67 @@ def test_project_and_bin_two_pole():
     assert 0.0 <= ec.ks < 0.1
 
 
+def project_and_bin_reference(measure, diagram, cutoff=0.5):
+    """The per-atom, per-edge loop that project_and_bin is checked against.
+
+    Returns the assignments and {pair: ks} of the edges with atoms.
+    """
+    d = diagram.d
+    per_edge_ts = {e.pair: [] for e in diagram.edges}
+    assignments = []
+    for z in measure.points:
+        best = None
+        for e in diagram.edges:
+            t, dist = e.project(z)
+            if best is None or dist < best[1]:
+                best = (t, dist, e)
+        t, dist, e = best
+        local = e.gap * math.sqrt(0.25 + t * t)
+        if dist > cutoff * local:
+            assignments.append((complex(z), None, t, dist))
+            continue
+        per_edge_ts[e.pair].append(t)
+        assignments.append((complex(z), e.pair, t, dist))
+    ks = {}
+    for e in diagram.edges:
+        ts = sorted(per_edge_ts[e.pair])
+        mass = edge_mass(e, d)
+        worst = 0.0
+        for k, t in enumerate(ts):
+            f = edge_cdf(e, t, d) / mass
+            worst = max(worst, abs((k + 1) / len(ts) - f), abs(k / len(ts) - f))
+        if ts:
+            ks[e.pair] = worst
+    return assignments, ks
+
+
+def test_project_and_bin_matches_loop_reference():
+    # criterion 13's eight poles at n = 50: 350 atoms over many edges
+    rng = np.random.default_rng(11)
+    poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
+    form = rational.polar_decompose([1.0], [(p, 1) for p in poles])
+    emp = asympt.empirical(rational.zeros(form, 50), 50)
+    diagram = voronoi.build(poles)
+    # a tight cutoff also sends some atoms off the skeleton
+    for cutoff in (0.5, 0.01):
+        rep = asympt.project_and_bin(emp, diagram, off_skeleton_cutoff=cutoff)
+        ref, ref_ks = project_and_bin_reference(emp, diagram, cutoff)
+        assert [a[:2] for a in rep.assignments] == [a[:2] for a in ref]
+        off = sum(a[1] is None for a in ref)
+        assert rep.off_skeleton_fraction == off / len(ref)
+        assert cutoff == 0.5 or off > 0
+        for a, b in zip(rep.assignments, ref):
+            assert abs(a[2] - b[2]) <= 1e-12 and abs(a[3] - b[3]) <= 1e-12
+            assert type(a[2]) is float and type(a[3]) is float
+        assert rep.mean_distance == pytest.approx(
+            np.mean([a[3] for a in ref]), rel=1e-12)
+        for ec in rep.edges:
+            if ec.pair in ref_ks:
+                assert abs(ec.ks - ref_ks[ec.pair]) <= 1e-12
+            else:
+                assert ec.ks == 1.0 and ec.empirical_fraction == 0.0
+
+
 def test_ks_decreases_with_n():
     d = voronoi.build([1j, -1j])
     ks = []
@@ -104,6 +166,17 @@ def test_potential_l1_decreases_with_n():
                                         grid=40))
     assert vals[0] > vals[1] > vals[2]
     assert vals[-1] < 0.05
+
+
+def test_potential_l1_independent_of_block_size(monkeypatch):
+    d = voronoi.build([1j, -1j])
+    roots = two_pole_rootset(40).roots
+    value = asympt.potential_l1(roots, d, window=(0.0, 2.0), grid=25)
+    for rows in (1, 3):
+        # 625 grid points: the last block of 3 rows is ragged
+        monkeypatch.setattr(asympt, "GRID_BLOCK_ELEMENTS", rows * len(roots))
+        assert asympt.potential_l1(roots, d, window=(0.0, 2.0),
+                                   grid=25) == value
 
 
 def test_exclusion_too_large_guard():

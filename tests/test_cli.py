@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from voroderiv import asympt
+from voroderiv import asympt, cli
 
 TWO_POLE = {
     "poles": [
@@ -109,7 +109,10 @@ def test_compare_report(problem, tmp_path):
     assert [rep["n"] for rep in reports] == [6, 12]
     ks = [rep["edges"][0]["ks"] for rep in reports]
     assert ks[1] < ks[0]
-    assert (tmp_path / "atoms_6.csv").exists()
+    rows = list(csv.DictReader(open(tmp_path / "atoms_6.csv")))
+    assert len(rows) == 6
+    for row in rows:  # plain float literals, not numpy reprs
+        float(row["t"]), float(row["distance"])
 
 
 def test_potential_csv(problem, tmp_path):
@@ -127,6 +130,40 @@ def test_odecheck_residuals_small(problem, tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "odecheck.csv")))
     assert rows
     assert max(float(row["residual"]) for row in rows) < 1e-10
+
+
+def test_odecheck_reports_dropped_points(problem, tmp_path, monkeypatch):
+    real_rng = np.random.default_rng
+
+    class FirstOnPole:
+        """Draws the pole at i first, then the seeded generator's normals."""
+
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+            self.queued = [0.0, 0.5]  # z = 2 (0 + 0.5i) = i
+
+        def normal(self):
+            return self.queued.pop(0) if self.queued else self.rng.normal()
+
+    monkeypatch.setattr(np.random, "default_rng", FirstOnPole)
+    code = cli.main(["odecheck", "--problem", str(problem), "--n", "6",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    rows = list(csv.DictReader(open(tmp_path / "odecheck.csv")))
+    assert len(rows) == 9
+    summary = json.loads((tmp_path / "odecheck_summary.json").read_text())
+    assert summary == {"sampled": 10, "dropped": 1}
+
+
+def test_lemniscate_overflow_exits_2(tmp_path):
+    # criterion 12's problem: R_600 has non-finite coefficients
+    p = tmp_path / "c12.json"
+    p.write_text(json.dumps({"lemniscate": {
+        "polynomials": [[0.0, 0.0, 1.0], [-3.0, 1.0]], "multipliers": [1, 1]}}))
+    r = run_cli("lemniscate", "--problem", str(p), "--n", "600",
+                "--window", "0,0,6", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "order n=600 overflowed" in r.stderr
 
 
 def test_render_svg_artifact(problem, tmp_path):

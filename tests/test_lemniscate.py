@@ -1,9 +1,12 @@
 """Derivatives of products of polynomial powers and their zero sets."""
 
+import math
+
 import numpy as np
 import pytest
 
-from voroderiv import _poly, lemniscate, rootfind
+from voroderiv import _poly, asympt, lemniscate, rootfind
+from voroderiv.errors import CoefficientOverflow
 from voroderiv.lemniscate import (LemniscateProblem, NoDominantDegree,
                                   build_rn, compactness_and_compare,
                                   dominance_radius, psi_max, rn_evaluator)
@@ -70,6 +73,57 @@ def test_psi_max_simple_value():
     # single factor z with multiplier 1: psi_max is log |z|
     p = LemniscateProblem(((0.0, 1.0), (-3.0, 1.0)), (1, -1))
     assert psi_max(p, 5.0 + 0j) == pytest.approx(np.log(5.0))
+
+
+def psi_max_reference(problem, z):
+    """The scalar loop that psi_max is checked against."""
+    z = complex(z)
+    best = -math.inf
+    for p, m in zip(problem.polynomials, problem.multipliers):
+        v = abs(_poly.polyval(p, z))
+        best = max(best, m * math.log(v) if v > 0.0 else -math.inf)
+    return best
+
+
+def test_array_psi_max_matches_scalar_loop():
+    rng = np.random.default_rng(3)
+    # z^2 and z(z - 1) share the zero 0, where psi_max is -inf
+    common = LemniscateProblem(((0.0, 0.0, 1.0), (0.0, -1.0, 1.0)), (1, 2))
+    cases = ((fig_problem(), [1.0, -1.0, 1j, -1j, 0.0]),
+             (LemniscateProblem(((0.0, 1.0), (-3.0, 1.0)), (1, -1)), [0.0, 3.0]),
+             (common, [0.0, 1.0, 0.5]))
+    for problem, special in cases:
+        pts = np.concatenate([rng.normal(size=60) + 1j * rng.normal(size=60),
+                              special])
+        got = psi_max(problem, pts)
+        assert got.shape == pts.shape
+        np.testing.assert_allclose(
+            got, [psi_max_reference(problem, z) for z in pts],
+            rtol=1e-14, atol=1e-15)
+    assert psi_max(common, 0.0) == -math.inf
+    assert isinstance(psi_max(common, 0.5), float)
+
+
+def test_build_rn_overflow_is_named():
+    # criterion 12's problem: 198 of 1101 coefficients overflow at n = 550
+    p = LemniscateProblem(((0.0, 0.0, 1.0), (-3.0, 1.0)), (1, 1))
+    assert np.isfinite(build_rn(p, 500)).all()
+    for n in (550, 600):
+        with pytest.raises(CoefficientOverflow, match=f"order n={n} overflowed"):
+            build_rn(p, n)
+
+
+def test_grid_discrepancy_independent_of_block_size(monkeypatch):
+    problem = fig_problem()
+    rep = compactness_and_compare(problem, [4, 8], window=(0.0, 2.0), grid=25)
+    for rows in (1, 3):
+        # 168 roots at n = 8: blocks of 1 or 3 rows of the 625 grid
+        # points (2 or 6 rows at n = 4), each with a ragged last block
+        monkeypatch.setattr(asympt, "GRID_BLOCK_ELEMENTS",
+                            rows * len(rep.roots[1]))
+        again = compactness_and_compare(problem, [4, 8], window=(0.0, 2.0),
+                                        grid=25)
+        assert again.l1_discrepancy == rep.l1_discrepancy
 
 
 def test_rn_evaluator_log_derivative_matches_horner():

@@ -18,8 +18,11 @@ def test_polar_form_evaluates_like_the_quotient():
 
 
 def test_duplicate_pole_rejected():
-    with pytest.raises(DuplicatePole):
+    with pytest.raises(DuplicatePole, match="poles 0 and 1 coincide"):
         polar_form([1.0, 1.0 + 1e-18], [1, 1], [[1.0], [1.0]])
+    # polar_decompose checks before its Taylor shifts divide by z_i - z_l
+    with pytest.raises(DuplicatePole, match="poles 1 and 2 coincide"):
+        polar_decompose([1.0], [(0.0, 1), (1.0, 2), (1.0 + 1e-18, 1)])
 
 
 def test_polar_decompose_recovers_simple_fractions():

@@ -90,6 +90,35 @@ def test_psi_continuous_across_equilateral_edges():
         assert ev.cell_branch(i, z) == pytest.approx(ev.cell_branch(j, z))
 
 
+def psi_reference(sites, z):
+    """The scalar loop that psi is checked against: drop the nearest site."""
+    dists = [abs(complex(z) - complex(s)) for s in sites]
+    nearest = int(np.argmin(dists))
+    acc = 0.0
+    for k, dist in enumerate(dists):
+        if k != nearest:
+            acc += math.log(dist)
+    return acc / (len(sites) - 1)
+
+
+def test_array_psi_matches_scalar_loop():
+    rng = np.random.default_rng(7)
+    for sites in (cube_roots(), [1j, -1j],
+                  list(rng.normal(size=6) + 1j * rng.normal(size=6))):
+        # random points, the sites themselves (the continuous extension)
+        # and points on the bisectors, where the nearest site is tied
+        ties = [e.point(t) for e in build(sites).edges for t in (-0.4, 0.0, 0.9)
+                if e.t_lo <= t <= e.t_hi]
+        pts = np.concatenate([rng.normal(size=40) + 1j * rng.normal(size=40),
+                              sites, ties])
+        got = psi(sites, pts)
+        assert got.shape == pts.shape
+        np.testing.assert_allclose(got, [psi_reference(sites, z) for z in pts],
+                                   rtol=1e-14, atol=1e-15)
+        assert psi(sites, pts.reshape(-1, 1)).shape == (len(pts), 1)
+    assert isinstance(psi([1j, -1j], 2j), float)
+
+
 def test_phi_is_min_distance():
     sites = cube_roots()
     z = 1.7 - 0.4j
