@@ -29,9 +29,10 @@ from .lemniscate import (
     rn_evaluator,
 )
 from .measure import (
-    CauchyEvaluator,
     EdgeMeasure,
+    cauchy_branch,
     cauchy_residual,
+    cauchy_transform,
     edge_cdf,
     edge_density,
     edge_mass,
@@ -59,9 +60,9 @@ from .rootfind import RootSet, fujiwara_bound, solve
 from .svg import render_svg
 from .voronoi import (
     EdgeSegment,
-    PsiEvaluator,
     VoronoiDiagram,
     build,
+    cell_branch,
     distance_to_skeleton,
     locate,
     phi,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _poly, asympt, lemniscate, measure, odecheck, rational, svg, voronoi
 from ._poly import DOUBLE, EXTENDED
-from .errors import VoroderivError
+from .errors import CoefficientOverflow, VoroderivError
 
 
 def _parse_complex(v):
@@ -83,6 +83,9 @@ def cmd_derive(args, out):
     form = _form(args)
     n = _n_list(args)[0]
     res = rational.numerator(rational.derivative_state(form, n))
+    if not _poly.all_finite(res.r_n):
+        raise CoefficientOverflow(
+            f"order n={n} overflowed: R_n has non-finite coefficients")
     rows = [(k, float(_poly.to_complex(c).real), float(_poly.to_complex(c).imag))
             for k, c in enumerate(res.r_n)]
     _write_csv(out / f"rn_{n}.csv", ["k", "re", "im"], rows)

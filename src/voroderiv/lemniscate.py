@@ -99,10 +99,11 @@ def _term_exponents(problem, n):
 def rn_evaluator(problem, n):
     """Point evaluator (R_n, R_n') up to a common per-point scale.
 
-    Works from the sum of products form in log space rather than the
-    dense expansion, which keeps root iterations well conditioned when
-    the expanded coefficients span many orders of magnitude.  Only the
-    ratio R_n/R_n' and the residual are meaningful.
+    Works from the sum of products form in log space
+    (rootfind.product_sum) rather than the dense expansion, which keeps
+    root iterations well conditioned when the expanded coefficients
+    span many orders of magnitude.  Only the ratio R_n/R_n' and the
+    residual are meaningful.
     """
     polys = [np.asarray([complex(c) for c in p]) for p in problem.polynomials]
     ders = [np.polyder(p[::-1])[::-1] for p in polys]
@@ -110,31 +111,10 @@ def rn_evaluator(problem, n):
 
     def eval_pd(z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        vals = [np.polyval(p[::-1], z) for p in polys]
-        dvals = [np.polyval(dp[::-1], z) if len(dp) else np.zeros_like(z)
-                 for dp in ders]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = [np.log(v) for v in vals]
-        terml = []
-        for row in expo:
-            acc = np.zeros(z.shape, dtype=complex)
-            for j, e in enumerate(row):
-                if e:
-                    acc += e * logs[j]
-            terml.append(acc)
-        terml = np.array(terml)
-        scale = terml.real.max(axis=0)
-        pv = np.zeros(z.shape, dtype=complex)
-        dv = np.zeros(z.shape, dtype=complex)
-        for i, row in enumerate(expo):
-            b = np.exp(terml[i] - scale)
-            s = np.zeros(z.shape, dtype=complex)
-            for j, e in enumerate(row):
-                if e:
-                    s += e * dvals[j] / vals[j]
-            pv += b
-            dv += b * s
-        return pv, dv
+        vals = np.array([np.polyval(p[::-1], z) for p in polys])
+        dvals = np.array([np.polyval(dp[::-1], z) if len(dp) else np.zeros_like(z)
+                          for dp in ders])
+        return rootfind.product_sum(vals, dvals, expo)
 
     return eval_pd
 
@@ -143,7 +123,8 @@ def psi_max(problem, z):
     """max_i m_i log |P_i(z)|; -inf at common zeros of the maximizers.
 
     z is a scalar (float out) or an array of points.  A vanishing
-    summand counts as -inf, whatever the sign of its multiplier.
+    summand is the limit of m log|P|: -inf for m >= 0 and +inf for
+    m < 0 (a pole of the reciprocal summand).
     """
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
@@ -156,7 +137,8 @@ def psi_max(problem, z):
             re, im = re * x - im * y + c.real, re * y + im * x + c.imag
         v = np.hypot(re, im)
         with np.errstate(divide="ignore"):
-            best = np.maximum(best, np.where(v > 0.0, m * np.log(v), -np.inf))
+            best = np.maximum(best, np.where(v > 0.0, m * np.log(v),
+                                             np.inf if m < 0 else -np.inf))
     return float(best) if best.ndim == 0 else best
 
 

@@ -18,7 +18,6 @@ from .voronoi import distance_to_skeleton
 
 __all__ = [
     "EdgeMeasure",
-    "CauchyEvaluator",
     "edge_density",
     "edge_mass",
     "edge_cdf",
@@ -26,6 +25,8 @@ __all__ = [
     "total_mass",
     "skeleton_starts",
     "potential_from_measure",
+    "cauchy_branch",
+    "cauchy_transform",
     "cauchy_residual",
 ]
 
@@ -174,33 +175,20 @@ def potential_from_measure(diagram, z, quadrature_nodes=200):
     return acc
 
 
-@dataclass(frozen=True)
-class CauchyEvaluator:
-    """Piecewise-rational Cauchy transform of the limit measure."""
-
-    sites: tuple
-
-    @property
-    def d(self):
-        return len(self.sites)
-
-    def branch(self, i, z):
-        """(d-1)^{-1} sum_{j != i} 1/(z - z_j)."""
-        z = complex(z)
-        acc = 0.0 + 0.0j
-        for j, s in enumerate(self.sites):
-            if j == i:
-                continue
-            acc += 1.0 / (z - complex(s))
-        return acc / (self.d - 1)
-
-    def value(self, z):
-        """The transform at z, via the branch of the containing cell."""
-        dists = [abs(complex(z) - complex(s)) for s in self.sites]
-        return self.branch(int(np.argmin(dists)), z)
+def cauchy_branch(sites, i, z):
+    """(d-1)^{-1} sum_{j != i} 1/(z - z_j), the Cauchy transform on cell i."""
+    z = complex(z)
+    return sum(1.0 / (z - complex(s))
+               for j, s in enumerate(sites) if j != i) / (len(sites) - 1)
 
 
-def cauchy_residual(evaluator, z, diagram=None):
+def cauchy_transform(sites, z):
+    """Cauchy transform of the limit measure: the branch of z's cell."""
+    dists = [abs(complex(z) - complex(s)) for s in sites]
+    return cauchy_branch(sites, int(np.argmin(dists)), z)
+
+
+def cauchy_residual(sites, z, diagram=None):
     """|prod_i (C(z) - branch_i(z))|; zero since C equals one branch.
 
     If a diagram is supplied, points on the skeleton (where the branch
@@ -209,8 +197,5 @@ def cauchy_residual(evaluator, z, diagram=None):
     z = complex(z)
     if diagram is not None and distance_to_skeleton(diagram, z) < 1e-12 * diagram.scale:
         raise OnSkeleton("branch choice ambiguous on the skeleton")
-    c = evaluator.value(z)
-    prod = 1.0
-    for i in range(evaluator.d):
-        prod *= abs(c - evaluator.branch(i, z))
-    return prod
+    c = cauchy_transform(sites, z)
+    return math.prod(abs(c - cauchy_branch(sites, i, z)) for i in range(len(sites)))

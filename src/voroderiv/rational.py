@@ -9,7 +9,7 @@ and the double backend stays usable to n of order a hundred.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,7 +319,7 @@ def newton_evaluator(state):
 
     Returns a callable mapping an array of points to (N, N') up to a
     common per-point scale factor, computed from the sum of products
-    form rather than expanded coefficients.  At large n the expanded
+    form by rootfind.product_sum rather than from expanded coefficients.  At large n the expanded
     coefficients span hundreds of orders of magnitude and coefficient
     Horner loses the roots to cancellation; the product form stays
     well conditioned, so root iterations can use this callable in
@@ -330,45 +330,22 @@ def newton_evaluator(state):
     if not _poly.is_zero(base.polynomial_part, abs_floor=0.0):
         raise ValueError("numerator evaluation requires zero polynomial part")
     poles = np.array([complex(p) for p in base.poles])
-    orders = np.array(base.orders, dtype=int)
     n = state.n
-    d = base.d
-    inners = []
-    for i in range(d):
-        ri = orders[i]
-        c = np.array([complex(v) for v in state.scaled_coeffs[i]])
-        # inner_i(z) = sum_j c_{i,j} (z - z_i)^{r_i - j}, j = 1..r_i
-        inner = np.zeros(ri, dtype=complex)
-        for j in range(1, ri + 1):
-            inner[ri - j] = c[j - 1]
-        inners.append(inner)
+    # term i: inner_i(z - z_i) prod_{k != i} (z - z_k)^{r_k + n}, where
+    # inner_i(w) = sum_j c_{i,j} w^{r_i - j}, j = 1..r_i
+    expo = [[0 if k == i else r + n for k, r in enumerate(base.orders)]
+            for i in range(base.d)]
+    inners = [np.array([complex(c) for c in cs[::-1]])
+              for cs in state.scaled_coeffs]
+    dinners = [_poly.polyder(inner) for inner in inners]
+    dlin = np.ones(base.d)  # (z - z_k)' = 1
 
     def eval_pd(z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        logb = np.empty((d,) + z.shape, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(z[None, :] - poles[:, None])
-        for i in range(d):
-            acc = np.zeros(z.shape, dtype=complex)
-            for k in range(d):
-                if k != i:
-                    acc += (orders[k] + n) * logs[k]
-            logb[i] = acc
-        scale = logb.real.max(axis=0)
-        pv = np.zeros(z.shape, dtype=complex)
-        dv = np.zeros(z.shape, dtype=complex)
-        for i in range(d):
-            w = z - poles[i]
-            iv = _poly.polyval(inners[i], z - poles[i]) if len(inners[i]) else 0.0
-            ivd = _poly.polyval(_poly.polyder(inners[i]), w) if len(inners[i]) > 1 else 0.0
-            s = np.zeros(z.shape, dtype=complex)
-            for k in range(d):
-                if k != i:
-                    s += (orders[k] + n) / (z - poles[k])
-            b = np.exp(logb[i] - scale)
-            pv += b * iv
-            dv += b * (s * iv + ivd)
-        return pv, dv
+        lin = z[None, :] - poles[:, None]
+        weights = ([_poly.polyval(c, w) for c, w in zip(inners, lin)],
+                   [_poly.polyval(c, w) for c, w in zip(dinners, lin)])
+        return rootfind.product_sum(lin, dlin, expo, weights)
 
     return eval_pd
 

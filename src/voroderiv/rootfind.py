@@ -5,15 +5,25 @@ sized from the Fujiwara root bound.  Polynomial evaluation rescales on
 the fly so that degrees of several hundred with widely spread roots do
 not overflow double precision.
 
-A root whose correction falls below the tolerance is frozen (Bini 1996).
-Each double-precision sweep evaluates only the roots still active and
-forms their Cauchy sums against all m roots in row blocks of at most
-CHUNK_ELEMENTS entries, so a sweep costs O(active * m) time and its
-memory stays bounded at any degree.  Each row is summed over all m
-columns in index order, so with a pointwise evaluator the roots do not
-depend on the block size or on which other roots are still active.
+One sweep routine, _aberth, serves both precisions, as Bini (1996)
+states the iteration for any arithmetic that can evaluate p/p': it runs
+on complex arrays, or on object arrays of mpmath.mpc at extended
+precision.  It is a Jacobi sweep: every active root is corrected from
+the positions at the start of the sweep.  A root whose correction falls
+below the tolerance is frozen.  Each sweep evaluates only the roots
+still active and forms their Cauchy sums against all m roots in row
+blocks of at most CHUNK_ELEMENTS entries, so a sweep costs
+O(active * m) time and its memory stays bounded at any degree.  Each
+row is summed over all m columns in index order, so with a pointwise
+evaluator the roots do not depend on the block size or on which other
+roots are still active.
+
+product_sum is the one log-space evaluator of sums of products of
+powers, behind both structural numerators: rational.newton_evaluator
+and lemniscate.rn_evaluator.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -23,7 +33,7 @@ from . import _poly
 from ._poly import DOUBLE, EXTENDED
 from .errors import NoConvergence, ZeroPolynomial
 
-__all__ = ["RootSet", "fujiwara_bound", "solve"]
+__all__ = ["RootSet", "fujiwara_bound", "product_sum", "solve"]
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -98,6 +108,48 @@ def _horner_scaled(coeffs, z):
     return p, dp
 
 
+def product_sum(vals, dvals, exponents, weights=None):
+    """(N, N') of N = sum_i w_i prod_j f_j^{e_ij}, up to a per-point scale.
+
+    vals and dvals hold f_j and f_j' as rows over the points (a row of
+    dvals may be a constant), exponents
+    is the matrix e_ij of non-negative integers, and weights, when
+    given, is a pair (w, w') of per-term values or arrays (default
+    w = 1).  The products are formed in log space and scaled by the
+    largest modulus per point, so degrees in the thousands neither
+    overflow nor underflow; only N/N' and |N|/|N'| are meaningful.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(vals)
+    shape = np.shape(vals)[1:]
+    terms = []
+    for row in exponents:
+        acc = np.zeros(shape, dtype=complex)
+        for j, e in enumerate(row):
+            if e:
+                acc += e * logs[j]
+        terms.append(acc)
+    terms = np.array(terms)
+    scale = terms.real.max(axis=0)
+    pv = np.zeros(shape, dtype=complex)
+    dv = np.zeros(shape, dtype=complex)
+    for i, row in enumerate(exponents):
+        b = np.exp(terms[i] - scale)
+        # logarithmic derivative of the product
+        s = np.zeros(shape, dtype=complex)
+        for j, e in enumerate(row):
+            if e:
+                s += e * dvals[j] / vals[j]
+        if weights is None:
+            pv += b
+            dv += b * s
+        else:
+            w, dw = weights[0][i], weights[1][i]
+            pv += b * w
+            dv += b * (s * w + dw)
+    return pv, dv
+
+
 def _row_blocks(roots, idx):
     """Blocks of z_k - z_j for k in idx against all j, CHUNK_ELEMENTS at most.
 
@@ -113,7 +165,7 @@ def _row_blocks(roots, idx):
 
 def _cauchy_sums(roots, idx):
     """sum_{j != k} 1/(z_k - z_j) for each k in idx."""
-    sums = np.empty(len(idx), dtype=complex)
+    sums = np.empty(len(idx), dtype=roots.dtype)
     for rows, diag, diff in _row_blocks(roots, idx):
         diff[diag] = 1.0
         inv = 1.0 / diff
@@ -131,11 +183,10 @@ def _nearest_distance(roots, idx):
     return near
 
 
-def _aberth_double(p, tolerance, start, max_sweeps, eval_pd=None):
-    if eval_pd is None:
-        eval_pd = lambda z: _horner_scaled(p, z)
-    m = _poly.degree(p)
-    roots = np.array(start, dtype=complex)
+def _aberth(eval_pd, tolerance, start, max_sweeps):
+    """Aberth sweeps from start; complex or mpmath (object) arrays alike."""
+    roots = start.copy()
+    m = len(roots)
     converged = np.zeros(m, dtype=bool)
     trace = []
     tiny = 1e-300
@@ -154,7 +205,7 @@ def _aberth_double(p, tolerance, start, max_sweeps, eval_pd=None):
             break
     pv, dv = eval_pd(roots)
     guard = np.abs(dv) < tiny
-    resid = np.abs(pv) / np.where(guard, tiny, np.abs(dv))
+    resid = (np.abs(pv) / np.where(guard, tiny, np.abs(dv))).astype(float)
     if guard.any():
         # derivative underflow: fall back to nearest-neighbour cluster radius
         resid[guard] = _nearest_distance(roots, np.flatnonzero(guard))
@@ -162,69 +213,20 @@ def _aberth_double(p, tolerance, start, max_sweeps, eval_pd=None):
                    sweeps=len(trace), active_trace=tuple(trace))
 
 
-def _aberth_extended(p, tolerance, start, max_sweeps):
-    import mpmath
-
-    with _poly.workprec():
-        m = _poly.degree(p)
-        roots = list(start)
-        converged = [False] * m
-        trace = []
-        dp = _poly.polyder(p)
-        for _ in range(max_sweeps):
-            trace.append(m - sum(converged))
-            moved = False
-            for k in range(m):
-                if converged[k]:
-                    continue
-                z = roots[k]
-                pv = _poly.polyval(p, z)
-                dv = _poly.polyval(dp, z)
-                if abs(dv) == 0:
-                    dv = mpmath.mpc(1e-60)
-                newton = pv / dv
-                s = mpmath.mpc(0)
-                for j in range(m):
-                    if j != k:
-                        s += 1 / (z - roots[j])
-                denom = 1 - newton * s
-                if abs(denom) == 0:
-                    denom = mpmath.mpc(1e-60)
-                corr = newton / denom
-                roots[k] = z - corr
-                if abs(corr) < tolerance * (1 + abs(roots[k])):
-                    converged[k] = True
-                else:
-                    moved = True
-            if not moved:
-                break
-        resid = []
-        for z in roots:
-            pv = _poly.polyval(p, z)
-            dv = _poly.polyval(dp, z)
-            resid.append(float(abs(pv) / abs(dv)) if abs(dv) > 0 else float("inf"))
-    out = np.empty(m, dtype=object)
-    out[:] = roots
-    return RootSet(
-        roots=out,
-        residuals=np.array(resid, dtype=float),
-        converged=np.array(converged, dtype=bool),
-        sweeps=len(trace),
-        active_trace=tuple(trace),
-    )
+def _points(pts, precision):
+    """pts as a complex array, or as an object array of mpc."""
+    if precision == DOUBLE:
+        return np.array(pts, dtype=complex)
+    out = np.empty(len(pts), dtype=object)
+    out[:] = [_poly.scalar(z, EXTENDED) for z in pts]
+    return out
 
 
 def _start_points(m, radius, precision):
     # golden-angle jitter keeps the start free of the symmetries that
     # stall the iteration on symmetric inputs
     angles = 2.0 * math.pi * np.arange(m) / m + GOLDEN_ANGLE * np.arange(m) / m + 0.31
-    pts = radius * np.exp(1j * angles)
-    if precision == EXTENDED:
-        out = np.empty(m, dtype=object)
-        for k in range(m):
-            out[k] = _poly.scalar(complex(pts[k]), EXTENDED)
-        return out
-    return pts
+    return _points(radius * np.exp(1j * angles), precision)
 
 
 def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
@@ -235,8 +237,13 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     jitter; on non-convergence restarts once from the full Fujiwara
     radius and raises NoConvergence (with the best-effort RootSet
     attached) if that also stalls.  Raises ValueError on non-finite
-    coefficients unless an evaluator is given.  Extended-precision
-    arithmetic, monic scaling included, runs at _poly.EXTENDED_DPS digits.
+    coefficients unless an evaluator is given.
+
+    Both precisions run the same active-set Jacobi sweep (_aberth); only
+    the arithmetic differs.  The double path evaluates p and p' by
+    scaled Horner (_horner_scaled) on complex arrays.  The extended path
+    evaluates them by Horner on object arrays of mpmath.mpc and runs,
+    monic scaling included, at _poly.EXTENDED_DPS digits.
 
     evaluator, when given, supplies (p, p') at an array of points in
     place of coefficient Horner; use newton_evaluator for numerators
@@ -265,36 +272,36 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     with _poly.workprec():
         p = _poly.monic(p)
         bound = fujiwara_bound(p)
+        dp = _poly.polyder(p) if precision == EXTENDED else None
     if max_sweeps is None:
         max_sweeps = MAX_SWEEPS[precision]
     if bound == 0.0:
         roots = _poly.zeros(m, precision)
         return RootSet(roots=roots, residuals=np.zeros(m), converged=np.ones(m, dtype=bool))
-    if precision == DOUBLE:
-        def runner(q, tol, start, sweeps):
-            return _aberth_double(q, tol, start, sweeps, eval_pd=evaluator)
-    else:
-        runner = _aberth_extended
     if start is not None:
-        start = np.asarray(start)
         if len(start) != m:
             raise ValueError("start must supply one point per root")
-        if precision == EXTENDED and start.dtype != object:
-            conv = np.empty(m, dtype=object)
-            for k in range(m):
-                conv[k] = _poly.scalar(complex(start[k]), EXTENDED)
-            start = conv
-        first = start
+        first = _points(start, precision)
     else:
         first = _start_points(m, 0.5 * bound, precision)
-    result = runner(p, tolerance, first, max_sweeps)
-    if not result.all_converged:
-        retry = runner(p, tolerance, _start_points(m, bound, precision), max_sweeps)
-        if retry.converged.sum() > result.converged.sum():
-            result = retry
+    arithmetic = contextlib.nullcontext()
+    if precision == EXTENDED:
+        # np.polyval starts from an array; an mpc times an ndarray would
+        # first format the whole array into mpmath's conversion error
+        evaluator = lambda z: (np.polyval(p[::-1], z), np.polyval(dp[::-1], z))
+        arithmetic = _poly.workprec()
+    elif evaluator is None:
+        evaluator = lambda z: _horner_scaled(p, z)
+    with arithmetic:
+        result = _aberth(evaluator, tolerance, first, max_sweeps)
         if not result.all_converged:
-            raise NoConvergence(
-                f"{int((~result.converged).sum())} of {m} roots unconverged",
-                rootset=result,
-            )
+            retry = _aberth(evaluator, tolerance,
+                            _start_points(m, bound, precision), max_sweeps)
+            if retry.converged.sum() > result.converged.sum():
+                result = retry
+    if not result.all_converged:
+        raise NoConvergence(
+            f"{int((~result.converged).sum())} of {m} roots unconverged",
+            rootset=result,
+        )
     return result

@@ -18,8 +18,8 @@ from .errors import DegenerateScale, DuplicateSites
 __all__ = [
     "EdgeSegment",
     "VoronoiDiagram",
-    "PsiEvaluator",
     "build",
+    "cell_branch",
     "locate",
     "phi",
     "psi",
@@ -205,27 +205,14 @@ def psi(sites, z):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PsiEvaluator:
-    """Piecewise-harmonic potential over a fixed site set."""
+def cell_branch(sites, i, z):
+    """The harmonic formula of cell i, (d-1)^{-1} sum_{k != i} log|z - z_k|.
 
-    sites: tuple
-
-    def phi(self, z):
-        return phi(self.sites, z)
-
-    def psi(self, z):
-        return psi(self.sites, z)
-
-    def cell_branch(self, i, z):
-        """The harmonic formula of cell i evaluated at z (any z)."""
-        sites = self.sites
-        acc = 0.0
-        for k, s in enumerate(sites):
-            if k == i:
-                continue
-            acc += math.log(abs(complex(z) - complex(s)))
-        return acc / (len(sites) - 1)
+    Defined at any z; psi equals it on cell i.
+    """
+    z = complex(z)
+    return sum(math.log(abs(z - complex(s)))
+               for k, s in enumerate(sites) if k != i) / (len(sites) - 1)
 
 
 def distance_to_skeleton(diagram, z):

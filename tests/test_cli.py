@@ -51,6 +51,22 @@ def test_derive_writes_numerator_csv(problem, tmp_path):
     assert {"k", "re", "im"} <= set(rows[0])
 
 
+def test_derive_overflow_exits_2(tmp_path):
+    # three unit-circle poles: 1541 of the 2003 coefficients of R_1000
+    # are NaN in double precision; none may reach rn_1000.csv
+    p = tmp_path / "d3.json"
+    p.write_text(json.dumps({"poles": [
+        {"re": z.real, "im": z.imag, "order": 1,
+         "coeffs": [{"re": a.real, "im": a.imag}]}
+        for z, a in zip(np.exp(2j * np.pi * np.arange(3) / 3),
+                        (1.0, 2.0, 1.0 + 1.0j))]}))
+    r = run_cli("derive", "--problem", str(p), "--n", "1000",
+                "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "order n=1000 overflowed" in r.stderr
+    assert not (tmp_path / "rn_1000.csv").exists()
+
+
 def test_roots_csv_has_residuals(problem, tmp_path):
     r = run_cli("roots", "--problem", str(problem), "--n", "6",
                 "--out", str(tmp_path))

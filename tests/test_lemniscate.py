@@ -81,7 +81,10 @@ def psi_max_reference(problem, z):
     best = -math.inf
     for p, m in zip(problem.polynomials, problem.multipliers):
         v = abs(_poly.polyval(p, z))
-        best = max(best, m * math.log(v) if v > 0.0 else -math.inf)
+        if v > 0.0:
+            best = max(best, m * math.log(v))
+        elif m < 0:
+            best = math.inf  # m log|P| -> +inf at a zero of P when m < 0
     return best
 
 
@@ -101,6 +104,11 @@ def test_array_psi_max_matches_scalar_loop():
             got, [psi_max_reference(problem, z) for z in pts],
             rtol=1e-14, atol=1e-15)
     assert psi_max(common, 0.0) == -math.inf
+    # z / (z - 3): -log|z - 3| -> +inf at z = 3, and at z = 0 the other
+    # summand's -log 3 wins over log|z| -> -inf
+    reciprocal = cases[1][0]
+    assert psi_max(reciprocal, 3.0) == math.inf
+    assert psi_max(reciprocal, 0.0) == -math.log(3.0)
     assert isinstance(psi_max(common, 0.5), float)
 
 

@@ -163,7 +163,7 @@ def dense_aberth(eval_pd, start, tolerance, max_sweeps):
     diff = roots[:, None] - roots[None, :]
     np.fill_diagonal(diff, np.inf)
     resid[guard] = np.abs(diff).min(axis=1)[guard]
-    return roots, resid, converged, trace
+    return roots, resid.astype(float), converged, trace
 
 
 def eight_pole_case(n=50):
@@ -185,6 +185,23 @@ def horner_case():
     return p, (lambda z: rootfind._horner_scaled(p, z)), start
 
 
+def extended_case():
+    rng = np.random.default_rng(5)
+    with _poly.workprec():
+        p = _poly.monic(_poly.asarray(
+            list(rng.normal(size=21) + 1j * rng.normal(size=21)), _poly.EXTENDED))
+        dp = _poly.polyder(p)
+    start = rootfind._start_points(20, 0.5 * fujiwara_bound(p), _poly.EXTENDED)
+    return p, (lambda z: (np.polyval(p[::-1], z), np.polyval(dp[::-1], z))), start
+
+
+def same_roots(a, b):
+    """Bitwise equal complex roots, or equal mpc roots."""
+    if a.dtype == object or b.dtype == object:
+        return a.dtype == b.dtype and list(a) == list(b)
+    return a.tobytes() == b.tobytes()
+
+
 def counted(eval_pd, sizes):
     def wrapped(z):
         sizes.append(np.asarray(z).size)
@@ -192,7 +209,7 @@ def counted(eval_pd, sizes):
     return wrapped
 
 
-@pytest.mark.parametrize("case", [eight_pole_case, horner_case])
+@pytest.mark.parametrize("case", [eight_pole_case, horner_case, extended_case])
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     p, eval_pd, start = case()
@@ -200,14 +217,22 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     # `chunk` rows per block: many blocks, and a ragged last one whenever
     # the active count is not a multiple of it
     monkeypatch.setattr(rootfind, "CHUNK_ELEMENTS", chunk * m + 1)
-    roots, resid, conv, trace = dense_aberth(eval_pd, start, 1e-12, 200)
+    with _poly.workprec():
+        roots, resid, conv, trace = dense_aberth(eval_pd, start, 1e-12, 200)
     assert conv.all() and any(k % 3 and k > 3 for k in trace)
     sizes = []
-    if case is horner_case:
-        rs = solve(p, 1e-12)
-    else:
+    if case is eight_pole_case:
         rs = solve(p, 1e-12, evaluator=counted(eval_pd, sizes), start=start)
-    assert rs.roots.tobytes() == roots.tobytes()
+    else:
+        # the coefficient path of either precision
+        rs = solve(p, 1e-12)
+    if case is extended_case:
+        # solve builds its own evaluator from the coefficients, so count
+        # the calls of the shared sweep on the same inputs directly
+        with _poly.workprec():
+            again = rootfind._aberth(counted(eval_pd, sizes), 1e-12, start, 200)
+        assert same_roots(again.roots, rs.roots)
+    assert same_roots(rs.roots, roots)
     assert rs.residuals.tobytes() == resid.tobytes()
     assert np.array_equal(rs.converged, conv)
     assert rs.active_trace == tuple(trace) and rs.sweeps == len(trace)
@@ -236,6 +261,31 @@ def test_residual_falls_back_to_nearest_neighbour():
     assert rs.roots.tobytes() == zs.astype(complex).tobytes()
     near = np.array([np.abs(np.delete(zs, k) - zs[k]).min()
                      for k in range(len(zs))])
+    guarded = np.isin(zs, flat)
+    assert np.array_equal(rs.residuals[guarded], near[guarded])
+    assert np.all(rs.residuals[~guarded] == 0.0)
+
+
+def test_extended_residual_falls_back_to_nearest_neighbour():
+    # the extended path shares the guard of the double sweep: p' = 0 at
+    # a root gives the nearest-neighbour distance there, not inf
+    zs = [0.0, 1.0, 3.0, 3.0 + 2.0j, -1.5j, 4.0 - 1.0j]
+    flat = (3.0, -1.5j)
+    with _poly.workprec():
+        exact = rootfind._points(zs, _poly.EXTENDED)
+
+        def ev(z):
+            diff = z[:, None] - exact[None, :]
+            pv = np.prod(diff, axis=1)
+            dv = np.array([sum(np.prod(np.delete(row, j)) for j in range(len(zs)))
+                           for row in diff], dtype=object)
+            dv[[complex(w) in flat for w in z]] = 0
+            return pv, dv
+
+        rs = rootfind._aberth(ev, 1e-12, exact, 10)
+    assert list(rs.roots) == list(exact) and rs.converged.all()
+    assert rs.residuals.dtype == float
+    near = np.array([min(abs(w - z) for w in zs if w != z) for z in zs])
     guarded = np.isin(zs, flat)
     assert np.array_equal(rs.residuals[guarded], near[guarded])
     assert np.all(rs.residuals[~guarded] == 0.0)

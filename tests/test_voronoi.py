@@ -76,18 +76,19 @@ def test_psi_frozen_value_and_symmetry():
     assert psi([1j, -1j], 2j) == pytest.approx(math.log(3.0))
     assert psi([1j, -1j], -2j) == pytest.approx(math.log(3.0))
     # on the skeleton the two cell branches agree, so psi is continuous
-    ev = voronoi.PsiEvaluator((1j, -1j))
-    assert ev.cell_branch(0, 0.4) == pytest.approx(ev.cell_branch(1, 0.4))
+    sites = (1j, -1j)
+    assert voronoi.cell_branch(sites, 0, 0.4) == pytest.approx(
+        voronoi.cell_branch(sites, 1, 0.4))
 
 
 def test_psi_continuous_across_equilateral_edges():
     sites = cube_roots()
     d = build(sites)
-    ev = voronoi.PsiEvaluator(tuple(sites))
     for e in d.edges:
         z = e.point(1.0 if math.isinf(e.t_hi) else 0.5 * (e.t_lo + e.t_hi))
         i, j = e.pair
-        assert ev.cell_branch(i, z) == pytest.approx(ev.cell_branch(j, z))
+        assert voronoi.cell_branch(sites, i, z) == pytest.approx(
+            voronoi.cell_branch(sites, j, z))
 
 
 def psi_reference(sites, z):
@@ -125,12 +126,11 @@ def test_phi_is_min_distance():
     assert phi(sites, z) == pytest.approx(min(abs(z - s) for s in sites))
 
 
-def test_psi_evaluator_matches_module_functions():
+def test_cell_branch_of_nearest_cell_is_psi():
     sites = (1j, -1j)
-    ev = voronoi.PsiEvaluator(sites)
-    z = 0.3 + 1.5j
-    assert ev.psi(z) == pytest.approx(psi(sites, z))
-    assert ev.phi(z) == pytest.approx(phi(sites, z))
+    z = 0.3 + 1.5j  # in cell 0
+    assert voronoi.cell_branch(sites, 0, z) == pytest.approx(psi(sites, z))
+    assert phi(sites, z) == pytest.approx(abs(z - 1j))
 
 
 def test_json_round_trip():
