@@ -123,9 +123,10 @@ def skeleton_starts(diagram, count, jitter=0.01, seed=0):
     Allocates `count` points across the edges proportionally to edge
     mass, places them at the mass quantiles, and offsets each
     perpendicular to its edge by a normal jitter of the given fraction
-    of the diagram scale.  Root iterations on high-order numerators
-    converge in a few dozen sweeps from these instead of hundreds
-    from a bounding circle.
+    of the diagram scale.  The zeros of a finite-order numerator lie off
+    the skeleton, so rational.zeros starts from the two-term zeros of
+    rational.balance_starts instead; these points fill any shortfall of
+    those starts and seed the retry when the first attempt stalls.
     """
     rng = np.random.default_rng(seed)
     masses = np.array([edge_mass(e, diagram.d) for e in diagram.edges])

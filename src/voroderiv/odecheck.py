@@ -7,10 +7,7 @@ both raw and relative to the largest term, since the raw terms grow
 with Pochhammer factors.
 """
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _poly
 from .errors import AtPole

@@ -8,6 +8,7 @@ divided by n!, so coefficient magnitudes grow only polynomially in n
 and the double backend stays usable to n of order a hundred.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "derivative",
     "numerator",
     "newton_evaluator",
+    "balance_starts",
     "zeros",
     "degree_diagnostics",
     "single_pole_derivative",
@@ -350,13 +352,120 @@ def newton_evaluator(state):
     return eval_pd
 
 
+# Newton steps that polish each two-term zero when the pole orders differ
+BALANCE_NEWTON_STEPS = 8
+
+
+def _edge_balance_zeros(state, i, j):
+    """Zeros of the two leading terms of poles i and j in Q^(n)/n!.
+
+    c_i (z-z_i)^(-n-r_i) + c_j (z-z_j)^(-n-r_j) = 0 with c = the top
+    scaled coefficient of each pole.  In u = (z-z_j)/(z-z_i) = e^w,
+    0 < Im w < 2 pi, and g = z_j - z_i it reads
+        F(w) = N w - delta Log(1-u) - (Log(-c_j/c_i) - delta Log g) - 2 pi i k = 0,
+    N = n + r_j, delta = r_j - r_i, and z = z_i + g/(1-u).  On |u| = 1,
+    Im F rises by n + (r_i+r_j)/2 per unit of Im w, so branch k has one
+    zero.  Each starts there and is polished by Newton in w; for equal
+    orders the start is the closed form u^N = -c_j/c_i of
+    asympt.twopole_zeros and Newton leaves it in place.
+    """
+    base = state.base
+    zi, g = complex(base.poles[i]), complex(base.poles[j]) - complex(base.poles[i])
+    delta = base.orders[j] - base.orders[i]
+    big = state.n + base.orders[j]
+    slope = big - 0.5 * delta
+    ci, cj = (complex(state.scaled_coeffs[k][-1]) for k in (i, j))
+    rhs = cmath.log(-cj / ci) - delta * cmath.log(g)
+    # Im F = slope * Im w - phase - 2 pi k on |u| = 1
+    phase = rhs.imag - 0.5 * math.pi * delta
+    k = np.arange(math.floor(-phase / (2.0 * math.pi)) + 1,
+                  math.ceil(slope - phase / (2.0 * math.pi)))
+    theta = (phase + 2.0 * math.pi * k) / slope
+    inside = (theta > 1e-12) & (theta < 2.0 * math.pi - 1e-12)
+    k, theta = k[inside], theta[inside]
+    w = (rhs.real + delta * np.log(2.0 * np.sin(0.5 * theta))) / big + 1j * theta
+    target = rhs + 2j * math.pi * k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(BALANCE_NEWTON_STEPS):
+            u = np.exp(w)
+            step = ((big * w - delta * np.log(1.0 - u) - target)
+                    / (big + delta * u / (1.0 - u)))
+            w = w - step
+            if not np.abs(step).max(initial=0.0) > 1e-15:
+                break
+        z = zi + g / (1.0 - np.exp(w))
+    ok = np.isfinite(z) & (w.imag > 0.0) & (w.imag < 2.0 * math.pi)
+    return z[ok]
+
+
+def balance_starts(state, diagram, degree):
+    """degree start points for the zeros of R_n, from the dominant balance.
+
+    Near the Voronoi edge of poles i and j, Q^(n)/n! is its two leading
+    terms up to an exponentially small error, and their zeros
+    (_edge_balance_zeros) lie exponentially close to the zeros of R_n
+    away from the vertices.  A candidate is kept only if its two nearest
+    poles are i and j.  A surplus is trimmed by dropping first the
+    candidates whose third-nearest pole is relatively closest (the ratio
+    of second- to third-nearest distance is largest: near a vertex or far
+    out on an unbounded edge), then, on ties as with two poles, the
+    farthest from their poles.  A shortfall is filled from
+    measure.skeleton_starts (fixed seed): its points are taken nearest
+    a vertex first, where three terms balance, skipping any that lies
+    within half the limit law's mean zero spacing of a point already
+    placed.  The result depends only on the inputs.
+    """
+    poles = np.array([complex(z) for z in state.base.poles])
+    found, pair_dist, ratio = [], [], []
+    for e in diagram.edges:
+        i, j = e.pair
+        z = _edge_balance_zeros(state, i, j)
+        dist = np.abs(z[:, None] - poles)
+        pair = dist[:, [i, j]].max(axis=1)
+        dist[:, [i, j]] = np.inf
+        third = dist.min(axis=1)
+        keep = third > pair
+        found.append(z[keep])
+        pair_dist.append(pair[keep])
+        ratio.append(pair[keep] / third[keep])
+    pts = np.concatenate(found)
+    if len(pts) > degree:
+        order = np.lexsort((np.concatenate(pair_dist), np.concatenate(ratio)))
+        pts = pts[np.sort(order[:degree])]
+    short = degree - len(pts)
+    if short > 0:
+        fill = measure.skeleton_starts(diagram, degree)
+        dist = np.abs(fill[:, None] - poles)
+        near = np.argsort(dist, axis=1)
+        # the limit law's mean spacing of zeros at each fill point
+        spacing = (2.0 * (diagram.d - 1) * math.pi * dist.min(axis=1) ** 2
+                   / (degree * np.abs(poles[near[:, 0]] - poles[near[:, 1]])))
+        verts = np.array(diagram.vertices, dtype=complex)
+        order = np.argsort(np.abs(fill[:, None] - verts).min(axis=1, initial=np.inf),
+                           kind="stable")
+        picks = []
+        for k in order:
+            if len(picks) == short:
+                break
+            if np.abs(pts - fill[k]).min(initial=np.inf) > 0.5 * spacing[k]:
+                picks.append(k)
+                pts = np.append(pts, fill[k])
+        # should too few fill points be uncovered, the rest come in order
+        taken = set(picks)
+        rest = [k for k in order if k not in taken][:short - len(picks)]
+        pts = np.concatenate([pts, fill[rest]])
+    return pts
+
+
 def zeros(form, n):
     """RootSet of R_n, the numerator of the n-th derivative of form.
 
     The one path from a PolarForm to derivative zeros.  On the double
-    backend the Aberth iteration runs on newton_evaluator, from
-    measure.skeleton_starts when there are two or more poles and from
-    the Fujiwara circle for one.  On the extended backend it runs on the
+    backend the Aberth iteration runs on newton_evaluator.  With two or
+    more poles it starts from balance_starts, the zeros of the two
+    leading terms edge by edge, and retries, if that attempt stalls,
+    from measure.skeleton_starts; with one pole it starts on the
+    Fujiwara circle.  On the extended backend it runs on the
     coefficients of R_n.  Raises NoConvergence with the best-effort
     RootSet attached.
     """
@@ -364,12 +473,13 @@ def zeros(form, n):
     res = numerator(state)
     if form.precision == EXTENDED:
         return rootfind.solve(res.r_n, 1e-12)
-    start = None
+    start = retry = None
     if form.d >= 2:
         diagram = voronoi.build([complex(z) for z in form.poles])
-        start = measure.skeleton_starts(diagram, res.degree)
+        start = balance_starts(state, diagram, res.degree)
+        retry = lambda: measure.skeleton_starts(diagram, res.degree)
     return rootfind.solve(res.r_n, 1e-12, evaluator=newton_evaluator(state),
-                          start=start)
+                          start=start, retry_start=retry)
 
 
 def numerators(form, n_list):

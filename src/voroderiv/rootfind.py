@@ -230,7 +230,7 @@ def _start_points(m, radius, precision):
 
 
 def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
-          start=None):
+          start=None, retry_start=None):
     """All roots of p by Aberth-Ehrlich simultaneous iteration.
 
     Starts on the circle of radius 0.5 * fujiwara_bound with angular
@@ -254,8 +254,10 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     the residuals.
 
     start, when given, replaces the first-attempt circle of initial
-    points (skeleton_starts pays off for high-order numerators); the
-    retry still uses the Fujiwara circle.
+    points (rational.balance_starts pays off for high-order numerators).
+    retry_start, when given, is called only if the first attempt stalls
+    and returns the retry's initial points in place of the Fujiwara
+    circle.
     """
     arr = np.asarray(p) if isinstance(p, np.ndarray) else None
     if evaluator is not None:
@@ -278,12 +280,13 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     if bound == 0.0:
         roots = _poly.zeros(m, precision)
         return RootSet(roots=roots, residuals=np.zeros(m), converged=np.ones(m, dtype=bool))
-    if start is not None:
-        if len(start) != m:
+
+    def given(pts):
+        if len(pts) != m:
             raise ValueError("start must supply one point per root")
-        first = _points(start, precision)
-    else:
-        first = _start_points(m, 0.5 * bound, precision)
+        return _points(pts, precision)
+
+    first = given(start) if start is not None else _start_points(m, 0.5 * bound, precision)
     arithmetic = contextlib.nullcontext()
     if precision == EXTENDED:
         # np.polyval starts from an array; an mpc times an ndarray would
@@ -295,8 +298,9 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     with arithmetic:
         result = _aberth(evaluator, tolerance, first, max_sweeps)
         if not result.all_converged:
-            retry = _aberth(evaluator, tolerance,
-                            _start_points(m, bound, precision), max_sweeps)
+            again = (given(retry_start()) if retry_start is not None
+                     else _start_points(m, bound, precision))
+            retry = _aberth(evaluator, tolerance, again, max_sweeps)
             if retry.converged.sum() > result.converged.sum():
                 result = retry
     if not result.all_converged:

@@ -5,10 +5,7 @@ summary line, so `pytest -v` yields one pass/fail line per criterion.
 """
 
 import cmath
-import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np

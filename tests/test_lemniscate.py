@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from voroderiv import _poly, asympt, lemniscate, rootfind
+from voroderiv import _poly, asympt
 from voroderiv.errors import CoefficientOverflow
 from voroderiv.lemniscate import (LemniscateProblem, NoDominantDegree,
                                   build_rn, compactness_and_compare,

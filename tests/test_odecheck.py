@@ -1,9 +1,7 @@
 """Differential equations satisfied by the derivative numerators."""
 
-import numpy as np
 import pytest
 
-from voroderiv import odecheck
 from voroderiv.odecheck import (AtPole, PowerSumFunction,
                                 d2_numerator_residual, powersum_residual)
 

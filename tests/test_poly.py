@@ -1,7 +1,6 @@
 """Polynomial helper routines, double and extended backends."""
 
 import numpy as np
-import pytest
 
 from voroderiv import _poly
 from voroderiv._poly import DOUBLE, EXTENDED

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from voroderiv import _poly, rational
+from voroderiv import _poly, measure, rational, rootfind, voronoi
 from voroderiv.rational import (DegreeCollapse, DuplicatePole, derivative,
                                 derivative_state, newton_evaluator, numerator,
                                 numerators, polar_decompose, polar_form)
+
+
+def multiset_distance(found, expected):
+    cost = np.abs(np.asarray(found)[:, None] - np.asarray(expected)[None, :])
+    ri, ci = linear_sum_assignment(cost)
+    return cost[ri, ci].max()
 
 
 def test_polar_form_evaluates_like_the_quotient():
@@ -166,3 +173,113 @@ def test_zeros_single_pole_matches_closed_form(n):
     rs = rational.zeros(form, n)
     assert rs.all_converged
     assert np.abs(np.sort_complex(rs.roots) - expected).max() < 1e-12
+
+
+def cube_problem(n, orders=(1, 1, 1), coeffs=((1.0,), (2.0,), (1.0 + 1j,))):
+    """Poles at the cube roots of unity: (state, diagram, degree of R_n)."""
+    poles = [np.exp(2j * np.pi * k / 3) for k in range(3)]
+    form = polar_form(poles, orders, coeffs)
+    state = derivative_state(form, n)
+    return state, voronoi.build(poles), numerator(state).degree
+
+
+MIXED = dict(orders=(1, 2, 3), coeffs=((1.0,), (0.5, 2.0), (1.0, 0.3j, 1.0 + 1j)))
+
+
+def test_balance_starts_lie_on_the_zeros_away_from_the_vertex():
+    # the two-term zeros are exponentially close to those of R_n
+    state, diagram, degree = cube_problem(100)
+    starts = rational.balance_starts(state, diagram, degree)
+    roots = rational.zeros(state.base, 100).roots
+    gap = np.abs(starts[:, None] - roots[None, :]).min(axis=1)
+    assert np.median(gap) < 1e-12
+    # the one vertex is at the origin; far out on the unbounded edges
+    # the third pole is nearly as close as the two that balance
+    interior = (np.abs(starts) > 0.2) & (np.abs(starts) < 4.0)
+    assert interior.sum() > 0.7 * degree
+    assert gap[interior].max() < 1e-12
+
+
+def test_balance_starts_fill_a_shortfall_near_the_vertex():
+    # d=3, n=100: the edges give one zero fewer than the degree, and the
+    # missing one sits at the vertex where all three terms balance
+    state, diagram, degree = cube_problem(100)
+    starts = rational.balance_starts(state, diagram, degree)
+    assert len(starts) == degree == 202
+    sep = np.abs(starts[:, None] - starts[None, :])
+    np.fill_diagonal(sep, np.inf)
+    nearest = sep.min(axis=1)
+    # the fill point is the last one, near the vertex at 0 and not on
+    # top of any two-term zero
+    assert abs(starts[-1]) < 0.2
+    assert nearest[-1] > 0.3 * np.median(nearest)
+
+
+def test_balance_starts_trim_a_surplus_nearest_the_vertex_first():
+    state, diagram, degree = cube_problem(100)
+    full = rational.balance_starts(state, diagram, degree)[:-1]  # drop the fill
+    trimmed = rational.balance_starts(state, diagram, degree - 5)
+    assert len(trimmed) == degree - 5
+    kept = np.isin(full, trimmed)
+    assert kept.sum() == degree - 5
+    # ratio of second- to third-nearest pole distance: 1 at the vertex
+    dist = np.sort(np.abs(full[:, None] - np.array(diagram.sites)), axis=1)
+    ratio = dist[:, 1] / dist[:, 2]
+    assert ratio[~kept].min() >= ratio[kept].max()
+
+
+@pytest.mark.parametrize("n", [0, 3, 40])
+def test_balance_starts_count_and_determinism(n):
+    for problem in (cube_problem(n), cube_problem(n, **MIXED)):
+        state, diagram, degree = problem
+        first = rational.balance_starts(state, diagram, degree)
+        again = rational.balance_starts(state, diagram, degree)
+        assert len(first) == degree
+        assert first.tobytes() == again.tobytes()
+        assert len(np.unique(first)) == degree
+
+
+def test_zeros_mixed_orders_match_extended_numerator():
+    # orders 1, 2, 3: the two-term equation has unequal exponents
+    for n in (2, 5, 9):
+        state, _, degree = cube_problem(n, **MIXED)
+        ext = polar_form(state.base.poles, MIXED["orders"], MIXED["coeffs"],
+                         precision="extended")
+        r_n = numerator(derivative_state(ext, n)).r_n
+        expected = np.roots(np.array([complex(c) for c in r_n])[::-1])
+        rs = rational.zeros(state.base, n)
+        assert rs.all_converged and len(rs) == degree
+        assert multiset_distance(rs.roots, expected) < 1e-9
+
+
+def test_zeros_start_on_the_two_term_zeros():
+    # edge-interior instance (the ladder's d=3 problem): the skeleton
+    # starts needed 13 sweeps here
+    state, _, _ = cube_problem(400)
+    rs = rational.zeros(state.base, 400)
+    assert rs.all_converged
+    assert rs.sweeps <= 6
+
+
+def test_zeros_retry_from_the_skeleton(monkeypatch):
+    # coincident starts stall the first attempt; the retry must start
+    # from measure.skeleton_starts, not from the Fujiwara circle
+    state, diagram, degree = cube_problem(12)
+    monkeypatch.setattr(rational, "balance_starts",
+                        lambda state, diagram, degree: np.zeros(degree, dtype=complex))
+    with np.errstate(all="ignore"):
+        rs = rational.zeros(state.base, 12)
+    direct = rootfind.solve(numerator(state).r_n, 1e-12,
+                            evaluator=newton_evaluator(state),
+                            start=measure.skeleton_starts(diagram, degree))
+    assert rs.all_converged
+    assert rs.roots.tobytes() == direct.roots.tobytes()
+
+
+def test_zeros_mixed_orders_start_near_their_zeros():
+    # the unequal-exponent branches after their Newton polish: the
+    # skeleton starts needed 8.6 root-sweeps per root here
+    state, _, degree = cube_problem(100, **MIXED)
+    rs = rational.zeros(state.base, 100)
+    assert rs.all_converged
+    assert sum(rs.active_trace) <= 4 * degree

@@ -26,6 +26,24 @@ def test_cube_roots_of_unity():
     assert multiset_distance(rs.roots, expected) < 1e-12
 
 
+def test_retry_start_is_called_only_after_a_stall():
+    p = [-1.0, 0.0, 0.0, 1.0]
+    calls = []
+
+    def retry():
+        calls.append(1)
+        return [1.1, -0.4 + 0.9j, -0.4 - 0.9j]
+
+    assert solve(p, retry_start=retry).all_converged
+    assert calls == []
+    # coincident starts stall the first attempt
+    with np.errstate(all="ignore"):
+        rs = solve(p, start=[0.5, 0.5, 0.5], retry_start=retry, max_sweeps=20)
+    assert calls == [1]
+    assert multiset_distance(rs.roots, [np.exp(2j * math.pi * k / 3)
+                                        for k in range(3)]) < 1e-12
+
+
 def test_repeated_root_bound():
     # z^3: a triple root is resolved to about tol^(1/3)
     rs = solve([0.0, 0.0, 0.0, 1.0], tolerance=1e-12)
