@@ -29,14 +29,13 @@ from .lemniscate import (
     rn_evaluator,
 )
 from .measure import (
-    EdgeMeasure,
     cauchy_branch,
     cauchy_residual,
     cauchy_transform,
     edge_cdf,
     edge_density,
     edge_mass,
-    edge_measure,
+    edge_quantile,
     potential_from_measure,
     skeleton_starts,
     total_mass,
@@ -54,7 +53,6 @@ from .rational import (
     numerators,
     polar_decompose,
     polar_form,
-    single_pole_derivative,
 )
 from .rootfind import RootSet, fujiwara_bound, solve
 from .svg import render_svg

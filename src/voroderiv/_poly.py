@@ -108,15 +108,6 @@ def polyadd(a, b):
     return out
 
 
-def polysub(a, b):
-    n = max(len(a), len(b))
-    precision = precision_of(a)
-    out = zeros(n, precision)
-    out[: len(a)] += a
-    out[: len(b)] -= b
-    return out
-
-
 def polymul(a, b):
     if precision_of(a) == DOUBLE and precision_of(b) == DOUBLE:
         return np.convolve(a, b)

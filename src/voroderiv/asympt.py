@@ -44,10 +44,6 @@ class EmpiricalMeasure:
     n: int
     excluded: int = 0
 
-    @property
-    def weight(self):
-        return 1.0 / len(self.points)
-
 
 def empirical(rootset, n):
     """Equal-weight measure on the converged roots; exclusions counted."""
@@ -227,19 +223,23 @@ def twopole_zeros(a1, a2, z1, z2, n):
 def single_pole_escape(numer, pole, order, radius, n_max=500, streak=5):
     """Smallest N with all zeros of the n-th derivative outside |z| < radius.
 
-    Q = numer/(z - pole)^order; iterates the closed-form numerator (in
-    its overflow-safe scaling) and the root solver, requiring the
-    zero-free disk to persist for `streak` consecutive n.
+    Q = numer/(z - pole)^order, decomposed once by rational.polar_decompose
+    (which rejects a numerator vanishing at the pole); for each n the
+    zeros of rational.numerator's R_n come from the root solver, and the
+    zero-free disk must persist for `streak` consecutive n.  A constant
+    R_n has no zeros at all.
     """
+    state = rational.derivative_state(rational.polar_decompose(numer, [(pole, order)]))
     first = None
     run = 0
     for n in range(n_max + 1):
-        p = rational.single_pole_numerator_scaled(numer, pole, order, n)
-        if len(p) == 1:
-            ok = True  # constant numerator: no zeros at all
+        r_n = rational.numerator(state).r_n
+        state = rational.derivative(state)
+        if len(r_n) == 1:
+            ok = True
         else:
             try:
-                rs = rootfind.solve(p, 1e-10)
+                rs = rootfind.solve(r_n, 1e-10)
             except NoConvergence:
                 ok = False
             else:

@@ -115,19 +115,19 @@ def cmd_voronoi(args, out):
 def cmd_measure(args, out):
     form = _form(args)
     diagram = voronoi.build([_poly.to_complex(z) for z in form.poles])
-    rows = [(e.pair[0], e.pair[1], float(e.t_lo), float(e.t_hi),
-             measure.edge_mass(e, diagram.d)) for e in diagram.edges]
+    masses = [measure.edge_mass(e, diagram.d) for e in diagram.edges]
+    rows = [(e.pair[0], e.pair[1], float(e.t_lo), float(e.t_hi), mass)
+            for e, mass in zip(diagram.edges, masses)]
     _write_csv(out / "measure.csv", ["i", "j", "t_lo", "t_hi", "mass"], rows)
     k = args.grid
     cdf_rows = []
-    for e in diagram.edges:
-        em = measure.edge_measure(diagram, e)
+    for e, mass in zip(diagram.edges, masses):
         for q in range(k + 1):
             frac = q / k
             cdf_rows.append((e.pair[0], e.pair[1], frac,
-                             em.quantile(frac * em.mass) if 0 < frac < 1
+                             measure.edge_quantile(e, frac * mass, diagram.d) if 0 < frac < 1
                              else (float(e.t_lo) if frac == 0 else float(e.t_hi)),
-                             frac * em.mass))
+                             frac * mass))
     _write_csv(out / "measure_cdf.csv", ["i", "j", "u", "t", "cdf"], cdf_rows)
     return 0
 

@@ -9,7 +9,6 @@ density and maps unbounded edges to finite u-intervals.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,11 +16,10 @@ from .errors import OnSkeleton, OutOfInterval, SkeletonProximity
 from .voronoi import distance_to_skeleton
 
 __all__ = [
-    "EdgeMeasure",
     "edge_density",
     "edge_mass",
     "edge_cdf",
-    "edge_measure",
+    "edge_quantile",
     "total_mass",
     "skeleton_starts",
     "potential_from_measure",
@@ -60,31 +58,10 @@ def edge_mass(edge, d):
     return edge_cdf(edge, edge.t_hi, d)
 
 
-@dataclass(frozen=True)
-class EdgeMeasure:
-    """One edge's share of the limit measure."""
-
-    edge: object
-    d: int
-
-    @property
-    def mass(self):
-        return edge_mass(self.edge, self.d)
-
-    def cdf(self, t):
-        return edge_cdf(self.edge, t, self.d)
-
-    def density(self, t):
-        return edge_density(self.edge, t, self.d)
-
-    def quantile(self, q):
-        """t with cdf(t) = q, 0 <= q <= mass."""
-        u = (self.d - 1) * math.pi * q + _atan2t(self.edge.t_lo)
-        return 0.5 * math.tan(u)
-
-
-def edge_measure(diagram, edge):
-    return EdgeMeasure(edge=edge, d=diagram.d)
+def edge_quantile(edge, q, d):
+    """t with edge_cdf(edge, t, d) = q, for 0 <= q <= edge_mass(edge, d)."""
+    u = (d - 1) * math.pi * q + _atan2t(edge.t_lo)
+    return 0.5 * math.tan(u)
 
 
 def total_mass(diagram):
@@ -136,11 +113,10 @@ def skeleton_starts(diagram, count, jitter=0.01, seed=0):
     while sum(alloc) > count:
         alloc[int(np.argmax(alloc))] -= 1
     pts = []
-    for e, k in zip(diagram.edges, alloc):
-        em = edge_measure(diagram, e)
+    for e, k, mass in zip(diagram.edges, alloc, masses):
         perp = 1j * e.direction / abs(e.direction)
         for i in range(k):
-            t = em.quantile((i + 0.5) / k * em.mass)
+            t = edge_quantile(e, (i + 0.5) / k * mass, diagram.d)
             pts.append(e.point(t) + perp * jitter * diagram.scale * rng.standard_normal())
     return np.array(pts, dtype=complex)
 

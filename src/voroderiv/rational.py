@@ -5,7 +5,10 @@ its partial-fraction data: per pole, the coefficients a_{i,1}..a_{i,r_i}
 of 1/(z-z_i)^j, plus an optional polynomial part.  Differentiation is
 exact on this representation.  Internally the n-th derivative is kept
 divided by n!, so coefficient magnitudes grow only polynomially in n
-and the double backend stays usable to n of order a hundred.
+and the double backend stays usable to n of order a hundred.  Every
+routine takes the polynomial part: numerator and newton_evaluator add
+its term while its scaled derivative is nonzero, so one numerator
+serves any Q = R/P, one pole or many.
 """
 
 import cmath
@@ -30,8 +33,6 @@ __all__ = [
     "balance_starts",
     "zeros",
     "degree_diagnostics",
-    "single_pole_derivative",
-    "single_pole_numerator_scaled",
 ]
 
 
@@ -91,14 +92,6 @@ class PolarForm:
                 wp = wp * w
         return acc
 
-    def denominator(self):
-        """P = prod (z - z_i)^{r_i}, ascending coefficients."""
-        p = _poly.asarray([1.0], self.precision)
-        for zi, r in zip(self.poles, self.orders):
-            lin = _poly.asarray([-zi, 1.0], self.precision)
-            p = _poly.polymul(p, _poly.polypow(lin, r))
-        return p
-
 
 @dataclass(frozen=True)
 class DerivativeState:
@@ -137,22 +130,14 @@ class NumeratorResult:
     """Monic numerator R_n of Q^{(n)} with its scale factor.
 
     Q^{(n)} = alpha_n R_n / (P P0^n) where P0 = prod (z - z_i).  The
-    scale is stored factorial-free as alpha_n / n! to avoid overflow;
-    alpha_n itself may be inf for large n.
+    scale is stored factorial-free as alpha_n / n!, since alpha_n itself
+    overflows for large n.
     """
 
     r_n: np.ndarray
     alpha_over_factorial: complex
     degree: int
     n: int
-
-    @property
-    def alpha_n(self):
-        a = _poly.to_complex(self.alpha_over_factorial)
-        try:
-            return math.factorial(self.n) * a
-        except OverflowError:
-            return complex(math.inf, math.inf)
 
     @property
     def log_factorial_over_alpha(self):
@@ -257,39 +242,51 @@ def derivative_state(form, n=0):
 def numerator(state, rel_floor=None):
     """Monic numerator R_n and scale of Q^{(n)} = alpha_n R_n/(P P0^n).
 
-    Expands sum_ij c_{i,j,n} prod_{k != i}(z-z_k)^{r_k+n} (z-z_i)^{r_i-j}
-    by convolution of linear factors with compensated accumulation,
-    strips leading coefficients below the relative floor, and reports
-    the monic polynomial together with alpha_n / n!.
+    Expands sum_ij c_{i,j,n} prod_{k != i}(z-z_k)^{r_k+n} (z-z_i)^{r_i-j},
+    plus pp_n prod_k (z-z_k)^{r_k+n} for the scaled polynomial part pp_n
+    when it is nonzero, by convolution of linear factors with compensated
+    accumulation, strips leading coefficients below the relative floor,
+    and reports the monic polynomial together with alpha_n / n!.
     """
     base = state.base
     precision = base.precision
-    if not _poly.is_zero(base.polynomial_part, abs_floor=0.0):
-        raise ValueError("numerator extraction requires zero polynomial part")
     if rel_floor is None:
         rel_floor = _poly.DEGREE_FLOOR[precision]
     n = state.n
-    m_max = n * (base.d - 1) + base.r - 1 if base.d > 1 else base.r - 1
-    total = _poly.zeros(max(m_max + 1, 1), precision)
-    comp = _poly.zeros(max(m_max + 1, 1), precision)
-    absacc = np.zeros(max(m_max + 1, 1))
-    for i, zi in enumerate(base.poles):
+
+    def product(skip=None):
+        """prod_{k != skip} (z - z_k)^{r_k + n}."""
         g = _poly.asarray([1.0], precision)
         for k, zk in enumerate(base.poles):
-            if k == i:
-                continue
-            g = _poly.polymul(g, _poly.polypow(
-                _poly.asarray([-zk, 1.0], precision), base.orders[k] + n))
-        ri = base.orders[i]
-        inner = _poly.zeros(ri, precision)
-        lin_pow = _poly.asarray([1.0], precision)
-        lin = _poly.asarray([-zi, 1.0], precision)
-        # inner = sum_j c_{i,j,n} (z - z_i)^{r_i - j}
-        for j in range(ri, 0, -1):
-            c = state.scaled_coeffs[i][j - 1]
-            inner[: len(lin_pow)] += c * lin_pow
-            lin_pow = _poly.polymul(lin_pow, lin)
-        term = _poly.polymul(g, _poly.trim(inner))
+            if k != skip:
+                g = _poly.polymul(g, _poly.polypow(
+                    _poly.asarray([-zk, 1.0], precision), base.orders[k] + n))
+        return g
+
+    pp = _poly.trim(state.poly_part_scaled)
+    has_pp = not _poly.is_zero(pp)
+
+    def terms():
+        """The terms one at a time, so that only one is held."""
+        for i, zi in enumerate(base.poles):
+            ri = base.orders[i]
+            inner = _poly.zeros(ri, precision)
+            lin_pow = _poly.asarray([1.0], precision)
+            lin = _poly.asarray([-zi, 1.0], precision)
+            # inner = sum_j c_{i,j,n} (z - z_i)^{r_i - j}
+            for j in range(ri, 0, -1):
+                c = state.scaled_coeffs[i][j - 1]
+                inner[: len(lin_pow)] += c * lin_pow
+                lin_pow = _poly.polymul(lin_pow, lin)
+            yield _poly.polymul(product(skip=i), _poly.trim(inner))
+        if has_pp:
+            yield _poly.polymul(product(), pp)
+
+    width = len(pp) + base.r + n * base.d if has_pp else n * (base.d - 1) + base.r
+    total = _poly.zeros(width, precision)
+    comp = _poly.zeros(width, precision)
+    absacc = np.zeros(width)
+    for term in terms():
         if precision == DOUBLE:
             total[: len(term)], comp[: len(term)] = _poly.compensated_accumulate(
                 total[: len(term)], comp[: len(term)], term)
@@ -326,11 +323,11 @@ def newton_evaluator(state):
     Horner loses the roots to cancellation; the product form stays
     well conditioned, so root iterations can use this callable in
     place of Horner.  Only the ratio N/N' and the residual |N|/|N'|
-    are meaningful.
+    are meaningful.  A nonzero scaled polynomial part pp_n adds one
+    term pp_n(z) prod_k (z - z_k)^{r_k + n}; a zero one adds none, since
+    a zero-weight term would still set the per-point scale.
     """
     base = state.base
-    if not _poly.is_zero(base.polynomial_part, abs_floor=0.0):
-        raise ValueError("numerator evaluation requires zero polynomial part")
     poles = np.array([complex(p) for p in base.poles])
     n = state.n
     # term i: inner_i(z - z_i) prod_{k != i} (z - z_k)^{r_k + n}, where
@@ -339,15 +336,22 @@ def newton_evaluator(state):
             for i in range(base.d)]
     inners = [np.array([complex(c) for c in cs[::-1]])
               for cs in state.scaled_coeffs]
+    centers = poles
+    pp = _poly.trim(np.array([complex(c) for c in state.poly_part_scaled]))
+    if not _poly.is_zero(pp):
+        # its weight pp_n(z) is a polynomial about the center 0
+        expo.append([r + n for r in base.orders])
+        inners.append(pp)
+        centers = np.append(poles, 0.0)
     dinners = [_poly.polyder(inner) for inner in inners]
     dlin = np.ones(base.d)  # (z - z_k)' = 1
 
     def eval_pd(z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        lin = z[None, :] - poles[:, None]
-        weights = ([_poly.polyval(c, w) for c, w in zip(inners, lin)],
-                   [_poly.polyval(c, w) for c, w in zip(dinners, lin)])
-        return rootfind.product_sum(lin, dlin, expo, weights)
+        shifted = z[None, :] - centers[:, None]
+        weights = ([_poly.polyval(c, w) for c, w in zip(inners, shifted)],
+                   [_poly.polyval(c, w) for c, w in zip(dinners, shifted)])
+        return rootfind.product_sum(shifted[: base.d], dlin, expo, weights)
 
     return eval_pd
 
@@ -505,70 +509,3 @@ def degree_diagnostics(results):
             continue
         rows.append((n, res.degree / n, res.log_factorial_over_alpha / n))
     return rows
-
-
-def single_pole_derivative(numer, pole, order, n, precision=DOUBLE):
-    """Numerator of the n-th derivative of numer(z)/(z-pole)^order.
-
-    Uses the Taylor expansion of the numerator about the pole: terms of
-    Taylor order below `order` keep the pole, higher terms are plain
-    polynomials that differentiate away.  Returned over the denominator
-    (z - pole)^{order + n}, unscaled.
-    """
-    numer = _poly.trim(_poly.asarray(numer, precision))
-    pole = _poly.scalar(pole, precision)
-    mag = sum(abs(c) * max(1.0, abs(pole)) ** k for k, c in enumerate(numer))
-    if abs(_poly.polyval(numer, pole)) <= 1e-10 * mag:
-        raise SharedRoot("numerator vanishes at the pole")
-    m = int(order)
-    dtil = _poly.degree(numer)
-    tay = _poly.taylor_shift(numer, pole)  # coefficients R^{(k)}(pole)/k!
-    out = _poly.zeros(max(dtil + 1, 1), precision)
-    sign = -1.0 if n % 2 else 1.0
-    for k in range(min(m - 1, dtil) + 1):
-        # (n+m-k-1)! / (m-k-1)!  as an explicit product of n factors
-        fac = 1.0
-        for j in range(m - k, n + m - k):
-            fac *= j
-        out[k] += sign * tay[k] * fac
-    for k in range(m, dtil + 1):
-        e = k - m
-        if e < n:
-            continue
-        fac = 1.0
-        for j in range(e - n + 1, e + 1):
-            fac *= j
-        # ((z-a)^e)^{(n)} = fac (z-a)^{e-n}; over (z-a)^{m+n} -> (z-a)^{k}... no:
-        # (z-a)^{e-n} = (z-a)^{k-m-n}; multiplied by (z-a)^{m+n} gives (z-a)^k
-        out[k] += tay[k] * fac
-    out = _poly.trim(out)
-    # shift back from powers of (z - pole) to powers of z
-    return _poly.taylor_shift(out, -pole)
-
-
-def single_pole_numerator_scaled(numer, pole, order, n):
-    """Same zero set as single_pole_derivative, scaled to avoid overflow.
-
-    Coefficients are divided by (n+order-1)!/(order-1)! using log-gamma
-    ratios, so the polynomial stays representable for any n.  Double
-    backend only; intended for large-n zero searches.
-    """
-    numer = _poly.trim(_poly.asarray(numer, DOUBLE))
-    pole = complex(pole)
-    m = int(order)
-    dtil = _poly.degree(numer)
-    tay = _poly.taylor_shift(numer, pole)
-    out = np.zeros(max(dtil + 1, 1), dtype=complex)
-    sign = -1.0 if n % 2 else 1.0
-    log_ref = math.lgamma(n + m) - math.lgamma(m)
-    for k in range(min(m - 1, dtil) + 1):
-        logfac = math.lgamma(n + m - k) - math.lgamma(m - k)
-        out[k] += sign * tay[k] * math.exp(logfac - log_ref)
-    for k in range(m, dtil + 1):
-        e = k - m
-        if e < n:
-            continue
-        logfac = math.lgamma(e + 1) - math.lgamma(e - n + 1)
-        out[k] += tay[k] * math.exp(logfac - log_ref)
-    out = _poly.trim(out, 1e-300)
-    return _poly.taylor_shift(out, -pole)

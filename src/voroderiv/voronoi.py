@@ -74,14 +74,6 @@ class VoronoiDiagram:
     def d(self):
         return len(self.sites)
 
-    def edge_for(self, i, j):
-        """Edge between cells i and j, or None if they are not adjacent."""
-        key = (min(i, j), max(i, j))
-        for e in self.edges:
-            if e.pair == key:
-                return e
-        return None
-
     def to_json(self):
         def tval(t):
             if math.isinf(t):

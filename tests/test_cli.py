@@ -101,6 +101,21 @@ def test_roots_extended_matches_two_pole_oracle(tmp_path):
     assert cost[ri, ci].max() < 1e-8
 
 
+def test_polynomial_part_runs_derive_and_roots(tmp_path):
+    # Q = z + 1/(1+z^2): Q''' has numerator z^3 - z, zeros 0 and +-1
+    p = tmp_path / "pp.json"
+    p.write_text(json.dumps(dict(TWO_POLE, polynomial_part=[0.0, 1.0])))
+    for cmd in ("derive", "roots"):
+        r = run_cli(cmd, "--problem", str(p), "--n", "3", "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+    rn = [complex(float(row["re"]), float(row["im"]))
+          for row in csv.DictReader(open(tmp_path / "rn_3.csv"))]
+    assert np.allclose(rn, [0.0, -1.0, 0.0, 1.0], atol=1e-12)
+    roots = np.sort_complex([complex(float(row["re"]), float(row["im"]))
+                             for row in csv.DictReader(open(tmp_path / "roots_3.csv"))])
+    assert np.abs(roots - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
+
+
 def test_voronoi_json(problem, tmp_path):
     r = run_cli("voronoi", "--problem", str(problem), "--out", str(tmp_path))
     assert r.returncode == 0

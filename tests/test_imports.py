@@ -1,14 +1,17 @@
-"""Every top-level import of the package and the tests is used."""
+"""Every top-level import, and every top-level definition of the package, is used."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the package __init__ re-exports by importing, so it is not scanned
-SOURCES = sorted(p for p in (ROOT / "src" / "voroderiv").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "voroderiv").glob("*.py"))
+SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]
+           + sorted((ROOT / "tests").glob("*.py")))
+CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source):
@@ -44,3 +47,40 @@ def test_scan_sees_unused_and_used_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _names(tree):
+    """Counts of the identifiers a tree reads, as names or attributes."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unused_definitions(package_sources, caller_sources):
+    """Top-level def and class names of package_sources named nowhere else.
+
+    A name counts as used when some source in caller_sources reads it
+    outside the definition itself.  Import lists and __all__ strings are
+    not reads, so a re-export alone does not keep a definition alive.
+    """
+    named = sum((_names(ast.parse(s)) for s in caller_sources), collections.Counter())
+    dead = []
+    for source in package_sources:
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and named[node.name] == _names(node)[node.name]):
+                dead.append(node.name)
+    return sorted(dead)
+
+
+def test_scan_sees_unused_and_used_definitions():
+    package = ("def used():\n    return 1\n\n"
+               "def recursive(k):\n    return recursive(k - 1)\n\n"
+               "class Dead:\n    pass\n\n__all__ = ['Dead', 'recursive']\n")
+    caller = "from pkg import used, Dead\nprint(used())\n"
+    assert unused_definitions([package], [package, caller]) == ["Dead", "recursive"]
+
+
+def test_no_unused_definitions():
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unused_definitions([p.read_text(encoding="utf-8") for p in PACKAGE], callers) == []

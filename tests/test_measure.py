@@ -58,15 +58,10 @@ def test_out_of_interval_guard():
 
 def test_quantile_inverts_cdf():
     d = voronoi.build([1j, -1j])
-    em = measure.edge_measure(d, d.edges[0])
+    e = d.edges[0]
     for q in (0.05, 0.2, 0.5, 0.77, 0.95):
-        assert em.cdf(em.quantile(q)) == pytest.approx(q, abs=1e-10)
-
-
-def test_edge_measure_mass_matches_module_function():
-    d = cube_diagram()
-    em = measure.edge_measure(d, d.edges[1])
-    assert em.mass == pytest.approx(measure.edge_mass(d.edges[1], 3))
+        t = measure.edge_quantile(e, q, 2)
+        assert measure.edge_cdf(e, t, 2) == pytest.approx(q, abs=1e-10)
 
 
 def test_potential_matches_psi_off_skeleton():

@@ -1,5 +1,7 @@
 """Polar form derivatives, numerators, and the structural evaluator."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -118,24 +120,21 @@ def test_degree_diagnostics_cancelling_instance():
         assert np.isfinite(log_ratio)
 
 
-def test_single_pole_derivative_closed_form():
-    # (z+2)/(z-1)^3: first derivative numerator over (z-1)^4,
-    # checked against finite differences of the original function
-    from voroderiv import _poly
-
+def test_numerator_single_pole_matches_finite_differences():
+    # Q = (z+2)/(z-1)^3 has Q' = alpha_1 r_1 / (z-1)^4, checked against
+    # finite differences of Q
     def f(z):
         return (z + 2.0) / (z - 1.0) ** 3
 
-    num = rational.single_pole_derivative([2.0, 1.0], 1.0, 3, 1)
+    res = numerator(derivative_state(polar_decompose([2.0, 1.0], [(1.0, 3)]), 1))
     z = 2.5 + 0.3j
     h = 1e-6
     fd = (f(z + h) - f(z - h)) / (2.0 * h)
-    val = _poly.polyval(num, z) / (z - 1.0) ** 4
+    val = res.alpha_over_factorial * _poly.polyval(res.r_n, z) / (z - 1.0) ** 4
     assert abs(val - fd) < 1e-7 * abs(fd)
 
 
 def test_newton_evaluator_agrees_with_horner():
-    from voroderiv import _poly
     form = polar_form([0.0, 1.0, 1.0j], [1, 1, 1], [[1.0], [2.0], [1.0 + 1j]])
     st = derivative_state(form, 6)
     res = numerator(st)
@@ -146,6 +145,27 @@ def test_newton_evaluator_agrees_with_horner():
     hd = _poly.polyval(_poly.polyder(res.r_n), z)
     # the evaluator carries a per-point exponential scale, so compare the
     # logarithmic derivative N'/N which is scale free
+    assert np.allclose(dv / pv, hd / hv, rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_numerator_and_evaluator_with_polynomial_part(n):
+    # orders (1, 2, 1) and a quadratic polynomial part, which survives
+    # the derivative for n <= 2 and is gone from n = 3 on
+    form = polar_form([0.0, 1.0, 1.0j], [1, 2, 1],
+                      [[1.0], [0.5, 2.0], [1.0 + 1j]],
+                      polynomial_part=[0.3, -1.0, 0.5j])
+    st = derivative_state(form, n)
+    res = numerator(st)
+    assert res.degree == (6 + 2 * n if n <= 2 else 2 * n + 3)
+    # points in the cells, off the skeleton where Horner on r_n cancels
+    z = np.array([0.1 + 0.2j, -0.9j, 1.3, 0.3 + 1.2j, -2.0 + 1.5j])
+    p_p0n = z ** (1 + n) * (z - 1.0) ** (2 + n) * (z - 1.0j) ** (1 + n)
+    value = res.alpha_over_factorial * _poly.polyval(res.r_n, z) / p_p0n
+    assert np.allclose(value, st.evaluate(z), rtol=1e-12, atol=0.0)
+    pv, dv = newton_evaluator(st)(z)
+    hv = _poly.polyval(res.r_n, z)
+    hd = _poly.polyval(_poly.polyder(res.r_n), z)
     assert np.allclose(dv / pv, hd / hv, rtol=1e-9)
 
 
@@ -164,12 +184,13 @@ def test_extended_precision_numerator_matches_double():
 @pytest.mark.parametrize("n", [1, 4, 12])
 def test_zeros_single_pole_matches_closed_form(n):
     # 1/(z-p) + 2/(z-p)^2 + (3+i)/(z-p)^3 = r(z-p)/(z-p)^3 with
-    # r(w) = w^2 + 2w + 3 + i; its derivatives keep two zeros
+    # r(w) = w^2 + 2w + 3 + i; its derivatives keep two zeros, those of
+    # sum_j a_j (-1)^n C(j+n-1, n) w^(r-j) shifted by p
     p = 0.5 + 0.2j
-    form = polar_form([p], [3], [[1.0, 2.0, 3.0 + 1j]])
-    numer = _poly.taylor_shift(_poly.asarray([3.0 + 1j, 2.0, 1.0]), -p)
-    closed = rational.single_pole_derivative(numer, p, 3, n)
-    expected = np.sort_complex(np.roots(closed[::-1]))
+    a = [1.0, 2.0, 3.0 + 1j]
+    form = polar_form([p], [3], [a])
+    closed = [a[j - 1] * (-1) ** n * comb(j + n - 1, n) for j in (3, 2, 1)]
+    expected = np.sort_complex(np.roots(closed[::-1]) + p)
     rs = rational.zeros(form, n)
     assert rs.all_converged
     assert np.abs(np.sort_complex(rs.roots) - expected).max() < 1e-12
