@@ -15,9 +15,11 @@ EXTENDED = "extended"
 # 40 digits ~ 133 bits; comfortably above the 64 fractional bits needed.
 EXTENDED_DPS = 40
 
-# Relative floor below which a coefficient counts as zero when trimming
-# leading terms.  The double value matches the noise of compensated
-# double expansion; the extended value leaves ~15 digits of headroom.
+# Relative floor below which a coefficient of the order-0 pole-part
+# numerator R' counts as zero (rational.leading_term), against the
+# magnitudes summed into its slot.  The double value sits well above the
+# rounding of that short sum; the extended value leaves ~15 digits of
+# headroom.
 DEGREE_FLOOR = {DOUBLE: 1e-12, EXTENDED: 1e-25}
 
 
@@ -64,11 +66,11 @@ def precision_of(p):
     return DOUBLE if p.dtype == complex else EXTENDED
 
 
-def trim(p, rel_floor=0.0):
-    """Drop leading coefficients of magnitude <= rel_floor * max |coeff|."""
+def trim(p, floor=0.0):
+    """Drop leading coefficients of magnitude <= floor * max |coeff|."""
     mags = np.array([abs(c) for c in p], dtype=float)
     top = mags.max() if mags.size else 0.0
-    cut = rel_floor * top
+    cut = floor * top
     k = len(p) - 1
     while k > 0 and mags[k] <= cut:
         k -= 1
@@ -81,10 +83,8 @@ def all_finite(p):
     return all(mpmath.isfinite(c) for c in p)
 
 
-def is_zero(p, rel_floor=0.0, abs_floor=0.0):
-    return all(abs(c) <= abs_floor for c in p) or (
-        len(trim(p, rel_floor)) == 1 and abs(p[0]) <= abs_floor
-    )
+def is_zero(p, abs_floor=0.0):
+    return all(abs(c) <= abs_floor for c in p)
 
 
 def degree(p):

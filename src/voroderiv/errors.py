@@ -14,11 +14,11 @@ class SharedRoot(VoroderivError):
 
 
 class DegreeCollapse(VoroderivError):
-    """All numerator coefficients fell below the relative floor.
+    """Every coefficient of the order-0 pole-part numerator fell below the floor.
 
-    Signals catastrophic cancellation.  Nothing retries automatically:
-    rebuild the form with precision="extended" to resolve it.  The CLI
-    reports it with exit code 2.
+    Signals catastrophic cancellation (rational.leading_term).  Nothing
+    retries automatically: rebuild the form with precision="extended" to
+    resolve it.  The CLI reports it with exit code 2.
     """
 
 

@@ -219,14 +219,15 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0,
     all_roots = []
     for n in n_list:
         p = build_rn(problem, n)
-        start = None
-        if compact:
-            # all roots lie inside the dominance radius, so a start
-            # circle there beats the much larger Fujiwara circle
-            start = rootfind._start_points(
-                _poly.degree(_poly.trim(_poly.asarray(p))), radius, _poly.DOUBLE)
-        rs = rootfind.solve(p, 1e-10, evaluator=rn_evaluator(problem, n),
-                            start=start)
+        m = _poly.degree(p)
+        bound = rootfind.fujiwara_bound(_poly.monic(p))
+        # all roots lie inside the dominance radius, so a start circle
+        # there beats the much larger Fujiwara circle
+        first = radius if compact else 0.5 * bound
+        rs = rootfind.solve(
+            None, 1e-10, evaluator=rn_evaluator(problem, n),
+            start=rootfind._start_points(m, first, _poly.DOUBLE),
+            retry_start=lambda: rootfind._start_points(m, bound, _poly.DOUBLE))
         roots = np.asarray([complex(z) for z in rs.roots])
         all_roots.append(tuple(roots))
         max_mod.append(float(np.abs(roots).max()))

@@ -9,6 +9,11 @@ and the double backend stays usable to n of order a hundred.  Every
 routine takes the polynomial part: numerator and newton_evaluator add
 its term while its scaled derivative is nonzero, so one numerator
 serves any Q = R/P, one pole or many.
+
+deg R_n and alpha_n / n! have one source, leading_term, a closed form
+from Q at infinity.  The dense expansion (numerator) serves only where
+it is short or is the output; zeros with two or more poles iterates on
+newton_evaluator in either precision.
 """
 
 import cmath
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _poly, measure, rootfind, voronoi
-from ._poly import DOUBLE, EXTENDED
-from .errors import DegreeCollapse, DuplicatePole, SharedRoot
+from ._poly import DOUBLE
+from .errors import CoefficientOverflow, DegreeCollapse, DuplicatePole, SharedRoot
 
 __all__ = [
     "PolarForm",
@@ -28,6 +33,7 @@ __all__ = [
     "polar_decompose",
     "polar_form",
     "derivative",
+    "leading_term",
     "numerator",
     "newton_evaluator",
     "balance_starts",
@@ -238,20 +244,15 @@ def derivative_state(form, n=0):
     return st
 
 
-@_poly.workprec()
-def numerator(state, rel_floor=None):
-    """Monic numerator R_n and scale of Q^{(n)} = alpha_n R_n/(P P0^n).
+def _terms(state):
+    """The numerator's terms one at a time, so that only one is held.
 
-    Expands sum_ij c_{i,j,n} prod_{k != i}(z-z_k)^{r_k+n} (z-z_i)^{r_i-j},
-    plus pp_n prod_k (z-z_k)^{r_k+n} for the scaled polynomial part pp_n
-    when it is nonzero, by convolution of linear factors with compensated
-    accumulation, strips leading coefficients below the relative floor,
-    and reports the monic polynomial together with alpha_n / n!.
+    c_{i,j,n} prod_{k != i}(z-z_k)^{r_k+n} (z-z_i)^{r_i-j} summed over j
+    per pole i, then pp_n prod_k (z-z_k)^{r_k+n} for the scaled
+    polynomial part pp_n when it is nonzero.
     """
     base = state.base
     precision = base.precision
-    if rel_floor is None:
-        rel_floor = _poly.DEGREE_FLOOR[precision]
     n = state.n
 
     def product(skip=None):
@@ -263,81 +264,119 @@ def numerator(state, rel_floor=None):
                     _poly.asarray([-zk, 1.0], precision), base.orders[k] + n))
         return g
 
+    for i, zi in enumerate(base.poles):
+        ri = base.orders[i]
+        inner = _poly.zeros(ri, precision)
+        lin_pow = _poly.asarray([1.0], precision)
+        lin = _poly.asarray([-zi, 1.0], precision)
+        # inner = sum_j c_{i,j,n} (z - z_i)^{r_i - j}
+        for j in range(ri, 0, -1):
+            c = state.scaled_coeffs[i][j - 1]
+            inner[: len(lin_pow)] += c * lin_pow
+            lin_pow = _poly.polymul(lin_pow, lin)
+        yield _poly.polymul(product(skip=i), _poly.trim(inner))
     pp = _poly.trim(state.poly_part_scaled)
-    has_pp = not _poly.is_zero(pp)
+    if not _poly.is_zero(pp):
+        yield _poly.polymul(product(), pp)
 
-    def terms():
-        """The terms one at a time, so that only one is held."""
-        for i, zi in enumerate(base.poles):
-            ri = base.orders[i]
-            inner = _poly.zeros(ri, precision)
-            lin_pow = _poly.asarray([1.0], precision)
-            lin = _poly.asarray([-zi, 1.0], precision)
-            # inner = sum_j c_{i,j,n} (z - z_i)^{r_i - j}
-            for j in range(ri, 0, -1):
-                c = state.scaled_coeffs[i][j - 1]
-                inner[: len(lin_pow)] += c * lin_pow
-                lin_pow = _poly.polymul(lin_pow, lin)
-            yield _poly.polymul(product(skip=i), _poly.trim(inner))
-        if has_pp:
-            yield _poly.polymul(product(), pp)
 
-    width = len(pp) + base.r + n * base.d if has_pp else n * (base.d - 1) + base.r
-    total = _poly.zeros(width, precision)
-    comp = _poly.zeros(width, precision)
-    absacc = np.zeros(width)
-    for term in terms():
+@_poly.workprec()
+def leading_term(state):
+    """(deg R_n, alpha_n / n!) of Q^{(n)} = alpha_n R_n / (P P0^n), in closed form.
+
+    Q = R/P is irreducible and every top polar coefficient is nonzero,
+    so P P0^n is exactly the denominator of Q^{(n)}, and Q at infinity
+    gives both numbers.  With a polynomial part of degree q >= n:
+    deg R_n = r + q + n(d-1), alpha_n/n! = lc(pp) C(q, n).  Otherwise,
+    with D' = deg R' and lambda' = lc R' for the pole part R'/P:
+    deg R_n = D' + n(d-1), alpha_n/n! = lambda' (-1)^n C(r-D'-1+n, n).
+    The one floor decision is on the short order-0 expansion R': a
+    coefficient counts as zero when it is at most _poly.DEGREE_FLOOR
+    times the magnitudes summed into its slot.  Raises DegreeCollapse
+    if all of R' does.
+    """
+    base = state.base
+    n, precision = state.n, base.precision
+    pp = _poly.trim(base.polynomial_part)
+    q = _poly.degree(pp)
+    if not _poly.is_zero(pp) and n <= q:
+        return base.r + q + n * (base.d - 1), pp[-1] * math.comb(q, n)
+    pole_part = DerivativeState(base, 0, base.coeffs, _poly.zeros(1, precision))
+    total = _poly.zeros(base.r, precision)
+    mags = np.zeros(base.r)
+    for term in _terms(pole_part):
+        total[: len(term)] += term
+        mags[: len(term)] += [float(abs(c)) for c in term]
+    top = base.r - 1
+    while top >= 0 and abs(total[top]) <= _poly.DEGREE_FLOOR[precision] * mags[top]:
+        top -= 1
+    if top < 0:
+        raise DegreeCollapse("numerator collapsed below the coefficient floor")
+    # Q ~ lambda' z^(-j), j = r - D', at infinity, so alpha_n/n! follows
+    # derivative()'s recurrence for the top coefficient of a pole of order j
+    alpha, j = total[top], base.r - top
+    for m in range(n):
+        alpha = -alpha * (j + m) / (m + 1)
+    return top + n * (base.d - 1), alpha
+
+
+@_poly.workprec()
+def numerator(state):
+    """Monic numerator R_n and scale of Q^{(n)} = alpha_n R_n/(P P0^n).
+
+    The degree and alpha_n / n! come from leading_term.  The expansion
+    sums the terms of _terms, each a convolution of linear factors,
+    with compensated accumulation in double precision, keeps the slots
+    up to that degree and divides them by the top one.  Raises
+    CoefficientOverflow when the result is not finite, as for three
+    poles on the unit circle at n = 1000 in double precision.
+    """
+    degree, alpha = leading_term(state)
+    precision = state.base.precision
+    total = _poly.zeros(degree + 1, precision)
+    comp = _poly.zeros(degree + 1, precision)
+    for term in _terms(state):
+        term = term[: degree + 1]
         if precision == DOUBLE:
             total[: len(term)], comp[: len(term)] = _poly.compensated_accumulate(
                 total[: len(term)], comp[: len(term)], term)
         else:
             total[: len(term)] += term
-        absacc[: len(term)] += np.array([float(abs(c)) for c in term])
-    # A leading coefficient counts as cancelled when it is small relative
-    # to the magnitudes that were summed into that slot, not relative to
-    # the largest coefficient overall (interior coefficients of the
-    # expanded products can dwarf a genuine small leading coefficient).
-    hi = len(total) - 1
-    while hi >= 0 and abs(total[hi]) <= rel_floor * absacc[hi]:
-        hi -= 1
-    if hi < 0:
-        raise DegreeCollapse("numerator collapsed below the coefficient floor")
-    stripped = total[: hi + 1]
-    lead = stripped[-1]
-    r_n = stripped / lead
-    return NumeratorResult(
-        r_n=r_n,
-        alpha_over_factorial=lead,
-        degree=_poly.degree(r_n),
-        n=n,
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_n = total / total[-1]
+    if not _poly.all_finite(r_n):
+        raise CoefficientOverflow(
+            f"order n={state.n} overflowed: R_n has non-finite coefficients")
+    return NumeratorResult(r_n=r_n, alpha_over_factorial=alpha, degree=degree, n=state.n)
 
 
 def newton_evaluator(state):
     """Point evaluator (value, derivative) of the unexpanded numerator.
 
     Returns a callable mapping an array of points to (N, N') up to a
-    common per-point scale factor, computed from the sum of products
-    form by rootfind.product_sum rather than from expanded coefficients.  At large n the expanded
-    coefficients span hundreds of orders of magnitude and coefficient
-    Horner loses the roots to cancellation; the product form stays
-    well conditioned, so root iterations can use this callable in
-    place of Horner.  Only the ratio N/N' and the residual |N|/|N'|
-    are meaningful.  A nonzero scaled polynomial part pp_n adds one
-    term pp_n(z) prod_k (z - z_k)^{r_k + n}; a zero one adds none, since
-    a zero-weight term would still set the per-point scale.
+    common per-point scale, computed from the sum of products form by
+    rootfind.product_sum rather than from expanded coefficients.  At
+    large n the expanded coefficients span hundreds of orders of
+    magnitude and coefficient Horner loses the roots to cancellation;
+    the product form stays well conditioned, so root iterations can use
+    this callable in place of Horner.  Only the ratio N/N' and the
+    residual |N|/|N'| are meaningful.  A nonzero scaled polynomial part
+    pp_n adds one term pp_n(z) prod_k (z - z_k)^{r_k + n}; a zero one
+    adds none, since a zero-weight term would still set the per-point
+    scale.  It works in the form's precision: on complex arrays, or on
+    object arrays of mpmath.mpc (call it at _poly.workprec()).
     """
     base = state.base
-    poles = np.array([complex(p) for p in base.poles])
+    dtype = complex if base.precision == DOUBLE else object
+    poles = _poly.asarray(base.poles, base.precision)
     n = state.n
     # term i: inner_i(z - z_i) prod_{k != i} (z - z_k)^{r_k + n}, where
     # inner_i(w) = sum_j c_{i,j} w^{r_i - j}, j = 1..r_i
     expo = [[0 if k == i else r + n for k, r in enumerate(base.orders)]
             for i in range(base.d)]
-    inners = [np.array([complex(c) for c in cs[::-1]])
-              for cs in state.scaled_coeffs]
+    inners = [_poly.asarray(cs[::-1], base.precision) for cs in state.scaled_coeffs]
     centers = poles
-    pp = _poly.trim(np.array([complex(c) for c in state.poly_part_scaled]))
+    pp = _poly.trim(_poly.asarray(state.poly_part_scaled, base.precision))
     if not _poly.is_zero(pp):
         # its weight pp_n(z) is a polynomial about the center 0
         expo.append([r + n for r in base.orders])
@@ -347,7 +386,7 @@ def newton_evaluator(state):
     dlin = np.ones(base.d)  # (z - z_k)' = 1
 
     def eval_pd(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        z = np.atleast_1d(np.asarray(z, dtype=dtype))
         shifted = z[None, :] - centers[:, None]
         weights = ([_poly.polyval(c, w) for c, w in zip(inners, shifted)],
                    [_poly.polyval(c, w) for c, w in zip(dinners, shifted)])
@@ -464,26 +503,26 @@ def balance_starts(state, diagram, degree):
 def zeros(form, n):
     """RootSet of R_n, the numerator of the n-th derivative of form.
 
-    The one path from a PolarForm to derivative zeros.  On the double
-    backend the Aberth iteration runs on newton_evaluator.  With two or
-    more poles it starts from balance_starts, the zeros of the two
-    leading terms edge by edge, and retries, if that attempt stalls,
-    from measure.skeleton_starts; with one pole it starts on the
-    Fujiwara circle.  On the extended backend it runs on the
-    coefficients of R_n.  Raises NoConvergence with the best-effort
-    RootSet attached.
+    The one path from a PolarForm to derivative zeros, in either
+    precision.  With two or more poles the Aberth iteration runs on
+    newton_evaluator, in the form's precision, and never expands R_n: it
+    starts from balance_starts, the zeros of the two leading terms edge
+    by edge, as many as leading_term's degree, and retries, if that
+    attempt stalls, from measure.skeleton_starts.  With one pole R_n has
+    degree at most r + deg pp, so its expansion (numerator) is short and
+    finite, and the iteration runs on its coefficients.  Raises
+    ZeroPolynomial when R_n is a constant, and NoConvergence with the
+    best-effort RootSet attached.
     """
     state = derivative_state(form, n)
-    res = numerator(state)
-    if form.precision == EXTENDED:
-        return rootfind.solve(res.r_n, 1e-12)
-    start = retry = None
-    if form.d >= 2:
-        diagram = voronoi.build([complex(z) for z in form.poles])
-        start = balance_starts(state, diagram, res.degree)
-        retry = lambda: measure.skeleton_starts(diagram, res.degree)
-    return rootfind.solve(res.r_n, 1e-12, evaluator=newton_evaluator(state),
-                          start=start, retry_start=retry)
+    if form.d == 1:
+        return rootfind.solve(numerator(state).r_n, 1e-12)
+    degree, _ = leading_term(state)
+    diagram = voronoi.build([complex(z) for z in form.poles])
+    return rootfind.solve(None, 1e-12, precision=form.precision,
+                          evaluator=newton_evaluator(state),
+                          start=balance_starts(state, diagram, degree),
+                          retry_start=lambda: measure.skeleton_starts(diagram, degree))
 
 
 def numerators(form, n_list):

@@ -1,9 +1,9 @@
-"""Simultaneous root finding for dense complex polynomials.
+"""Simultaneous root finding for complex polynomials.
 
-Aberth-Ehrlich iteration with Newton corrections, started on a circle
-sized from the Fujiwara root bound.  Polynomial evaluation rescales on
-the fly so that degrees of several hundred with widely spread roots do
-not overflow double precision.
+Aberth-Ehrlich iteration with Newton corrections, on coefficients
+(started on a circle sized from the Fujiwara root bound, evaluated by
+Horner with on-the-fly rescaling) or on a point evaluator with given
+start points, whose number is the degree.
 
 One sweep routine, _aberth, serves both precisions, as Bini (1996)
 states the iteration for any arithmetic that can evaluate p/p': it runs
@@ -20,13 +20,15 @@ roots are still active.
 
 product_sum is the one log-space evaluator of sums of products of
 powers, behind both structural numerators: rational.newton_evaluator
-and lemniscate.rn_evaluator.
+and lemniscate.rn_evaluator.  Like _aberth it runs on complex arrays
+or on object arrays of mpmath.mpc.
 """
 
 import contextlib
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from . import _poly
@@ -108,6 +110,12 @@ def _horner_scaled(coeffs, z):
     return p, dp
 
 
+# elementwise log, exp and real part on object arrays of mpmath.mpc,
+# since numpy's ufuncs do not dispatch to mpmath
+_MPMATH_FUNCS = (np.frompyfunc(mpmath.log, 1, 1), np.frompyfunc(mpmath.exp, 1, 1),
+                 np.frompyfunc(mpmath.re, 1, 1))
+
+
 def product_sum(vals, dvals, exponents, weights=None):
     """(N, N') of N = sum_i w_i prod_j f_j^{e_ij}, up to a per-point scale.
 
@@ -118,25 +126,30 @@ def product_sum(vals, dvals, exponents, weights=None):
     w = 1).  The products are formed in log space and scaled by the
     largest modulus per point, so degrees in the thousands neither
     overflow nor underflow; only N/N' and |N|/|N'| are meaningful.
+    vals is a complex array, or an object array of mpmath.mpc: then
+    every step runs in mpmath at its working precision.
     """
+    vals = np.asarray(vals)
+    dtype = object if vals.dtype == object else complex
+    log, exp, real = _MPMATH_FUNCS if dtype == object else (np.log, np.exp, np.real)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(vals)
-    shape = np.shape(vals)[1:]
+        logs = log(vals)
+    shape = vals.shape[1:]
     terms = []
     for row in exponents:
-        acc = np.zeros(shape, dtype=complex)
+        acc = np.zeros(shape, dtype=dtype)
         for j, e in enumerate(row):
             if e:
                 acc += e * logs[j]
         terms.append(acc)
     terms = np.array(terms)
-    scale = terms.real.max(axis=0)
-    pv = np.zeros(shape, dtype=complex)
-    dv = np.zeros(shape, dtype=complex)
+    scale = real(terms).max(axis=0)
+    pv = np.zeros(shape, dtype=dtype)
+    dv = np.zeros(shape, dtype=dtype)
     for i, row in enumerate(exponents):
-        b = np.exp(terms[i] - scale)
+        b = exp(terms[i] - scale)
         # logarithmic derivative of the product
-        s = np.zeros(shape, dtype=complex)
+        s = np.zeros(shape, dtype=dtype)
         for j, e in enumerate(row):
             if e:
                 s += e * dvals[j] / vals[j]
@@ -231,76 +244,75 @@ def _start_points(m, radius, precision):
 
 def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
           start=None, retry_start=None):
-    """All roots of p by Aberth-Ehrlich simultaneous iteration.
+    """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
 
-    Starts on the circle of radius 0.5 * fujiwara_bound with angular
-    jitter; on non-convergence restarts once from the full Fujiwara
-    radius and raises NoConvergence (with the best-effort RootSet
-    attached) if that also stalls.  Raises ValueError on non-finite
-    coefficients unless an evaluator is given.
+    The polynomial is given either by its coefficients p or, with p None,
+    by an evaluator, never both.  Both run the same active-set Jacobi
+    sweep (_aberth) on complex arrays, or on object arrays of
+    mpmath.mpc at _poly.EXTENDED_DPS digits: precision defaults to
+    extended for an object array p (or start) and to double otherwise.
+    If the first attempt stalls, one retry runs from retry_start() and
+    the attempt with more converged roots is kept; NoConvergence is
+    raised, with that RootSet attached, if it has unconverged roots.
 
-    Both precisions run the same active-set Jacobi sweep (_aberth); only
-    the arithmetic differs.  The double path evaluates p and p' by
-    scaled Horner (_horner_scaled) on complex arrays.  The extended path
-    evaluates them by Horner on object arrays of mpmath.mpc and runs,
-    monic scaling included, at _poly.EXTENDED_DPS digits.
+    Coefficients must be finite (ValueError).  p is made monic and
+    evaluated by scaled Horner (_horner_scaled) or, in extended
+    precision, by Horner on mpc values.  start and retry_start default
+    to jittered circles of radius 0.5 and 1 times fujiwara_bound.
 
-    evaluator, when given, supplies (p, p') at an array of points in
-    place of coefficient Horner; use newton_evaluator for numerators
-    of high derivative order, whose expanded coefficients are too
-    ill-scaled for double evaluation.  Forces the double path.  Each
-    output must depend only on its own input point: a sweep passes only
-    the roots still active, and a final call passes all m roots for
-    the residuals.
-
-    start, when given, replaces the first-attempt circle of initial
-    points (rational.balance_starts pays off for high-order numerators).
-    retry_start, when given, is called only if the first attempt stalls
-    and returns the retry's initial points in place of the Fujiwara
-    circle.
+    An evaluator maps an array of points to (p, p') up to a common
+    per-point scale (rational.newton_evaluator for numerators whose
+    expanded coefficients are too ill-scaled to evaluate).  No
+    coefficient is read: start is required, its length is the degree,
+    and there is no retry without retry_start.  Each output must depend
+    only on its own input point: a sweep passes only the roots still
+    active, and a final call passes all m roots for the residuals.
     """
-    arr = np.asarray(p) if isinstance(p, np.ndarray) else None
-    if evaluator is not None:
-        precision = DOUBLE
+    if (p is None) == (evaluator is None):
+        raise ValueError("pass exactly one of coefficients and an evaluator")
+    if p is None and start is None:
+        raise ValueError("an evaluator needs start points")
     if precision is None:
-        precision = EXTENDED if (arr is not None and arr.dtype == object) else DOUBLE
-    p = _poly.asarray(p, precision)
-    if evaluator is None and not _poly.all_finite(p):
-        raise ValueError("polynomial has non-finite coefficients")
-    p = _poly.trim(p)
-    m = _poly.degree(p)
+        precision = EXTENDED if np.asarray(start if p is None else p).dtype == object else DOUBLE
+    if p is not None:
+        p = _poly.asarray(p, precision)
+        if not _poly.all_finite(p):
+            raise ValueError("polynomial has non-finite coefficients")
+        p = _poly.trim(p)
+    m = len(start) if p is None else _poly.degree(p)
     if m < 1:
         raise ZeroPolynomial("need degree >= 1")
-    with _poly.workprec():
-        p = _poly.monic(p)
-        bound = fujiwara_bound(p)
-        dp = _poly.polyder(p) if precision == EXTENDED else None
+    if p is not None:
+        with _poly.workprec():
+            p = _poly.monic(p)
+            bound = fujiwara_bound(p)
+            dp = _poly.polyder(p) if precision == EXTENDED else None
+        if bound == 0.0:
+            roots = _poly.zeros(m, precision)
+            return RootSet(roots=roots, residuals=np.zeros(m), converged=np.ones(m, dtype=bool))
+        if dp is None:
+            evaluator = lambda z: _horner_scaled(p, z)
+        else:
+            # np.polyval starts from an array; an mpc times an ndarray would
+            # first format the whole array into mpmath's conversion error
+            evaluator = lambda z: (np.polyval(p[::-1], z), np.polyval(dp[::-1], z))
+        if start is None:
+            start = _start_points(m, 0.5 * bound, precision)
+        if retry_start is None:
+            retry_start = lambda: _start_points(m, bound, precision)
     if max_sweeps is None:
         max_sweeps = MAX_SWEEPS[precision]
-    if bound == 0.0:
-        roots = _poly.zeros(m, precision)
-        return RootSet(roots=roots, residuals=np.zeros(m), converged=np.ones(m, dtype=bool))
 
     def given(pts):
         if len(pts) != m:
             raise ValueError("start must supply one point per root")
         return _points(pts, precision)
 
-    first = given(start) if start is not None else _start_points(m, 0.5 * bound, precision)
-    arithmetic = contextlib.nullcontext()
-    if precision == EXTENDED:
-        # np.polyval starts from an array; an mpc times an ndarray would
-        # first format the whole array into mpmath's conversion error
-        evaluator = lambda z: (np.polyval(p[::-1], z), np.polyval(dp[::-1], z))
-        arithmetic = _poly.workprec()
-    elif evaluator is None:
-        evaluator = lambda z: _horner_scaled(p, z)
+    arithmetic = _poly.workprec() if precision == EXTENDED else contextlib.nullcontext()
     with arithmetic:
-        result = _aberth(evaluator, tolerance, first, max_sweeps)
-        if not result.all_converged:
-            again = (given(retry_start()) if retry_start is not None
-                     else _start_points(m, bound, precision))
-            retry = _aberth(evaluator, tolerance, again, max_sweeps)
+        result = _aberth(evaluator, tolerance, given(start), max_sweeps)
+        if not result.all_converged and retry_start is not None:
+            retry = _aberth(evaluator, tolerance, given(retry_start()), max_sweeps)
             if retry.converged.sum() > result.converged.sum():
                 result = retry
     if not result.all_converged:

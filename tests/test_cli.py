@@ -163,6 +163,23 @@ def test_odecheck_residuals_small(problem, tmp_path):
     assert max(float(row["residual"]) for row in rows) < 1e-10
 
 
+@pytest.mark.parametrize("extra", [dict(polynomial_part=[0.0, 1.0]),
+                                   dict(poles=[dict(TWO_POLE["poles"][0],
+                                                    order=2, coeffs=[1.0, [0.0, -0.5]]),
+                                               dict(TWO_POLE["poles"][1],
+                                                    order=2, coeffs=[0.0, [0.0, 0.5]])])])
+def test_odecheck_rejects_what_the_identity_leaves_out(tmp_path, capsys, extra):
+    # Q = z + 1/(1+z^2), and double poles with a nonzero lower
+    # coefficient: the power-sum identity would check another function
+    p = tmp_path / "q.json"
+    p.write_text(json.dumps(dict(TWO_POLE, **extra)))
+    code = cli.main(["odecheck", "--problem", str(p), "--n", "3",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert "odecheck takes no polynomial part" in capsys.readouterr().err
+    assert not (tmp_path / "odecheck.csv").exists()
+
+
 def test_odecheck_reports_dropped_points(problem, tmp_path, monkeypatch):
     real_rng = np.random.default_rng
 

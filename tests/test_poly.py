@@ -8,7 +8,7 @@ from voroderiv._poly import DOUBLE, EXTENDED
 
 def test_trim_strips_leading_noise():
     p = _poly.asarray([1.0, 2.0, 1e-15], DOUBLE)
-    t = _poly.trim(p, rel_floor=1e-12)
+    t = _poly.trim(p, 1e-12)
     assert _poly.degree(t) == 1
     assert t[1] == 2.0
 

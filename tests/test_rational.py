@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from voroderiv import _poly, measure, rational, rootfind, voronoi
+from voroderiv import _poly, asympt, measure, rational, rootfind, voronoi
+from voroderiv.errors import CoefficientOverflow, ZeroPolynomial
 from voroderiv.rational import (DegreeCollapse, DuplicatePole, derivative,
                                 derivative_state, newton_evaluator, numerator,
                                 numerators, polar_decompose, polar_form)
+
+
+MIXED = dict(orders=(1, 2, 3), coeffs=((1.0,), (0.5, 2.0), (1.0, 0.3j, 1.0 + 1j)))
 
 
 def multiset_distance(found, expected):
@@ -102,10 +106,127 @@ def test_numerator_cancelling_instance_degree_n():
         assert res.degree == n
 
 
-def test_degree_collapse_raised_for_absurd_floor():
+def test_degree_collapse_raised_for_absurd_floor(monkeypatch):
+    # a floor above every summed magnitude zeroes all of R'
+    monkeypatch.setattr(_poly, "DEGREE_FLOOR", {_poly.DOUBLE: 10.0, _poly.EXTENDED: 10.0})
     form = polar_decompose([1.0], [(1.0, 1), (-1.0, 1)])
     with pytest.raises(DegreeCollapse):
-        numerator(derivative_state(form, 4), rel_floor=10.0)
+        numerator(derivative_state(form, 4))
+
+
+def expansion_lead(state):
+    """(degree, top coefficient) of the dense order-n expansion itself.
+
+    Sums the numerator's terms at order n, not at order 0 as
+    leading_term does, and drops top slots that are at most 1e-9 (1e-30
+    in extended precision) of the magnitudes summed into them.
+    """
+    precision = state.base.precision
+    terms = list(rational._terms(state))
+    width = max(len(t) for t in terms)
+    total, mags = _poly.zeros(width, precision), np.zeros(width)
+    with _poly.workprec():
+        for t in terms:
+            total[: len(t)] += t
+            mags[: len(t)] += [float(abs(c)) for c in t]
+    floor = 1e-9 if precision == _poly.DOUBLE else 1e-30
+    top = width - 1
+    while abs(total[top]) <= floor * mags[top]:
+        top -= 1
+    return top, total[top]
+
+
+CANCELLING = dict(poles=[1.0, -1.0], orders=[1, 1], coeffs=[[0.5], [-0.5]])
+WITH_PP = dict(poles=[0.0, 1.0, 1.0j], orders=[1, 2, 1],
+               coeffs=[[1.0], [0.5, 2.0], [1.0 + 1j]], polynomial_part=[0.3, -1.0, 0.5j])
+
+
+@pytest.mark.parametrize("spec, precision, orders", [
+    (dict(poles=[0.0, 1.0, 1.0j], orders=[1, 1, 1], coeffs=[[1.0], [2.0], [1.0 + 1j]]),
+     "double", (0, 1, 5, 9)),
+    (dict(poles=[np.exp(2j * np.pi * k / 3) for k in range(3)], **MIXED),
+     "double", (0, 2, 7)),
+    (CANCELLING, "double", (1, 4, 10)),
+    (CANCELLING, "extended", (1, 4, 10)),
+    (WITH_PP, "double", (0, 1, 2, 3, 5)),  # deg pp = 2: n <= q, then n > q
+])
+def test_closed_form_matches_the_expansion(spec, precision, orders):
+    form = polar_form(precision=precision, **spec)
+    rel = 1e-12 if precision == "double" else 1e-30
+    for n in orders:
+        state = derivative_state(form, n)
+        degree, alpha = rational.leading_term(state)
+        top, lead = expansion_lead(state)
+        assert degree == top
+        assert abs(alpha - lead) <= rel * abs(lead)
+        res = numerator(state)
+        assert res.degree == degree and res.alpha_over_factorial == alpha
+        assert abs(res.r_n[-1] - 1) < 1e-15  # monic
+
+
+def test_numerator_raises_on_an_overflowing_expansion():
+    # three unit-circle poles: R_1000's expansion is mostly NaN in double
+    form = polar_form([np.exp(2j * np.pi * k / 3) for k in range(3)], [1, 1, 1],
+                      [[1.0], [2.0], [1.0 + 1j]])
+    with pytest.raises(CoefficientOverflow, match="order n=1000 overflowed"):
+        numerator(derivative_state(form, 1000))
+
+
+def eight_poles(scale):
+    rng = np.random.default_rng(2)
+    poles = scale * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    return polar_decompose([1.0], [(p, 1) for p in poles])
+
+
+def test_zeros_take_the_closed_form_degree():
+    # Q = 1/prod (z - z_i): deg R_100 = 7 n = 700.  The dense expansion's
+    # slot 701 carried rounding above its floor here, so the degree read
+    # from it was 701 and one root never converged
+    form = eight_poles(0.7)
+    assert numerator(derivative_state(form, 100)).degree == 700
+    rs = rational.zeros(form, 100)
+    assert len(rs) == 700 and rs.all_converged
+
+
+def test_zeros_extended_run_on_the_structural_evaluator():
+    # criterion 03's first draw (seed 4): order 40, degree 41, which the
+    # coefficient solve at 40 digits did not converge
+    rng = np.random.default_rng(4)
+    a1, a2 = (rng.normal() + 1j * rng.normal() for _ in range(2))
+    z1 = rng.normal() + 1j * rng.normal()
+    z2 = z1 + (rng.normal() + 1j * rng.normal())
+    assert abs(z2 - z1) >= 0.3
+    n = int(rng.integers(2, 61))
+    assert n == 41
+    form = polar_form([z1, z2], [1, 1], [[a1], [a2]], precision="extended")
+    rs = rational.zeros(form, n - 1)
+    assert rs.roots.dtype == object and rs.all_converged
+    oracle = asympt.twopole_zeros(a1, a2, z1, z2, n)
+    assert len(rs) == len(oracle) == 41
+    assert multiset_distance(rs.roots.astype(complex), oracle) < 1e-8
+
+
+def test_extended_evaluator_matches_double():
+    # product_sum on mpc object arrays against the complex path, d = 3
+    # with a double pole and a polynomial part
+    spec = dict(poles=[0.0, 1.0, 1.0j], orders=[1, 2, 1],
+                coeffs=[[1.0], [0.5, 2.0], [1.0 + 1j]], polynomial_part=[0.3, -1.0])
+    z = np.array([0.1 + 0.2j, -0.9j, 1.3, 0.3 + 1.2j, -2.0 + 1.5j])
+    double = newton_evaluator(derivative_state(polar_form(**spec), 6))(z)
+    with _poly.workprec():
+        ext = newton_evaluator(derivative_state(polar_form(precision="extended", **spec), 6))(
+            rootfind._points(z, _poly.EXTENDED))
+    for d, e in zip(double, ext):
+        assert e.dtype == object
+        assert np.abs(e.astype(complex) - d).max() <= 1e-13 * np.abs(d).max()
+
+
+def test_zeros_of_a_constant_numerator_raise():
+    # 1/(z^2 - 1) has R_0 = 1, and 1/(z - 1) has constant R_n at every n
+    with pytest.raises(ZeroPolynomial):
+        rational.zeros(polar_form(**CANCELLING), 0)
+    with pytest.raises(ZeroPolynomial):
+        rational.zeros(polar_form([1.0], [1], [[1.0]]), 3)
 
 
 def test_degree_diagnostics_cancelling_instance():
@@ -204,8 +325,6 @@ def cube_problem(n, orders=(1, 1, 1), coeffs=((1.0,), (2.0,), (1.0 + 1j,))):
     return state, voronoi.build(poles), numerator(state).degree
 
 
-MIXED = dict(orders=(1, 2, 3), coeffs=((1.0,), (0.5, 2.0), (1.0, 0.3j, 1.0 + 1j)))
-
 
 def test_balance_starts_lie_on_the_zeros_away_from_the_vertex():
     # the two-term zeros are exponentially close to those of R_n
@@ -290,9 +409,8 @@ def test_zeros_retry_from_the_skeleton(monkeypatch):
                         lambda state, diagram, degree: np.zeros(degree, dtype=complex))
     with np.errstate(all="ignore"):
         rs = rational.zeros(state.base, 12)
-    direct = rootfind.solve(numerator(state).r_n, 1e-12,
-                            evaluator=newton_evaluator(state),
-                            start=measure.skeleton_starts(diagram, degree))
+    direct = rootfind.solve(None, 1e-12, evaluator=newton_evaluator(state),
+                           start=measure.skeleton_starts(diagram, degree))
     assert rs.all_converged
     assert rs.roots.tobytes() == direct.roots.tobytes()
 

@@ -130,7 +130,8 @@ def test_custom_start_points_used():
 
 
 def test_evaluator_hook_consistent_with_coefficients():
-    # an evaluator computing the same polynomial must give the same roots
+    # an evaluator computing the same polynomial must give the same roots;
+    # it takes the degree from its start points and reads no coefficients
     p = [-6.0, 11.0, -6.0, 1.0]  # (z-1)(z-2)(z-3)
 
     def ev(z):
@@ -140,8 +141,24 @@ def test_evaluator_hook_consistent_with_coefficients():
              + (z - 1.0) * (z - 2.0))
         return v, d
 
-    rs = solve(p, evaluator=ev)
+    start = rootfind._start_points(3, 0.5 * fujiwara_bound(p), _poly.DOUBLE)
+    rs = solve(None, evaluator=ev, start=start)
     assert multiset_distance(rs.roots, [1.0, 2.0, 3.0]) < 1e-10
+    assert multiset_distance(rs.roots, solve(p).roots) < 1e-10
+
+
+def test_evaluator_takes_no_coefficients_and_needs_starts():
+    def ev(z):
+        return z - 1.0, np.ones_like(z)
+
+    with pytest.raises(ValueError, match="exactly one"):
+        solve([-1.0, 1.0], evaluator=ev, start=[0.5])
+    with pytest.raises(ValueError, match="exactly one"):
+        solve(None, start=[0.5])
+    with pytest.raises(ValueError, match="start points"):
+        solve(None, evaluator=ev)
+    with pytest.raises(ZeroPolynomial):
+        solve(None, evaluator=ev, start=[])
 
 
 def test_residuals_reported():
@@ -190,9 +207,9 @@ def eight_pole_case(n=50):
     poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
     form = rational.polar_decompose([1.0], [(p, 1) for p in poles])
     state = rational.derivative_state(form, n)
-    res = rational.numerator(state)
-    start = measure.skeleton_starts(voronoi.build(poles), res.degree)
-    return res.r_n, rational.newton_evaluator(state), start
+    degree, _ = rational.leading_term(state)
+    start = measure.skeleton_starts(voronoi.build(poles), degree)
+    return None, rational.newton_evaluator(state), start
 
 
 def horner_case():
@@ -240,7 +257,7 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     assert conv.all() and any(k % 3 and k > 3 for k in trace)
     sizes = []
     if case is eight_pole_case:
-        rs = solve(p, 1e-12, evaluator=counted(eval_pd, sizes), start=start)
+        rs = solve(None, 1e-12, evaluator=counted(eval_pd, sizes), start=start)
     else:
         # the coefficient path of either precision
         rs = solve(p, 1e-12)
@@ -274,8 +291,7 @@ def test_residual_falls_back_to_nearest_neighbour():
         dv[np.isin(z, flat)] = 0.0
         return pv, dv
 
-    coeffs = np.poly(zs)[::-1]
-    rs = solve(coeffs, evaluator=ev, start=zs.astype(complex))
+    rs = solve(None, evaluator=ev, start=zs.astype(complex))
     assert rs.roots.tobytes() == zs.astype(complex).tobytes()
     near = np.array([np.abs(np.delete(zs, k) - zs[k]).min()
                      for k in range(len(zs))])
