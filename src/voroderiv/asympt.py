@@ -174,14 +174,13 @@ def grid_discrepancy(points, atoms, log_norm, reference, exclusion_radius):
     return (float(gaps.mean()) if len(gaps) else math.nan), len(points) - len(gaps)
 
 
-def potential_l1(roots, diagram, window, grid=200, exclusion_radius=None,
-                 seed=0, max_excluded_fraction=0.01):
+def potential_l1(roots, diagram, window, grid=200, exclusion_radius=None, seed=0):
     """Grid-average of |L_n - Psi| over a square window.
 
     window is (center, half_side).  L_n is the normalized log-modulus
     of the root set; sample points within exclusion_radius of an atom
-    or a site are skipped (their count must stay below the allowed
-    fraction, since the integrand is integrable but unbounded there).
+    or a site are skipped (at most 1% of them, else ExclusionTooLarge,
+    since the integrand is integrable but unbounded there).
     """
     if exclusion_radius is None:
         exclusion_radius = 1e-3 * 2.0 * float(window[1])
@@ -191,7 +190,7 @@ def potential_l1(roots, diagram, window, grid=200, exclusion_radius=None,
     value, skipped = grid_discrepancy(pts[~near_site], roots, (0.0, len(roots)),
                                       lambda z: psi(sites, z), exclusion_radius)
     excluded = int(near_site.sum()) + skipped
-    if excluded > max_excluded_fraction * len(pts):
+    if excluded > 0.01 * len(pts):
         raise ExclusionTooLarge(
             f"{excluded / len(pts):.2%} of samples excluded")
     return value

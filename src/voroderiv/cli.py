@@ -67,7 +67,7 @@ def _write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
 def _n_list(args):

@@ -5,8 +5,13 @@ the largest |P_i^{m_i}| changes hands, a lemniscate-type diagram.  If
 one summand strictly dominates in degree, the zero sets stay in a disk
 whose radius comes from an explicit dominance criterion, and the
 normalized log-modulus converges to max_i m_i log |P_i| in the mean.
+
+The zeros come as in rational.zeros, without expanding R_n (build_rn):
+degree and lead in closed form (leading_term), and Aberth on
+rn_evaluator from the zeros of two balancing summands (balance_starts).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,9 +23,11 @@ from .errors import CoefficientOverflow, NoDominantDegree
 __all__ = [
     "LemniscateProblem",
     "build_rn",
+    "leading_term",
     "rn_evaluator",
     "psi_max",
     "dominance_radius",
+    "balance_starts",
     "compactness_and_compare",
     "LemniscateReport",
 ]
@@ -68,10 +75,7 @@ def build_rn(problem, n):
         raise ValueError("n must be >= 1")
     total = None
     for row in _term_exponents(problem, n):
-        term = _poly.asarray([1.0])
-        for p, e in zip(problem.polynomials, row):
-            if e:
-                term = _poly.polymul(term, _poly.polypow(p, e))
+        term = _product(problem, row)
         total = term if total is None else _poly.polyadd(total, term)
     if not _poly.all_finite(total):
         raise CoefficientOverflow(
@@ -82,18 +86,31 @@ def build_rn(problem, n):
 def _term_exponents(problem, n):
     """Exponent matrix of the cleared-numerator expansion of build_rn."""
     mult = problem.multipliers
-    k = len(problem.polynomials)
-    neg = [j for j, m in enumerate(mult) if m < 0]
-    rows = []
-    for i in range(k):
-        row = [0] * k
-        if mult[i] > 0:
-            row[i] += mult[i] * n
-        for j in neg:
-            if j != i:
-                row[j] += -mult[j] * n
-        rows.append(row)
-    return rows
+    # term i: P_i^{m_i n} if m_i > 0, times P_k^{-m_k n} for every other
+    # k with m_k < 0 (the cleared denominator)
+    return [[abs(m) * n if (k == i) == (m > 0) else 0 for k, m in enumerate(mult)]
+            for i in range(len(mult))]
+
+
+def _product(problem, exponents):
+    """prod_k P_k^{e_k}, expanded, for non-negative exponents e_k."""
+    term = _poly.asarray([1.0])
+    for p, e in zip(problem.polynomials, exponents):
+        if e:
+            term = _poly.polymul(term, _poly.polypow(p, e))
+    return term
+
+
+def leading_term(problem, n):
+    """(deg R_n, lc R_n) of build_rn's numerator, in closed form.
+
+    Each term is a product of monic polynomials, so deg R_n is the largest
+    term degree and lc R_n the number of terms reaching it; the leads are
+    positive integers and never cancel.
+    """
+    degs = [sum(e * d for e, d in zip(row, problem.degrees))
+            for row in _term_exponents(problem, n)]
+    return max(degs), degs.count(max(degs))
 
 
 def rn_evaluator(problem, n):
@@ -119,16 +136,15 @@ def rn_evaluator(problem, n):
     return eval_pd
 
 
-def psi_max(problem, z):
-    """max_i m_i log |P_i(z)|; -inf at common zeros of the maximizers.
+def _summand_logs(problem, z):
+    """m_i log |P_i(z)| per summand, stacked along a new first axis.
 
-    z is a scalar (float out) or an array of points.  A vanishing
-    summand is the limit of m log|P|: -inf for m >= 0 and +inf for
-    m < 0 (a pole of the reciprocal summand).
+    A vanishing summand is the limit of m log|P|: -inf for m >= 0 and
+    +inf for m < 0 (a pole of the reciprocal summand).
     """
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
-    best = np.full(z.shape, -np.inf)
+    logs = []
     for p, m in zip(problem.polynomials, problem.multipliers):
         # Horner in real parts rounds as Python's complex scalars do;
         # numpy's complex multiply and abs round differently per CPU
@@ -137,41 +153,42 @@ def psi_max(problem, z):
             re, im = re * x - im * y + c.real, re * y + im * x + c.imag
         v = np.hypot(re, im)
         with np.errstate(divide="ignore"):
-            best = np.maximum(best, np.where(v > 0.0, m * np.log(v),
-                                             np.inf if m < 0 else -np.inf))
+            logs.append(np.where(v > 0.0, m * np.log(v), np.inf if m < 0 else -np.inf))
+    return np.array(logs)
+
+
+def psi_max(problem, z):
+    """max_i m_i log |P_i(z)|; -inf at common zeros of the maximizers.
+
+    z is a scalar (float out) or an array; per summand see _summand_logs.
+    """
+    best = _summand_logs(problem, z).max(axis=0)
     return float(best) if best.ndim == 0 else best
 
 
-def dominance_radius(problem, samples=720, growth=1.25, max_doublings=60):
+def dominance_radius(problem):
     """Radius outside which the top-degree summand outweighs the rest.
 
-    Searches outward on circles until, at every sample angle,
-    |P_dom(z)| exceeds (k-1) max_{i != dom} |P_i(z)| (in the
-    multiplier-weighted sense), then bisects back for a tighter value.
-    All zeros of every R_n, n >= 1, lie inside the returned radius.
+    Doubles a circle (at most 60 times) until, at all 720 sample angles,
+    |P_dom(z)| exceeds (k-1) max_{i != dom} |P_i(z)| (multiplier-weighted),
+    bisects back and returns 1.25 times that radius.  All zeros of
+    every R_n, n >= 1, lie inside it.
     """
     eff = problem.effective_degrees
     dom = int(np.argmax(eff))
     if sorted(eff)[-1] == sorted(eff)[-2]:
         raise NoDominantDegree("no strictly dominant summand degree")
     k = len(problem.polynomials)
-    theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    ring = np.exp(1j * theta)
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False))
 
     def dominated(radius):
-        z = radius * ring
-        logs = []
-        for p, m in zip(problem.polynomials, problem.multipliers):
-            v = np.abs(np.polyval(p[::-1], z))
-            v = np.where(v <= 0.0, 1e-300, v)
-            logs.append(m * np.log(v))
-        logs = np.vstack(logs)
+        logs = _summand_logs(problem, radius * ring)
         others = np.delete(logs, dom, axis=0).max(axis=0)
-        return bool((logs[dom] > others + math.log(max(k - 1, 1)) / 1.0).all())
+        return bool((logs[dom] > others + math.log(max(k - 1, 1))).all())
 
     lo = 1.0 + max(float(np.abs(p).max()) for p in problem.polynomials)
     hi = lo
-    for _ in range(max_doublings):
+    for _ in range(60):
         if dominated(hi):
             break
         lo = hi
@@ -184,7 +201,32 @@ def dominance_radius(problem, samples=720, growth=1.25, max_doublings=60):
             hi = mid
         else:
             lo = mid
-    return hi * growth
+    return hi * 1.25
+
+
+def balance_starts(problem, n, degree):
+    """degree start points for the zeros of R_n, from two balancing summands.
+
+    Where terms i and j lead, R_n ~ 0 means (A/B)^n = -1 for A/B =
+    prod_k P_k^{f_k}, f = row i - row j of _term_exponents(problem, 1), so
+    np.roots solves A - w B = 0 for the n values w^n = -1.  Candidates
+    rank by the margin of min(s_i, s_j) over the other summand logs s
+    (_summand_logs); the first degree are kept, in the order found.  The
+    top term's pairs alone give at least deg R_n candidates.
+    """
+    rows = np.array(_term_exponents(problem, 1))
+    omega = np.exp(1j * math.pi * (2 * np.arange(n) + 1) / n)
+    pts, margin = [], []
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        f = rows[i] - rows[j]
+        a, b = _product(problem, np.maximum(f, 0)), _product(problem, np.maximum(-f, 0))
+        z = np.concatenate([np.roots(_poly.polyadd(a, -w * b)[::-1]) for w in omega])
+        logs = _summand_logs(problem, z)
+        rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
+        pts.append(z)
+        margin.append(np.minimum(logs[i], logs[j]) - rest)
+    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
+    return np.concatenate(pts)[np.sort(keep)]
 
 
 @dataclass(frozen=True)
@@ -197,13 +239,14 @@ class LemniscateReport:
     roots: tuple
 
 
-def compactness_and_compare(problem, n_list, window, grid=120, seed=0,
-                            exclusion_radius=None):
+def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
     """Solve R_n for each n and measure convergence toward psi_max.
 
-    With a strictly dominant degree the report includes the dominance
-    radius and checks every root against it; otherwise the radius is
-    NaN and only the pointwise comparison is meaningful.
+    Aberth runs on rn_evaluator from balance_starts and retries from the
+    dominance circle.  Without a strictly dominant degree the radius is
+    NaN, there is no retry, and only the pointwise comparison is
+    meaningful.  Grid points within 1e-3 of the window width of a root
+    are skipped.
     """
     try:
         radius = dominance_radius(problem)
@@ -211,30 +254,22 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0,
     except NoDominantDegree:
         radius = float("nan")
         compact = False
-    if exclusion_radius is None:
-        exclusion_radius = 1e-3 * 2.0 * float(window[1])
     rng = np.random.default_rng(seed)
     max_mod = []
     l1 = []
     all_roots = []
     for n in n_list:
-        p = build_rn(problem, n)
-        m = _poly.degree(p)
-        bound = rootfind.fujiwara_bound(_poly.monic(p))
-        # all roots lie inside the dominance radius, so a start circle
-        # there beats the much larger Fujiwara circle
-        first = radius if compact else 0.5 * bound
+        degree, lead = leading_term(problem, n)
         rs = rootfind.solve(
             None, 1e-10, evaluator=rn_evaluator(problem, n),
-            start=rootfind._start_points(m, first, _poly.DOUBLE),
-            retry_start=lambda: rootfind._start_points(m, bound, _poly.DOUBLE))
-        roots = np.asarray([complex(z) for z in rs.roots])
-        all_roots.append(tuple(roots))
-        max_mod.append(float(np.abs(roots).max()))
+            start=balance_starts(problem, n, degree),
+            retry_start=(lambda: rootfind._start_points(degree, radius, _poly.DOUBLE))
+            if compact else None)
+        all_roots.append(tuple(rs.roots))
+        max_mod.append(float(np.abs(rs.roots).max()))
         l1.append(asympt.grid_discrepancy(
-            asympt.grid_points(window, grid, rng), roots,
-            (math.log(abs(complex(p[-1]))), n),
-            lambda z: psi_max(problem, z), exclusion_radius)[0])
+            asympt.grid_points(window, grid, rng), rs.roots, (math.log(lead), n),
+            lambda z: psi_max(problem, z), 1e-3 * 2.0 * float(window[1]))[0])
     return LemniscateReport(
         n_list=tuple(n_list),
         max_root_modulus=tuple(max_mod),

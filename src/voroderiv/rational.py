@@ -89,14 +89,7 @@ class PolarForm:
 
     def evaluate(self, z):
         """Value of the function at z (z not a pole)."""
-        acc = _poly.polyval(self.polynomial_part, z)
-        for zi, cs in zip(self.poles, self.coeffs):
-            w = 1.0 / (z - zi)
-            wp = w
-            for a in cs:
-                acc = acc + a * wp
-                wp = wp * w
-        return acc
+        return DerivativeState(self).evaluate(z)
 
 
 @dataclass(frozen=True)

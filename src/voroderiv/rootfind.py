@@ -72,10 +72,7 @@ class RootSet:
 
 def fujiwara_bound(p):
     """2 max_k |a_{deg-k}/a_deg|^{1/k}; contains every root."""
-    if isinstance(p, np.ndarray) and p.dtype == object:
-        p = _poly.trim(p)
-    else:
-        p = _poly.trim(_poly.asarray(p, DOUBLE))
+    p = _poly.trim(np.asarray(p))
     if _poly.degree(p) < 1 or abs(p[-1]) == 0.0:
         raise ZeroPolynomial("need degree >= 1")
     m = _poly.degree(p)
@@ -226,20 +223,11 @@ def _aberth(eval_pd, tolerance, start, max_sweeps):
                    sweeps=len(trace), active_trace=tuple(trace))
 
 
-def _points(pts, precision):
-    """pts as a complex array, or as an object array of mpc."""
-    if precision == DOUBLE:
-        return np.array(pts, dtype=complex)
-    out = np.empty(len(pts), dtype=object)
-    out[:] = [_poly.scalar(z, EXTENDED) for z in pts]
-    return out
-
-
 def _start_points(m, radius, precision):
     # golden-angle jitter keeps the start free of the symmetries that
     # stall the iteration on symmetric inputs
     angles = 2.0 * math.pi * np.arange(m) / m + GOLDEN_ANGLE * np.arange(m) / m + 0.31
-    return _points(radius * np.exp(1j * angles), precision)
+    return _poly.asarray(radius * np.exp(1j * angles), precision)
 
 
 def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
@@ -306,7 +294,7 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     def given(pts):
         if len(pts) != m:
             raise ValueError("start must supply one point per root")
-        return _points(pts, precision)
+        return _poly.asarray(pts, precision)
 
     arithmetic = _poly.workprec() if precision == EXTENDED else contextlib.nullcontext()
     with arithmetic:

@@ -203,15 +203,20 @@ def test_odecheck_reports_dropped_points(problem, tmp_path, monkeypatch):
     assert summary == {"sampled": 10, "dropped": 1}
 
 
-def test_lemniscate_overflow_exits_2(tmp_path):
-    # criterion 12's problem: R_600 has non-finite coefficients
+def test_lemniscate_runs_past_the_expansion_overflow(tmp_path):
+    # criterion 12's problem: R_600 has non-finite coefficients, but the
+    # zeros never expand it
     p = tmp_path / "c12.json"
     p.write_text(json.dumps({"lemniscate": {
         "polynomials": [[0.0, 0.0, 1.0], [-3.0, 1.0]], "multipliers": [1, 1]}}))
     r = run_cli("lemniscate", "--problem", str(p), "--n", "600",
                 "--window", "0,0,6", "--out", str(tmp_path))
-    assert r.returncode == 2
-    assert "order n=600 overflowed" in r.stderr
+    assert r.returncode == 0, r.stderr
+    radius = json.loads((tmp_path / "lemniscate.json").read_text())["dominance_radius"]
+    rows = list(csv.DictReader(open(tmp_path / "lemniscate_roots.csv")))
+    assert len(rows) == 1200
+    assert all(abs(complex(float(row["re"]), float(row["im"]))) <= radius
+               for row in rows)
 
 
 def test_render_svg_artifact(problem, tmp_path):
@@ -233,6 +238,13 @@ def test_lemniscate_subcommand(tmp_path):
     assert data["compact"] is True
     assert (tmp_path / "lemniscate_roots.csv").exists()
     assert (tmp_path / "lemniscate_4.svg").exists()
+    # every cell is a plain number, not a numpy scalar's repr
+    rows = list(csv.reader(open(tmp_path / "lemniscate_roots.csv")))
+    assert rows[0] == ["n", "re", "im"]
+    assert len(rows) == 1 + 21 * (2 + 4)  # deg R_n = 21 n
+    for row in rows[1:]:
+        for cell in row:
+            float(cell)  # raises on "np.float64(...)"
 
 
 def test_determinism(problem, tmp_path):

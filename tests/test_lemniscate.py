@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from voroderiv import _poly, asympt
+from voroderiv import _poly, asympt, rootfind
 from voroderiv.errors import CoefficientOverflow
 from voroderiv.lemniscate import (LemniscateProblem, NoDominantDegree,
-                                  build_rn, compactness_and_compare,
-                                  dominance_radius, psi_max, rn_evaluator)
+                                  balance_starts, build_rn,
+                                  compactness_and_compare, dominance_radius,
+                                  leading_term, psi_max, rn_evaluator)
 
 
 def fig_problem():
@@ -17,6 +18,11 @@ def fig_problem():
     return LemniscateProblem(
         ((-1.0, 1.0), (1.0, 1.0), (-1.0j, 1.0), (1.0j, 1.0)),
         (12, 8, 7, 21))
+
+
+def c12_problem():
+    # criterion 12: z^2 and z - 3
+    return LemniscateProblem(((0.0, 0.0, 1.0), (-3.0, 1.0)), (1, 1))
 
 
 def test_build_rn_negative_multiplier_frozen():
@@ -175,3 +181,77 @@ def test_reported_roots_are_true_zeros():
                 val += term
                 big = max(big, abs(term))
             assert abs(val) / big < 1e-8
+
+
+def test_leading_term_matches_expansion():
+    # c12, the figure, z/(z - 3) and the degree tie of z and z - 1
+    problems = (c12_problem(), fig_problem(),
+                LemniscateProblem(((0.0, 1.0), (-3.0, 1.0)), (1, -1)),
+                LemniscateProblem(((0.0, 1.0), (-1.0, 1.0)), (1, 1)))
+    for p in problems:
+        for n in range(1, 41):
+            r = build_rn(p, n)
+            assert leading_term(p, n) == (_poly.degree(r), r[-1])
+
+
+def test_balance_starts_are_exact_and_deterministic():
+    for p, n in ((fig_problem(), 8), (fig_problem(), 3), (c12_problem(), 30),
+                 (LemniscateProblem(((0.0, 1.0), (-3.0, 1.0)), (1, -1)), 5)):
+        degree, _ = leading_term(p, n)
+        pts = balance_starts(p, n, degree)
+        assert len(pts) == len(np.unique(pts)) == degree
+        assert np.array_equal(pts, balance_starts(p, n, degree))
+
+
+@pytest.fixture()
+def sweeps(monkeypatch):
+    """Sweep counts of every rootfind.solve call that returns."""
+    counts = []
+    solve = rootfind.solve
+
+    def spy(*args, **kwargs):
+        rs = solve(*args, **kwargs)
+        counts.append(rs.sweeps)
+        return rs
+
+    monkeypatch.setattr(rootfind, "solve", spy)
+    return counts
+
+
+def test_c12_high_orders_converge_from_balance_starts(sweeps):
+    # from the dominance circle, 88 of 320 roots stalled at n = 160 and
+    # all 1000 at n = 500
+    rep = compactness_and_compare(c12_problem(), [160, 500], window=(0.0, 6.0),
+                                  grid=16)
+    assert [len(r) for r in rep.roots] == [320, 1000]
+    assert max(rep.max_root_modulus) <= rep.dominance_radius
+    assert max(sweeps) <= 2
+
+
+def test_figure_n16_converges():
+    # from the dominance circle, 180 of 336 roots stalled
+    rep = compactness_and_compare(fig_problem(), [16], window=(0.0, 2.0), grid=16)
+    assert len(rep.roots[0]) == 336
+    assert rep.max_root_modulus[0] <= rep.dominance_radius
+
+
+def test_seeded_random_problems_converge():
+    # from the dominance (or Fujiwara) circle trials 3, 8, 18, 19, 21,
+    # 26, 28, 31, 33 and 35 stalled
+    rng = np.random.default_rng(5)
+    solved = 0
+    for _ in range(40):
+        k = rng.integers(2, 5)
+        polys = []
+        for _ in range(k):
+            d = rng.integers(1, 4)
+            polys.append(np.poly(rng.normal(size=d) + 1j * rng.normal(size=d))[::-1])
+        mult = rng.integers(1, 6, size=k) * rng.choice([1, 1, 1, -1], size=k)
+        if (mult < 0).all():
+            continue
+        n = int(rng.integers(2, 25))
+        p = LemniscateProblem(tuple(polys), tuple(int(m) for m in mult))
+        rep = compactness_and_compare(p, [n], window=(0.0, 2.0), grid=16)
+        assert len(rep.roots[0]) == leading_term(p, n)[0]
+        solved += 1
+    assert solved == 39

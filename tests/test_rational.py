@@ -215,7 +215,7 @@ def test_extended_evaluator_matches_double():
     double = newton_evaluator(derivative_state(polar_form(**spec), 6))(z)
     with _poly.workprec():
         ext = newton_evaluator(derivative_state(polar_form(precision="extended", **spec), 6))(
-            rootfind._points(z, _poly.EXTENDED))
+            _poly.asarray(z, _poly.EXTENDED))
     for d, e in zip(double, ext):
         assert e.dtype == object
         assert np.abs(e.astype(complex) - d).max() <= 1e-13 * np.abs(d).max()

@@ -306,7 +306,7 @@ def test_extended_residual_falls_back_to_nearest_neighbour():
     zs = [0.0, 1.0, 3.0, 3.0 + 2.0j, -1.5j, 4.0 - 1.0j]
     flat = (3.0, -1.5j)
     with _poly.workprec():
-        exact = rootfind._points(zs, _poly.EXTENDED)
+        exact = _poly.asarray(zs, _poly.EXTENDED)
 
         def ev(z):
             diff = z[:, None] - exact[None, :]
