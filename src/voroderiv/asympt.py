@@ -32,8 +32,17 @@ __all__ = [
     "single_pole_escape",
 ]
 
-# (grid point, atom) pairs per block of grid_discrepancy: 4 MB complex
-GRID_BLOCK_ELEMENTS = 1 << 18
+# grid points per block of grid_discrepancy, which keeps about eight
+# float arrays of this length (4 MB) whatever the number of atoms
+GRID_BLOCK_POINTS = 1 << 16
+# largest |log2| of a product of scaled squared distances in
+# grid_discrepancy: products stay normal doubles, 2^-1022 to 2^1024,
+# with a margin for the rounding of the range itself
+_PRODUCT_LOG2_MAX = 1020
+# log 2 = _LN2_HI + _LN2_LO (fdlibm's split): _LN2_HI has 32 significant
+# bits, so n * _LN2_HI / 2 is exact for |n| < 2^21
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True)
@@ -152,6 +161,37 @@ def grid_points(window, grid, rng):
     return ((center - half - 1j * half) + 2.0 * half * (gx + 1j * gy)).ravel()
 
 
+def _log_product_range(points, atoms, exclusion_radius):
+    """(t, chunk) for grid_discrepancy, or None if every point is skipped.
+
+    Every distance is at most far, the diagonal of the box spanned by
+    the real and imaginary parts of points and atoms, and a kept point
+    is farther than r = exclusion_radius from every atom.  The scale
+    s = 2^t, t = round(log2 sqrt(r * far)), is centred between the two,
+    so a kept point's scaled squared distance q = (d / s)^2 lies in
+    (2^-e, 2^e] for e = 2 max(log2(far / s), log2(s / r)), and a product
+    of chunk = floor(_PRODUCT_LOG2_MAX / e) of them is a normal double.
+    Raises ValueError when far / r is too wide for even one q to be.
+    """
+    span = [max(p.max() - a.min(), a.max() - p.min())
+            for p, a in ((points.real, atoms.real), (points.imag, atoms.imag))]
+    far = math.hypot(*span)
+    r = float(exclusion_radius)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"exclusion radius {r:g} is not positive and finite")
+    if not math.isfinite(far):
+        raise ValueError(f"largest point-atom distance {far:g} is not finite")
+    if far <= r:
+        return None
+    lo, hi = math.log2(r), math.log2(far)
+    t = round(0.5 * (lo + hi))
+    chunk = int(_PRODUCT_LOG2_MAX // (2.0 * max(hi - t, t - lo)))
+    if chunk < 1:
+        raise ValueError(f"distances up to {far:g} over exclusion radius {r:g}"
+                         " are too wide a range for doubles")
+    return t, chunk
+
+
 def grid_discrepancy(points, atoms, log_norm, reference, exclusion_radius):
     """Mean of |L - reference| over the points away from every atom.
 
@@ -159,16 +199,60 @@ def grid_discrepancy(points, atoms, log_norm, reference, exclusion_radius):
     reference (voronoi.psi, lemniscate.psi_max) takes an array of
     points.  Points within exclusion_radius of an atom are skipped.
     Returns (mean, skipped count); the mean is NaN if all are skipped.
-    Blocks of at most GRID_BLOCK_ELEMENTS (point, atom) pairs bound memory.
+    Raises EmptyRootSet without atoms.
+
+    The kernel runs atom by atom over blocks of GRID_BLOCK_POINTS
+    points in real arithmetic.  It multiplies the squared distances,
+    scaled by 1/s^2, into a running product, and per chunk of atoms adds
+    up the log of the product's mantissa and its binary exponent apart;
+    the exponents meet log 2 once, as _LN2_HI + _LN2_LO, so no rounded
+    log 2 shifts every point's L alike.  s = 2^t and chunk come from all
+    points and atoms (_log_product_range), so the result does not depend
+    on the block size, and a range doubles cannot hold raises ValueError
+    rather than giving an inf or NaN mean.
     """
+    points = np.asarray(points, dtype=complex)
     atoms = np.asarray(atoms, dtype=complex)
-    step = max(1, GRID_BLOCK_ELEMENTS // len(atoms))
+    if len(atoms) == 0:
+        raise EmptyRootSet("no atoms for the log-potential")
+    if len(points) == 0:
+        return math.nan, 0
+    scaling = _log_product_range(points, atoms, exclusion_radius)
+    if scaling is None:
+        return math.nan, len(points)
+    t, chunk = scaling
+    inv = math.ldexp(1.0, -t)
+    pairs = list(zip((atoms.real * inv).tolist(), (atoms.imag * inv).tolist()))
+    chunks = [pairs[lo:lo + chunk] for lo in range(0, len(pairs), chunk)]
+    r2 = (float(exclusion_radius) * inv) ** 2
     gaps = [np.empty(0)]
-    for lo in range(0, len(points), step):
-        block = points[lo:lo + step]
-        sep = np.abs(block[:, None] - atoms)
-        keep = sep.min(axis=1) > exclusion_radius
-        ln = (np.log(sep[keep]).sum(axis=1) + log_norm[0]) / log_norm[1]
+    for lo in range(0, len(points), GRID_BLOCK_POINTS):
+        block = points[lo:lo + GRID_BLOCK_POINTS]
+        x, y = block.real * inv, block.imag * inv
+        dx, dy = np.empty_like(x), np.empty_like(x)
+        nearest = np.full_like(x, np.inf)
+        prod, logsum = np.empty_like(x), np.zeros_like(x)
+        power, twos = np.empty(len(x), dtype=np.int32), np.zeros(len(x), dtype=np.int64)
+        # an excluded point's product may reach 0; its log is dropped
+        with np.errstate(divide="ignore"):
+            for part in chunks:
+                prod.fill(1.0)
+                for ax, ay in part:
+                    np.subtract(x, ax, out=dx)
+                    np.multiply(dx, dx, out=dx)
+                    np.subtract(y, ay, out=dy)
+                    np.multiply(dy, dy, out=dy)
+                    np.add(dx, dy, out=dx)
+                    np.minimum(nearest, dx, out=nearest)
+                    np.multiply(prod, dx, out=prod)
+                np.frexp(prod, out=(prod, power))
+                logsum += np.log(prod, out=prod)
+                twos += power
+        keep = nearest > r2
+        # sum_k log|z - a_k| = (logsum + twos log 2) / 2 + len(atoms) t log 2
+        twos = twos[keep] + 2 * len(atoms) * t
+        ln = ((0.5 * logsum[keep] + twos * (0.5 * _LN2_LO) + log_norm[0])
+              + twos * (0.5 * _LN2_HI)) / log_norm[1]
         gaps.append(np.abs(ln - reference(block[keep])))
     gaps = np.concatenate(gaps)
     return (float(gaps.mean()) if len(gaps) else math.nan), len(points) - len(gaps)
@@ -189,11 +273,14 @@ def potential_l1(roots, diagram, window, grid=200, exclusion_radius=None, seed=0
     near_site = np.abs(pts[:, None] - sites).min(axis=1) <= exclusion_radius
     value, skipped = grid_discrepancy(pts[~near_site], roots, (0.0, len(roots)),
                                       lambda z: psi(sites, z), exclusion_radius)
-    excluded = int(near_site.sum()) + skipped
-    if excluded > 0.01 * len(pts):
-        raise ExclusionTooLarge(
-            f"{excluded / len(pts):.2%} of samples excluded")
+    _check_exclusion(int(near_site.sum()) + skipped, len(pts))
     return value
+
+
+def _check_exclusion(excluded, total):
+    """ExclusionTooLarge if more than 1% of total grid points were excluded."""
+    if excluded > 0.01 * total:
+        raise ExclusionTooLarge(f"{excluded / total:.2%} of samples excluded")
 
 
 def twopole_zeros(a1, a2, z1, z2, n):

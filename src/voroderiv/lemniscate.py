@@ -246,7 +246,7 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
     dominance circle.  Without a strictly dominant degree the radius is
     NaN, there is no retry, and only the pointwise comparison is
     meaningful.  Grid points within 1e-3 of the window width of a root
-    are skipped.
+    are skipped, at most 1% of them (else ExclusionTooLarge).
     """
     try:
         radius = dominance_radius(problem)
@@ -267,9 +267,12 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
             if compact else None)
         all_roots.append(tuple(rs.roots))
         max_mod.append(float(np.abs(rs.roots).max()))
-        l1.append(asympt.grid_discrepancy(
-            asympt.grid_points(window, grid, rng), rs.roots, (math.log(lead), n),
-            lambda z: psi_max(problem, z), 1e-3 * 2.0 * float(window[1]))[0])
+        pts = asympt.grid_points(window, grid, rng)
+        value, skipped = asympt.grid_discrepancy(
+            pts, rs.roots, (math.log(lead), n), lambda z: psi_max(problem, z),
+            1e-3 * 2.0 * float(window[1]))
+        asympt._check_exclusion(skipped, len(pts))
+        l1.append(value)
     return LemniscateReport(
         n_list=tuple(n_list),
         max_root_modulus=tuple(max_mod),

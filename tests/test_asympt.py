@@ -7,6 +7,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from voroderiv import asympt, rational, rootfind, voronoi
+from voroderiv.lemniscate import (LemniscateProblem, compactness_and_compare,
+                                  leading_term, psi_max)
 from voroderiv.measure import edge_cdf, edge_mass
 
 
@@ -173,10 +175,75 @@ def test_potential_l1_independent_of_block_size(monkeypatch):
     roots = two_pole_rootset(40).roots
     value = asympt.potential_l1(roots, d, window=(0.0, 2.0), grid=25)
     for rows in (1, 3):
-        # 625 grid points: the last block of 3 rows is ragged
-        monkeypatch.setattr(asympt, "GRID_BLOCK_ELEMENTS", rows * len(roots))
+        # 625 grid points in blocks of 40 or 120: the last block is ragged
+        monkeypatch.setattr(asympt, "GRID_BLOCK_POINTS", rows * len(roots))
         assert asympt.potential_l1(roots, d, window=(0.0, 2.0),
                                    grid=25) == value
+
+
+def scalar_discrepancy(points, atoms, log_norm, reference, exclusion_radius):
+    """grid_discrepancy one point and one atom at a time, with math.log."""
+    gaps = []
+    for z in points.tolist():
+        if min(abs(z - a) for a in atoms) <= exclusion_radius:
+            continue
+        total = math.fsum(math.log(abs(z - a)) for a in atoms)
+        ref = float(reference(np.array([z]))[0])
+        gaps.append(abs((log_norm[0] + total) / log_norm[1] - ref))
+    return math.fsum(gaps) / len(gaps), len(points) - len(gaps)
+
+
+def test_grid_discrepancy_matches_scalar_reference():
+    sites = np.array([1j, -1j])
+    roots = np.asarray(two_pole_rootset(40).roots)
+    # criterion 12 at n = 80: away from the roots L_n equals psi_max to
+    # rounding, so those points weigh the rounding of L_n in the mean
+    c12 = LemniscateProblem(((0.0, 0.0, 1.0), (-3.0, 1.0)), (1, 1))
+    c12_roots = np.asarray(compactness_and_compare(c12, [80], (0.0, 6.0), grid=16).roots[0])
+    cases = (
+        (roots, (0.0, len(roots)), lambda z: voronoi.psi(sites, z), (0.0, 2.0)),
+        (c12_roots, (math.log(leading_term(c12, 80)[1]), 80),
+         lambda z: psi_max(c12, z), (0.0, 6.0)),
+    )
+    for atoms, log_norm, reference, window in cases:
+        radius = 1e-3 * 2.0 * window[1]
+        near = atoms[:7] + 0.5 * radius * np.exp(1j * np.arange(7.0))
+        pts = np.concatenate([asympt.grid_points(window, 24, np.random.default_rng(3)),
+                              near])
+        mean, skipped = asympt.grid_discrepancy(pts, atoms, log_norm, reference, radius)
+        want, want_skipped = scalar_discrepancy(pts, atoms, log_norm, reference, radius)
+        assert skipped == want_skipped >= 7
+        assert mean == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_grid_discrepancy_without_atoms():
+    with pytest.raises(asympt.EmptyRootSet):
+        asympt.grid_discrepancy(np.array([0.5j]), [], (0.0, 1),
+                                lambda z: np.zeros(len(z)), 1e-3)
+
+
+def test_grid_discrepancy_far_atoms():
+    # every distance is about 1e200 and the exclusion radius 1e-3: the
+    # scale keeps each squared distance in range, as the per-pair logs did
+    pts = asympt.grid_points((1.0, 0.5), 20, np.random.default_rng(0))
+    atoms = 1e200 * np.exp(1j * np.linspace(0.0, 1.0, 5))
+    mean, skipped = asympt.grid_discrepancy(pts, atoms, (0.0, len(atoms)),
+                                            lambda z: np.zeros(len(z)), 1e-3)
+    assert skipped == 0
+    assert mean == pytest.approx(460.5170185988091, rel=1e-14)
+
+
+@pytest.mark.parametrize("atoms, radius", [
+    ([1e300], 1e-300),  # distances over the radius: 1e600
+    ([1.5e308, -1.5e308j], 1e-3),  # the largest distance overflows
+    ([math.nan], 1e-3),
+    ([2.0], 0.0),
+])
+def test_grid_discrepancy_unrepresentable_range(atoms, radius):
+    pts = asympt.grid_points((1.0, 0.5), 4, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        asympt.grid_discrepancy(pts, atoms, (0.0, 1), lambda z: np.zeros(len(z)),
+                                radius)
 
 
 def test_exclusion_too_large_guard():

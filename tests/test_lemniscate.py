@@ -131,13 +131,26 @@ def test_grid_discrepancy_independent_of_block_size(monkeypatch):
     problem = fig_problem()
     rep = compactness_and_compare(problem, [4, 8], window=(0.0, 2.0), grid=25)
     for rows in (1, 3):
-        # 168 roots at n = 8: blocks of 1 or 3 rows of the 625 grid
-        # points (2 or 6 rows at n = 4), each with a ragged last block
-        monkeypatch.setattr(asympt, "GRID_BLOCK_ELEMENTS",
+        # the 625 grid points in blocks of 168 or 504 points (the number
+        # of roots at n = 8, or three times it), each with a ragged last block
+        monkeypatch.setattr(asympt, "GRID_BLOCK_POINTS",
                             rows * len(rep.roots[1]))
         again = compactness_and_compare(problem, [4, 8], window=(0.0, 2.0),
                                         grid=25)
         assert again.l1_discrepancy == rep.l1_discrepancy
+
+
+def test_lemniscate_exclusion_guard(monkeypatch):
+    # the exclusion radius is 1e-3 of the window width, so a window of
+    # any size leaves about m * 3e-6 of its points near the m roots; a
+    # grid that falls on the roots stands in for one that does not
+    problem = fig_problem()
+    roots = np.asarray(compactness_and_compare(problem, [4], (0.0, 2.0), grid=16).roots[0])
+    on_roots = np.concatenate([roots + 1e-6, asympt.grid_points((0.0, 2.0), 16,
+                                                                np.random.default_rng(0))])
+    monkeypatch.setattr(asympt, "grid_points", lambda window, grid, rng: on_roots)
+    with pytest.raises(asympt.ExclusionTooLarge):
+        compactness_and_compare(problem, [4], (0.0, 2.0), grid=16)
 
 
 def test_rn_evaluator_log_derivative_matches_horner():
