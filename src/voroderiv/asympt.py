@@ -164,9 +164,9 @@ def grid_points(window, grid, rng):
 def _log_product_range(points, atoms, exclusion_radius):
     """(t, chunk) for grid_discrepancy, or None if every point is skipped.
 
-    Every distance is at most far, the diagonal of the box spanned by
-    the real and imaginary parts of points and atoms, and a kept point
-    is farther than r = exclusion_radius from every atom.  The scale
+    Every distance is at most far, the hypot of the largest real and
+    the largest imaginary point-atom difference, and a kept point is
+    farther than r = exclusion_radius from every atom.  The scale
     s = 2^t, t = round(log2 sqrt(r * far)), is centred between the two,
     so a kept point's scaled squared distance q = (d / s)^2 lies in
     (2^-e, 2^e] for e = 2 max(log2(far / s), log2(s / r)), and a product
