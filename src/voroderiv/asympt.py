@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rational, rootfind
-from .errors import EmptyRootSet, ExclusionTooLarge, NoConvergence, NotFound
+from . import rational
+from .errors import EmptyRootSet, ExclusionTooLarge, NoConvergence, NotFound, ZeroPolynomial
 from .measure import edge_cdf, edge_mass
 from .voronoi import psi
 
@@ -311,25 +311,20 @@ def single_pole_escape(numer, pole, order, radius, n_max=500, streak=5):
 
     Q = numer/(z - pole)^order, decomposed once by rational.polar_decompose
     (which rejects a numerator vanishing at the pole); for each n the
-    zeros of rational.numerator's R_n come from the root solver, and the
-    zero-free disk must persist for `streak` consecutive n.  A constant
-    R_n has no zeros at all.
+    zeros of R_n come from rational.zeros, and the zero-free disk must
+    persist for `streak` consecutive n.  A constant R_n (ZeroPolynomial)
+    has no zeros at all; NoConvergence counts as a zero inside.
     """
-    state = rational.derivative_state(rational.polar_decompose(numer, [(pole, order)]))
+    form = rational.polar_decompose(numer, [(pole, order)])
     first = None
     run = 0
     for n in range(n_max + 1):
-        r_n = rational.numerator(state).r_n
-        state = rational.derivative(state)
-        if len(r_n) == 1:
+        try:
+            ok = min(abs(z) for z in rational.zeros(form, n).roots) > radius
+        except ZeroPolynomial:
             ok = True
-        else:
-            try:
-                rs = rootfind.solve(r_n, 1e-10)
-            except NoConvergence:
-                ok = False
-            else:
-                ok = min(abs(z) for z in rs.roots) > radius
+        except NoConvergence:
+            ok = False
         if ok:
             if first is None:
                 first = n

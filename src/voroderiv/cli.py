@@ -31,7 +31,7 @@ def _parse_complex(v):
 
 
 def load_problem(path):
-    """Pole-set problem JSON -> (PolarForm data, raw document)."""
+    """Pole-set problem JSON -> (poles, orders, coeffs, polynomial part)."""
     doc = json.loads(Path(path).read_text())
     poles, orders, coeffs = [], [], []
     for p in doc["poles"]:
@@ -42,7 +42,7 @@ def load_problem(path):
             cs = [{"re": 1.0, "im": 0.0}] * orders[-1]
         coeffs.append([_parse_complex(c) for c in cs])
     poly_part = [_parse_complex(c) for c in doc.get("polynomial_part", [0.0])]
-    return (poles, orders, coeffs, poly_part), doc
+    return poles, orders, coeffs, poly_part
 
 
 def load_lemniscate_problem(path):
@@ -57,17 +57,16 @@ def load_lemniscate_problem(path):
 
 
 def _form(args):
-    (poles, orders, coeffs, poly_part), _ = load_problem(args.problem)
-    return rational.polar_form(poles, orders, coeffs, poly_part,
-                               precision=args.precision)
+    return rational.polar_form(*load_problem(args.problem), precision=args.precision)
+
+
+def _diagram(form):
+    return voronoi.build([_poly.to_complex(z) for z in form.poles])
 
 
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _n_list(args):
@@ -103,15 +102,13 @@ def cmd_roots(args, out):
 
 
 def cmd_voronoi(args, out):
-    form = _form(args)
-    diagram = voronoi.build([_poly.to_complex(z) for z in form.poles])
-    (out / "voronoi.json").write_text(diagram.to_json() + "\n")
+    (out / "voronoi.json").write_text(_diagram(_form(args)).to_json() + "\n")
     return 0
 
 
 def cmd_measure(args, out):
     form = _form(args)
-    diagram = voronoi.build([_poly.to_complex(z) for z in form.poles])
+    diagram = _diagram(form)
     masses = [measure.edge_mass(e, diagram.d) for e in diagram.edges]
     rows = [(e.pair[0], e.pair[1], float(e.t_lo), float(e.t_hi), mass)
             for e, mass in zip(diagram.edges, masses)]
@@ -131,7 +128,7 @@ def cmd_measure(args, out):
 
 def cmd_compare(args, out):
     form = _form(args)
-    diagram = voronoi.build([_poly.to_complex(z) for z in form.poles])
+    diagram = _diagram(form)
     reports = []
     for n in _n_list(args):
         rs = rational.zeros(form, n)
@@ -150,7 +147,7 @@ def cmd_compare(args, out):
 
 def cmd_potential(args, out):
     form = _form(args)
-    diagram = voronoi.build([_poly.to_complex(z) for z in form.poles])
+    diagram = _diagram(form)
     center, half = _window(args)
     rows = []
     for n in _n_list(args):
@@ -164,7 +161,7 @@ def cmd_potential(args, out):
 
 
 def cmd_odecheck(args, out):
-    (poles, orders, coeffs, poly_part), _ = load_problem(args.problem)
+    poles, orders, coeffs, poly_part = load_problem(args.problem)
     s = orders[0]
     if any(r != s for r in orders):
         print("odecheck requires a common pole order", file=sys.stderr)
@@ -220,7 +217,7 @@ def cmd_lemniscate(args, out):
 
 def cmd_render(args, out):
     form = _form(args)
-    diagram = voronoi.build([_poly.to_complex(z) for z in form.poles])
+    diagram = _diagram(form)
     n = _n_list(args)[0]
     rs = rational.zeros(form, n)
     center, half = _window(args)

@@ -69,8 +69,8 @@ def total_mass(diagram):
     return sum(edge_mass(e, diagram.d) for e in diagram.edges)
 
 
-def _panels(u_lo, u_hi, levels=16, u_near=None):
-    """Panel boundaries graded toward both endpoints.
+def _panels(u_lo, u_hi, u_near=None):
+    """Panel boundaries graded toward both endpoints over 15 halvings.
 
     Grading is applied unconditionally: even when an endpoint t is
     finite, a large |t| puts u close to +-pi/2 where tan varies fast,
@@ -81,7 +81,7 @@ def _panels(u_lo, u_hi, levels=16, u_near=None):
     """
     pts = [u_lo, u_hi]
     width = u_hi - u_lo
-    for k in range(1, levels):
+    for k in range(1, 16):
         frac = 0.5 ** k
         pts.append(u_lo + frac * width * 0.5)
         pts.append(u_hi - frac * width * 0.5)
@@ -121,20 +121,20 @@ def skeleton_starts(diagram, count, jitter=0.01, seed=0):
     return np.array(pts, dtype=complex)
 
 
-def potential_from_measure(diagram, z, quadrature_nodes=200):
+def potential_from_measure(diagram, z):
     """integral of log|z - zeta| over the limit measure, by quadrature.
 
     Gauss-Legendre in u = arctan(2t) per edge, with panels graded
     toward endpoints that map to t = +-inf (where the integrand has a
-    mild logarithmic endpoint singularity).  z must stay off the
-    skeleton so the integrand is smooth in the panel interiors.
+    mild logarithmic endpoint singularity), 25 nodes per panel.  z must
+    stay off the skeleton so the integrand is smooth in the panel
+    interiors.
     """
     z = complex(z)
     if distance_to_skeleton(diagram, z) < 1e-9 * diagram.scale:
         raise SkeletonProximity("z is on (or nearly on) the skeleton")
     d = diagram.d
-    nodes_per_panel = max(quadrature_nodes // 8, 8)
-    x, wts = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, wts = np.polynomial.legendre.leggauss(25)
     acc = 0.0
     for e in diagram.edges:
         u_lo = _atan2t(e.t_lo)

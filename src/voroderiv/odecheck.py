@@ -2,9 +2,9 @@
 
 Two concrete checks: the order-d equation obeyed by derivatives of
 power sums sum_j w_j (z - z_j)^{-s}, and the second-order equation for
-the monic numerator in the two-simple-pole case.  Residuals come back
-both raw and relative to the largest term, since the raw terms grow
-with Pochhammer factors.
+the monic numerator in the two-simple-pole case.  Residuals are taken
+relative to the largest term, since the raw terms grow with Pochhammer
+factors; the two-pole residual also comes back raw on request.
 """
 
 from dataclasses import dataclass
@@ -68,11 +68,12 @@ def _elementary_symmetric(values):
     return coeffs
 
 
-def powersum_residual(f, n, z, relative=True):
+def powersum_residual(f, n, z):
     """Left side of the power-sum derivative equation; expected zero.
 
     sum_{i=0}^d e_i(z) / ((s+n)(s+n+1)...(s+n+i-1)) Q^{(n+i)}(z) with
-    e_i the elementary symmetric functions of (z - z_1) .. (z - z_d).
+    e_i the elementary symmetric functions of (z - z_1) .. (z - z_d),
+    relative to its largest term (raw when every term is zero).
     """
     z = complex(z)
     for zj in f.poles:
@@ -88,9 +89,7 @@ def powersum_residual(f, n, z, relative=True):
         term = e[i] * f.derivative_at(n + i, z) / denom
         acc += term
         biggest = max(biggest, abs(term))
-    if relative and biggest > 0.0:
-        return acc / biggest
-    return acc
+    return acc / biggest if biggest > 0.0 else acc
 
 
 def d2_numerator_residual(z1, z2, n, z, printed=False, relative=True):

@@ -2,13 +2,13 @@
 
 A rational function with poles z_1..z_d of orders r_1..r_d is stored as
 its partial-fraction data: per pole, the coefficients a_{i,1}..a_{i,r_i}
-of 1/(z-z_i)^j, plus an optional polynomial part.  Differentiation is
-exact on this representation.  Internally the n-th derivative is kept
-divided by n!, so coefficient magnitudes grow only polynomially in n
-and the double backend stays usable to n of order a hundred.  Every
-routine takes the polynomial part: numerator and newton_evaluator add
-its term while its scaled derivative is nonzero, so one numerator
-serves any Q = R/P, one pole or many.
+of 1/(z-z_i)^j, plus an optional polynomial part pp.  Differentiation is
+closed-form on this representation: derivative_state builds
+Q^(n)/n! = sum_ij a_{i,j} (-1)^n C(j+n-1, n) (z-z_i)^(-j-n) + pp^(n)/n!
+at any n from exact binomials, never by stepping, and the 1/n! keeps
+coefficient growth polynomial in n.  Every routine takes the polynomial
+part: numerator and newton_evaluator add its term while pp^(n) is
+nonzero, so one numerator serves any Q = R/P, one pole or many.
 
 deg R_n and alpha_n / n! have one source, leading_term, a closed form
 from Q at infinity.  The dense expansion (numerator) serves only where
@@ -89,28 +89,23 @@ class PolarForm:
 
     def evaluate(self, z):
         """Value of the function at z (z not a pole)."""
-        return DerivativeState(self).evaluate(z)
+        return derivative_state(self).evaluate(z)
 
 
 @dataclass(frozen=True)
 class DerivativeState:
     """The n-th derivative of a PolarForm, scaled by 1/n!.
 
-    scaled_coeffs[i][j-1] holds c_{i,j,n} = a_{i,j} (-1)^n (j)_n / n!,
-    so that Q^{(n)}(z)/n! = sum_ij c_{i,j,n} (z-z_i)^{-(j+n)} plus the
-    scaled polynomial-part derivative.
+    scaled_coeffs[i][j-1] holds c_{i,j,n} = a_{i,j} (-1)^n C(j+n-1, n)
+    and poly_part_scaled the coefficients C(k, n) pp_k of pp^(n)/n!, so
+    that Q^{(n)}(z)/n! = sum_ij c_{i,j,n} (z-z_i)^{-(j+n)} + pp^(n)(z)/n!.
+    derivative_state builds it.
     """
 
     base: PolarForm
-    n: int = 0
-    scaled_coeffs: tuple = None
-    poly_part_scaled: np.ndarray = None
-
-    def __post_init__(self):
-        if self.scaled_coeffs is None:
-            object.__setattr__(self, "scaled_coeffs", tuple(tuple(cs) for cs in self.base.coeffs))
-        if self.poly_part_scaled is None:
-            object.__setattr__(self, "poly_part_scaled", self.base.polynomial_part)
+    n: int
+    scaled_coeffs: tuple
+    poly_part_scaled: np.ndarray
 
     def evaluate(self, z):
         """Q^{(n)}(z) / n! at a non-pole point z."""
@@ -156,7 +151,7 @@ def polar_form(poles, orders, coeffs, polynomial_part=None, precision=DOUBLE):
     )
 
 
-def polar_decompose(numer, denominator_poles, precision=DOUBLE, rng=None):
+def polar_decompose(numer, denominator_poles, precision=DOUBLE):
     """Partial-fraction decomposition of numer / prod (z-z_i)^{r_i}.
 
     denominator_poles is a list of (location, order) with distinct
@@ -205,7 +200,7 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE, rng=None):
     form = PolarForm(tuple(poles), tuple(orders), tuple(coeffs), poly_part, precision)
 
     # recombination check at random points
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     for _ in range(20):
         z = _poly.scalar(complex(rng.normal(), rng.normal()) * 2.0 * scale, precision)
         if min(abs(z - zi) for zi in poles) < 0.1 * scale:
@@ -217,24 +212,37 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE, rng=None):
     return form
 
 
+def _times_binomial(c, k, n):
+    """c C(k, n) from the exact binomial.  An mpc product rounds once at the
+    working precision; in double each part of c scales on its own, so a
+    binomial past the float range gives |c C(k, n)| = inf, never NaN."""
+    b = math.comb(k, n)
+    if not isinstance(c, complex):
+        return c * b
+    try:
+        b = float(b)
+    except OverflowError:
+        b = math.inf
+    return complex(c.real * b if c.real else c.real, c.imag * b if c.imag else c.imag)
+
+
 @_poly.workprec()
-def derivative(state):
-    """One more derivative: c_{i,j,n+1} = -c_{i,j,n} (j+n)/(n+1)."""
-    n = state.n
-    new_coeffs = tuple(
-        tuple(-c * (j + 1 + n) / (n + 1) for j, c in enumerate(cs))
-        for cs in state.scaled_coeffs
-    )
-    pp = _poly.polyder(state.poly_part_scaled) / (n + 1)
-    return DerivativeState(state.base, n + 1, new_coeffs, pp)
-
-
 def derivative_state(form, n=0):
-    """DerivativeState for Q^{(n)} obtained by iterating from n = 0."""
-    st = DerivativeState(form)
-    for _ in range(n):
-        st = derivative(st)
-    return st
+    """DerivativeState of Q^{(n)}/n!, in closed form, not by stepping.
+
+    c_{i,j,n} = a_{i,j} (-1)^n C(j+n-1, n); pp^(n)/n! has C(k, n) pp_k at
+    z^(k-n) for k >= n and is zero when n > deg pp.
+    """
+    coeffs = tuple(tuple(_times_binomial(-a if n % 2 else a, j + n, n) for j, a in enumerate(cs))
+                   for cs in form.coeffs)
+    pp = form.polynomial_part
+    pp_n = [_times_binomial(pp[k], k, n) for k in range(n, len(pp))]
+    return DerivativeState(form, n, coeffs, _poly.asarray(pp_n or [0.0], form.precision))
+
+
+def derivative(state):
+    """The next order, c_{i,j,n+1} = a_{i,j} (-1)^(n+1) C(j+n, n+1), by derivative_state."""
+    return derivative_state(state.base, state.n + 1)
 
 
 def _terms(state):
@@ -293,7 +301,7 @@ def leading_term(state):
     pp = _poly.trim(base.polynomial_part)
     q = _poly.degree(pp)
     if not _poly.is_zero(pp) and n <= q:
-        return base.r + q + n * (base.d - 1), pp[-1] * math.comb(q, n)
+        return base.r + q + n * (base.d - 1), _times_binomial(pp[-1], q, n)
     pole_part = DerivativeState(base, 0, base.coeffs, _poly.zeros(1, precision))
     total = _poly.zeros(base.r, precision)
     mags = np.zeros(base.r)
@@ -305,12 +313,10 @@ def leading_term(state):
         top -= 1
     if top < 0:
         raise DegreeCollapse("numerator collapsed below the coefficient floor")
-    # Q ~ lambda' z^(-j), j = r - D', at infinity, so alpha_n/n! follows
-    # derivative()'s recurrence for the top coefficient of a pole of order j
+    # Q ~ lambda' z^(-j), j = r - D', at infinity, so alpha_n/n! is the
+    # closed form of derivative_state for the top coefficient of a pole of order j
     alpha, j = total[top], base.r - top
-    for m in range(n):
-        alpha = -alpha * (j + m) / (m + 1)
-    return top + n * (base.d - 1), alpha
+    return top + n * (base.d - 1), _times_binomial(-alpha if n % 2 else alpha, j + n - 1, n)
 
 
 @_poly.workprec()
@@ -519,17 +525,9 @@ def zeros(form, n):
 
 
 def numerators(form, n_list):
-    """NumeratorResults for the requested derivative orders (sorted)."""
-    out = {}
-    st = DerivativeState(form)
-    top = max(n_list)
-    want = set(n_list)
-    for n in range(top + 1):
-        if n in want:
-            out[n] = numerator(st)
-        if n < top:
-            st = derivative(st)
-    return [out[n] for n in sorted(want)]
+    """NumeratorResults of the requested orders (sorted), each state in closed
+    form, c_{i,j,n} = a_{i,j} (-1)^n C(j+n-1, n), from derivative_state."""
+    return [numerator(derivative_state(form, n)) for n in sorted(set(n_list))]
 
 
 def degree_diagnostics(results):

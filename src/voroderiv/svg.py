@@ -41,7 +41,7 @@ def _clip_edge(edge, center, half):
     return lo, hi
 
 
-def render_svg(path, diagram, roots=(), window=(0.0, 2.0), extra_points=()):
+def render_svg(path, diagram, roots=(), window=(0.0, 2.0)):
     """Write the diagram (and optional roots) as an SVG overlay.
 
     window is (center, half_side); unbounded skeleton rays are drawn to
@@ -74,10 +74,6 @@ def render_svg(path, diagram, roots=(), window=(0.0, 2.0), extra_points=()):
         x, y = _to_canvas(complex(z), center, half)
         lines.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2" fill="#0033cc"/>')
-    for z in extra_points:
-        x, y = _to_canvas(complex(z), center, half)
-        lines.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2" fill="#00aa44"/>')
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,7 +1,9 @@
 """Polar form derivatives, numerators, and the structural evaluator."""
 
+import math
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -55,6 +57,49 @@ def test_derivative_matches_finite_differences():
     fd = (form.evaluate(z + h) - form.evaluate(z - h)) / (2.0 * h)
     # scaled_coeffs hold the derivative divided by n!, so n=1 is the plain one
     assert abs(st1.evaluate(z) - fd) < 1e-8 * abs(fd)
+
+
+def stepped_state(form, n):
+    """Order-n scaled coefficients by stepping the recurrence from n = 0.
+
+    c_{i,j,m+1} = -c_{i,j,m} (j+m)/(m+1) and pp_{m+1} = pp_m'/(m+1): the
+    reference for derivative_state's closed form.
+    """
+    coeffs, pp = form.coeffs, form.polynomial_part
+    with _poly.workprec():
+        for m in range(n):
+            coeffs = [[-c * (j + 1 + m) / (m + 1) for j, c in enumerate(cs)] for cs in coeffs]
+            pp = _poly.polyder(pp) / (m + 1)
+    return coeffs, pp
+
+
+@pytest.mark.parametrize("precision, rel", [("double", 1e-13), ("extended", 1e-35)])
+def test_closed_form_matches_the_recurrence(precision, rel):
+    # orders 1, 2, 3 and a cubic polynomial part, so n = 4 is past deg pp
+    form = polar_form([0.0, 1.0, 1.0j], precision=precision,
+                      polynomial_part=[0.3, -1.0, 0.5j, 2.0], **MIXED)
+    for n in (0, 1, 2, 3, 4, 50, 1000):
+        state = derivative_state(form, n)
+        coeffs, pp = stepped_state(form, n)
+        assert state.n == n and len(state.poly_part_scaled) == len(pp)
+        pairs = list(zip(state.poly_part_scaled, pp))
+        for got, want in zip(state.scaled_coeffs, coeffs):
+            pairs += list(zip(got, want))
+        for got, want in pairs:
+            assert abs(got - want) <= rel * abs(want)
+
+
+def test_leading_term_past_the_double_range():
+    # Q = z^-300: alpha_2000/2000! = C(2299, 2000), about 1e385.  In
+    # double precision it is infinite, never NaN; in extended it is exact
+    coeffs = [[0.0] * 299 + [1.0]]
+    _, alpha = rational.leading_term(derivative_state(polar_form([0.0], [300], coeffs), 2000))
+    assert abs(alpha) == math.inf
+    form = polar_form([0.0], [300], coeffs, precision="extended")
+    _, alpha = rational.leading_term(derivative_state(form, 2000))
+    with _poly.workprec():
+        exact = mpmath.mpf(math.comb(2299, 2000))
+        assert abs(alpha - exact) <= 1e-35 * exact
 
 
 def test_second_derivative_by_richardson():
