@@ -102,8 +102,9 @@ def skeleton_starts(diagram, count, jitter=0.01, seed=0):
     perpendicular to its edge by a normal jitter of the given fraction
     of the diagram scale.  The zeros of a finite-order numerator lie off
     the skeleton, so rational.zeros starts from the two-term zeros of
-    rational.balance_starts instead; these points fill any shortfall of
-    those starts and seed the retry when the first attempt stalls.
+    rational.balance_starts instead; these points fill only the
+    shortfall a polynomial part leaves at n <= deg pp, and seed the
+    retry when the first attempt stalls.
     """
     rng = np.random.default_rng(seed)
     masses = np.array([edge_mass(e, diagram.d) for e in diagram.edges])

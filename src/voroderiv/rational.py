@@ -270,10 +270,11 @@ def _terms(state):
         inner = _poly.zeros(ri, precision)
         lin_pow = _poly.asarray([1.0], precision)
         lin = _poly.asarray([-zi, 1.0], precision)
-        # inner = sum_j c_{i,j,n} (z - z_i)^{r_i - j}
-        for j in range(ri, 0, -1):
-            c = state.scaled_coeffs[i][j - 1]
-            inner[: len(lin_pow)] += c * lin_pow
+        # inner = sum_j c_{i,j,n} (z - z_i)^{r_i - j}; the zero c_j below
+        # the lowest nonzero one would only lengthen lin_pow
+        lowest = next(j for j, c in enumerate(state.scaled_coeffs[i], 1) if c != 0)
+        for j in range(ri, lowest - 1, -1):
+            inner[: len(lin_pow)] += state.scaled_coeffs[i][j - 1] * lin_pow
             lin_pow = _poly.polymul(lin_pow, lin)
         yield _poly.polymul(product(skip=i), _poly.trim(inner))
     pp = _poly.trim(state.poly_part_scaled)
@@ -446,56 +447,34 @@ def balance_starts(state, diagram, degree):
     Near the Voronoi edge of poles i and j, Q^(n)/n! is its two leading
     terms up to an exponentially small error, and their zeros
     (_edge_balance_zeros) lie exponentially close to the zeros of R_n
-    away from the vertices.  A candidate is kept only if its two nearest
-    poles are i and j.  A surplus is trimmed by dropping first the
-    candidates whose third-nearest pole is relatively closest (the ratio
-    of second- to third-nearest distance is largest: near a vertex or far
-    out on an unbounded edge), then, on ties as with two poles, the
-    farthest from their poles.  A shortfall is filled from
-    measure.skeleton_starts (fixed seed): its points are taken nearest
-    a vertex first, where three terms balance, skipping any that lies
-    within half the limit law's mean zero spacing of a point already
-    placed.  The result depends only on the inputs.
+    away from the vertices.  Candidates rank by the margin of
+    min(s_i, s_j) over the other summand logs, s_k = log|c_k| - (n + r_k)
+    log|z - z_k| for the top scaled coefficient c_k, and log|pp_n(z)|
+    when pp_n is nonzero; the first degree are kept, in the order found,
+    as in lemniscate.balance_starts.  Only a polynomial part at
+    n <= deg pp leaves a shortfall, filled by measure.skeleton_starts
+    (fixed seed), so the result depends only on the inputs.
     """
     poles = np.array([complex(z) for z in state.base.poles])
-    found, pair_dist, ratio = [], [], []
-    for e in diagram.edges:
+    top = np.log(np.abs([complex(cs[-1]) for cs in state.scaled_coeffs]))
+    expo = state.n + np.array(state.base.orders)
+    pp = np.array([complex(c) for c in state.poly_part_scaled])
+    pts = [_edge_balance_zeros(state, *e.pair) for e in diagram.edges]
+    margin = []
+    for e, z in zip(diagram.edges, pts):
         i, j = e.pair
-        z = _edge_balance_zeros(state, i, j)
-        dist = np.abs(z[:, None] - poles)
-        pair = dist[:, [i, j]].max(axis=1)
-        dist[:, [i, j]] = np.inf
-        third = dist.min(axis=1)
-        keep = third > pair
-        found.append(z[keep])
-        pair_dist.append(pair[keep])
-        ratio.append(pair[keep] / third[keep])
-    pts = np.concatenate(found)
-    if len(pts) > degree:
-        order = np.lexsort((np.concatenate(pair_dist), np.concatenate(ratio)))
-        pts = pts[np.sort(order[:degree])]
-    short = degree - len(pts)
-    if short > 0:
-        fill = measure.skeleton_starts(diagram, degree)
-        dist = np.abs(fill[:, None] - poles)
-        near = np.argsort(dist, axis=1)
-        # the limit law's mean spacing of zeros at each fill point
-        spacing = (2.0 * (diagram.d - 1) * math.pi * dist.min(axis=1) ** 2
-                   / (degree * np.abs(poles[near[:, 0]] - poles[near[:, 1]])))
-        verts = np.array(diagram.vertices, dtype=complex)
-        order = np.argsort(np.abs(fill[:, None] - verts).min(axis=1, initial=np.inf),
-                           kind="stable")
-        picks = []
-        for k in order:
-            if len(picks) == short:
-                break
-            if np.abs(pts - fill[k]).min(initial=np.inf) > 0.5 * spacing[k]:
-                picks.append(k)
-                pts = np.append(pts, fill[k])
-        # should too few fill points be uncovered, the rest come in order
-        taken = set(picks)
-        rest = [k for k in order if k not in taken][:short - len(picks)]
-        pts = np.concatenate([pts, fill[rest]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = top[:, None] - expo[:, None] * np.log(np.abs(z - poles[:, None]))
+            rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
+            if pp.any():
+                rest = np.maximum(rest, np.log(np.abs(_poly.polyval(pp, z))))
+            m = np.minimum(logs[i], logs[j]) - rest
+        # a non-finite margin ranks last
+        margin.append(np.where(np.isfinite(m), m, -np.inf))
+    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
+    pts = np.concatenate(pts)[np.sort(keep)]
+    if len(pts) < degree:
+        pts = np.concatenate([pts, measure.skeleton_starts(diagram, degree - len(pts))])
     return pts
 
 
@@ -505,13 +484,13 @@ def zeros(form, n):
     The one path from a PolarForm to derivative zeros, in either
     precision.  With two or more poles the Aberth iteration runs on
     newton_evaluator, in the form's precision, and never expands R_n: it
-    starts from balance_starts, the zeros of the two leading terms edge
-    by edge, as many as leading_term's degree, and retries, if that
-    attempt stalls, from measure.skeleton_starts.  With one pole R_n has
-    degree at most r + deg pp, so its expansion (numerator) is short and
-    finite, and the iteration runs on its coefficients.  Raises
-    ZeroPolynomial when R_n is a constant, and NoConvergence with the
-    best-effort RootSet attached.
+    starts from balance_starts, the best balanced zeros of the two
+    leading terms edge by edge, as many as leading_term's degree, and
+    retries, if that attempt stalls, from measure.skeleton_starts.  With
+    one pole R_n has degree at most r + deg pp, so its expansion
+    (numerator) is short and finite, and the iteration runs on its
+    coefficients.  Raises ZeroPolynomial when R_n is a constant, and
+    NoConvergence with the best-effort RootSet attached.
     """
     state = derivative_state(form, n)
     if form.d == 1:

@@ -385,24 +385,38 @@ def test_balance_starts_lie_on_the_zeros_away_from_the_vertex():
     assert gap[interior].max() < 1e-12
 
 
-def test_balance_starts_fill_a_shortfall_near_the_vertex():
-    # d=3, n=100: the edges give one zero fewer than the degree, and the
-    # missing one sits at the vertex where all three terms balance
+def test_balance_starts_come_from_the_edges():
+    # d=3, n=100: the edges give more two-term zeros than the degree, so
+    # no start comes from the skeleton
     state, diagram, degree = cube_problem(100)
     starts = rational.balance_starts(state, diagram, degree)
     assert len(starts) == degree == 202
-    sep = np.abs(starts[:, None] - starts[None, :])
-    np.fill_diagonal(sep, np.inf)
-    nearest = sep.min(axis=1)
-    # the fill point is the last one, near the vertex at 0 and not on
-    # top of any two-term zero
-    assert abs(starts[-1]) < 0.2
-    assert nearest[-1] > 0.3 * np.median(nearest)
+    candidates = np.concatenate([rational._edge_balance_zeros(state, *e.pair)
+                                 for e in diagram.edges])
+    assert np.abs(starts[:, None] - candidates[None, :]).min(axis=1).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_balance_starts_fill_a_polynomial_part_shortfall(n):
+    # at n <= deg pp the polynomial part leads far out and the edges give
+    # fewer two-term zeros than the degree: the skeleton fills the rest
+    poles = [np.exp(2j * np.pi * k / 3) for k in range(3)]
+    form = polar_form(poles, (1, 1, 1), ((1.0,), (2.0,), (1.0 + 1j,)),
+                      polynomial_part=[0.5, 1.0, 2.0, 1.0])
+    state = derivative_state(form, n)
+    degree, _ = rational.leading_term(state)
+    diagram = voronoi.build(poles)
+    found = sum(len(rational._edge_balance_zeros(state, *e.pair)) for e in diagram.edges)
+    assert found == degree - 3 + n
+    starts = rational.balance_starts(state, diagram, degree)
+    assert len(starts) == len(np.unique(starts)) == degree
+    rs = rational.zeros(form, n)
+    assert rs.all_converged and len(rs) == degree
 
 
 def test_balance_starts_trim_a_surplus_nearest_the_vertex_first():
     state, diagram, degree = cube_problem(100)
-    full = rational.balance_starts(state, diagram, degree)[:-1]  # drop the fill
+    full = rational.balance_starts(state, diagram, degree)
     trimmed = rational.balance_starts(state, diagram, degree - 5)
     assert len(trimmed) == degree - 5
     kept = np.isin(full, trimmed)
@@ -467,3 +481,22 @@ def test_zeros_mixed_orders_start_near_their_zeros():
     rs = rational.zeros(state.base, 100)
     assert rs.all_converged
     assert sum(rs.active_trace) <= 4 * degree
+
+
+def test_seeded_random_problems_converge():
+    # from the nearest-pole filter, the ratio trim and the skeleton fill
+    # these took 897 sweeps in all, 25 at worst
+    rng = np.random.default_rng(5)
+    sweeps = []
+    for trial in range(24):
+        d = int(rng.integers(2, 9))
+        poles = rng.normal(size=d) + 1j * rng.normal(size=d)
+        orders = rng.integers(1, 4, size=d)
+        coeffs = [rng.normal(size=r) + 1j * rng.normal(size=r) for r in orders]
+        pp = rng.normal(size=rng.integers(1, 4)) if trial % 3 == 0 else None
+        form = polar_form(poles, orders, coeffs, polynomial_part=pp)
+        for n in (0, 1, 5, 20):
+            rs = rational.zeros(form, n)
+            assert rs.all_converged
+            sweeps.append(rs.sweeps)
+    assert sum(sweeps) <= 850
