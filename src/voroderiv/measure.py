@@ -69,15 +69,14 @@ def total_mass(diagram):
     return sum(edge_mass(e, diagram.d) for e in diagram.edges)
 
 
-def _panels(u_lo, u_hi, u_near=None):
+def _panels(u_lo, u_hi, u_near):
     """Panel boundaries graded toward both endpoints over 15 halvings.
 
     Grading is applied unconditionally: even when an endpoint t is
     finite, a large |t| puts u close to +-pi/2 where tan varies fast,
-    and graded panels keep the per-panel variation tame.  When u_near
-    is given (nearest point of the edge to the evaluation point),
-    panels are also refined dyadically around it so that a nearby
-    logarithmic peak is resolved.
+    and graded panels keep the per-panel variation tame.  Panels are
+    also refined dyadically around u_near (nearest point of the edge to
+    the evaluation point) so that a nearby logarithmic peak is resolved.
     """
     pts = [u_lo, u_hi]
     width = u_hi - u_lo
@@ -85,7 +84,7 @@ def _panels(u_lo, u_hi, u_near=None):
         frac = 0.5 ** k
         pts.append(u_lo + frac * width * 0.5)
         pts.append(u_hi - frac * width * 0.5)
-    if u_near is not None and u_lo < u_near < u_hi:
+    if u_lo < u_near < u_hi:
         for k in range(0, 8):
             step = width * 0.25 * 0.5 ** k
             for u in (u_near - step, u_near, u_near + step):
@@ -142,7 +141,7 @@ def potential_from_measure(diagram, z):
         u_hi = _atan2t(e.t_hi)
         m, w = e.midpoint, e.direction
         t_near, _ = e.project(z)
-        bounds = _panels(u_lo, u_hi, u_near=_atan2t(t_near))
+        bounds = _panels(u_lo, u_hi, _atan2t(t_near))
         for a, b in zip(bounds[:-1], bounds[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             u = mid + half * x

@@ -5,18 +5,19 @@ Aberth-Ehrlich iteration with Newton corrections, on coefficients
 Horner with on-the-fly rescaling) or on a point evaluator with given
 start points, whose number is the degree.
 
-One sweep routine, _aberth, serves both precisions, as Bini (1996)
-states the iteration for any arithmetic that can evaluate p/p': it runs
-on complex arrays, or on object arrays of mpmath.mpc at extended
-precision.  It is a Jacobi sweep: every active root is corrected from
-the positions at the start of the sweep.  A root whose correction falls
-below the tolerance is frozen.  Each sweep evaluates only the roots
-still active and forms their Cauchy sums against all m roots in row
-blocks of at most CHUNK_ELEMENTS entries, so a sweep costs
-O(active * m) time and its memory stays bounded at any degree.  Each
-row is summed over all m columns in index order, so with a pointwise
-evaluator the roots do not depend on the block size or on which other
-roots are still active.
+One routine, _aberth, serves both precisions, as Bini (1996) states the
+iteration for any arithmetic that can evaluate p/p': complex arrays, or
+object arrays of mpmath.mpc at extended precision.  It first runs plain
+Newton passes, O(m) each, and freezes the points whose inclusion disks
+|z - x| <= m|p(x)/p'(x)| (Henrici 1974) meet no other such disk, so
+each holds a zero of its own.  Jacobi sweeps then correct the rest from
+the positions at the start of each sweep and freeze a root once its
+correction falls below the tolerance.  A sweep evaluates only the
+active roots and forms their Cauchy sums against all m roots in row
+blocks of at most CHUNK_ELEMENTS entries: O(active * m) time, bounded
+memory.  Each row is summed over all m columns in index order, so with
+a pointwise evaluator the roots do not depend on the block size or on
+which other roots are still active.
 
 product_sum is the one log-space evaluator of sums of products of
 powers, behind both structural numerators: rational.newton_evaluator
@@ -41,6 +42,12 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 MAX_SWEEPS = {DOUBLE: 200, EXTENDED: 500}
 
+# plain Newton passes before the first Aberth sweep
+NEWTON_PASSES = 6
+
+# guards |p'| and the Aberth denominator against division by zero
+TINY = 1e-300
+
 # complex entries in one block of the active-row Cauchy sums (4 MB)
 CHUNK_ELEMENTS = 1 << 18
 
@@ -49,8 +56,8 @@ CHUNK_ELEMENTS = 1 << 18
 class RootSet:
     """Roots with per-root residuals |p|/|p'| and convergence flags.
 
-    sweeps is the number of Aberth sweeps the returned attempt ran, and
-    active_trace the number of roots still moving at the start of each.
+    certified counts the roots the Newton passes froze, sweeps the Aberth
+    sweeps after them, and active_trace the roots moving at each one's start.
     """
 
     roots: np.ndarray
@@ -58,6 +65,7 @@ class RootSet:
     converged: np.ndarray
     sweeps: int = 0
     active_trace: tuple = ()
+    certified: int = 0
 
     def __len__(self):
         return len(self.roots)
@@ -193,34 +201,85 @@ def _nearest_distance(roots, idx):
     return near
 
 
+def _newton_passes(eval_pd, tolerance, start):
+    """(roots, frozen): plain Newton from start, then the disk certificate.
+
+    Each pass moves by z <- z - N/N' (0 if not finite) the points whose
+    step has not yet passed the sweep's test |s| < tolerance * (1 + |z|),
+    until all have, a pass adds none, or NEWTON_PASSES.  A zero lies
+    within m|s| of the point where s was taken (Henrici), so within
+    (m + 1)|s| + 4 eps |z| of z; a point that passed is frozen if that
+    disk meets no other such disk, and the rest go back to their starts.
+    """
+    roots, step = start.copy(), np.zeros_like(start)
+    small = np.zeros(len(start), dtype=bool)
+    for _ in range(NEWTON_PASSES):
+        idx = np.flatnonzero(~small)
+        pv, dv = eval_pd(roots[idx])
+        s = pv / np.where(np.abs(dv) < TINY, TINY, dv)
+        finite = np.abs(s) < np.inf
+        step[idx] = s
+        roots[idx] -= np.where(finite, s, 0.0)
+        passed = finite & (np.abs(s) < tolerance * (1.0 + np.abs(roots[idx])))
+        small[idx[passed]] = True
+        if small.all() or not passed.any():
+            break
+    radius = (len(start) + 1) * np.abs(step) + 4.0 * np.finfo(float).eps * np.abs(roots)
+    frozen = small.copy()
+    frozen[small] = _disjoint(roots[small].astype(complex), radius[small].astype(float))
+    roots[~frozen] = start[~frozen]
+    return roots, frozen
+
+
+def _disjoint(centers, radii):
+    """Mask of the disks that meet no other one (touching disks meet).
+
+    Sorted along the axis of wider spread, disk k is tested only against
+    the centers within r_k + max r of its own: no m x m matrix is formed.
+    """
+    m = len(centers)
+    if m and np.ptp(centers.imag) > np.ptp(centers.real):
+        centers = -1j * centers
+    order = np.argsort(centers.real, kind="stable")
+    z, r = centers[order], radii[order]
+    reach = np.searchsorted(z.real, z.real + r + r.max(initial=0.0), side="right")
+    meets = np.zeros(m, dtype=bool)
+    k = np.arange(m)
+    for t in range(1, (reach - k).max(initial=1)):
+        k = k[reach[k] > k + t]
+        hit = np.abs(z[k + t] - z[k]) <= r[k + t] + r[k]
+        meets[k[hit]] = meets[k[hit] + t] = True
+    free = np.empty(m, dtype=bool)
+    free[order] = ~meets
+    return free
+
+
 def _aberth(eval_pd, tolerance, start, max_sweeps):
-    """Aberth sweeps from start; complex or mpmath (object) arrays alike."""
-    roots = start.copy()
-    m = len(roots)
-    converged = np.zeros(m, dtype=bool)
+    """_newton_passes, then Aberth sweeps on the rest; complex or mpmath arrays alike."""
+    roots, converged = _newton_passes(eval_pd, tolerance, start)
+    certified = int(converged.sum())
     trace = []
-    tiny = 1e-300
     for _ in range(max_sweeps):
         idx = np.flatnonzero(~converged)
+        if not len(idx):
+            break
         trace.append(len(idx))
         pv, dv = eval_pd(roots[idx])
-        newton = pv / np.where(np.abs(dv) < tiny, tiny, dv)
+        newton = pv / np.where(np.abs(dv) < TINY, TINY, dv)
         denom = 1.0 - newton * _cauchy_sums(roots, idx)
-        denom = np.where(np.abs(denom) < tiny, tiny, denom)
+        denom = np.where(np.abs(denom) < TINY, TINY, denom)
         corr = newton / denom
         roots[idx] -= corr
         done = np.abs(corr) < tolerance * (1.0 + np.abs(roots[idx]))
         converged[idx[done]] = True
-        if converged.all():
-            break
     pv, dv = eval_pd(roots)
-    guard = np.abs(dv) < tiny
-    resid = (np.abs(pv) / np.where(guard, tiny, np.abs(dv))).astype(float)
+    guard = np.abs(dv) < TINY
+    resid = (np.abs(pv) / np.where(guard, TINY, np.abs(dv))).astype(float)
     if guard.any():
         # derivative underflow: fall back to nearest-neighbour cluster radius
         resid[guard] = _nearest_distance(roots, np.flatnonzero(guard))
     return RootSet(roots=roots, residuals=resid, converged=converged,
-                   sweeps=len(trace), active_trace=tuple(trace))
+                   sweeps=len(trace), active_trace=tuple(trace), certified=certified)
 
 
 def _start_points(m, radius, precision):
@@ -235,10 +294,11 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
 
     The polynomial is given either by its coefficients p or, with p None,
-    by an evaluator, never both.  Both run the same active-set Jacobi
-    sweep (_aberth) on complex arrays, or on object arrays of
-    mpmath.mpc at _poly.EXTENDED_DPS digits: precision defaults to
-    extended for an object array p (or start) and to double otherwise.
+    by an evaluator, never both.  Both run _aberth, on complex arrays or
+    on object arrays of mpmath.mpc at _poly.EXTENDED_DPS digits: precision
+    defaults to extended for an object array p (or start), else double.
+    Newton passes freeze the roots they certify (RootSet.certified), and
+    active-set Jacobi sweeps run on the rest (RootSet.sweeps counts these).
     If the first attempt stalls, one retry runs from retry_start() and
     the attempt with more converged roots is kept; NoConvergence is
     raised, with that RootSet attached, if it has unconverged roots.
@@ -253,8 +313,8 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
     expanded coefficients are too ill-scaled to evaluate).  No
     coefficient is read: start is required, its length is the degree,
     and there is no retry without retry_start.  Each output must depend
-    only on its own input point: a sweep passes only the roots still
-    active, and a final call passes all m roots for the residuals.
+    only on its own input point: a Newton pass and the final call for
+    the residuals pass all m roots, a sweep only the roots still active.
     """
     if (p is None) == (evaluator is None):
         raise ValueError("pass exactly one of coefficients and an evaluator")
@@ -305,7 +365,8 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
                 result = retry
     if not result.all_converged:
         raise NoConvergence(
-            f"{int((~result.converged).sum())} of {m} roots unconverged",
+            f"{int((~result.converged).sum())} of {m} roots unconverged, "
+            f"{result.certified} certified",
             rootset=result,
         )
     return result

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from voroderiv import _poly, asympt, measure, rational, rootfind, voronoi
-from voroderiv.errors import CoefficientOverflow, ZeroPolynomial
+from voroderiv.errors import CoefficientOverflow, NoConvergence, ZeroPolynomial
 from voroderiv.rational import (DegreeCollapse, DuplicatePole, derivative,
                                 derivative_state, newton_evaluator, numerator,
                                 numerators, polar_decompose, polar_form)
@@ -458,6 +458,51 @@ def test_zeros_start_on_the_two_term_zeros():
     rs = rational.zeros(state.base, 400)
     assert rs.all_converged
     assert rs.sweeps <= 6
+
+
+def test_newton_passes_certify_most_balance_starts():
+    state, _, degree = cube_problem(400)
+    rs = rational.zeros(state.base, 400)
+    assert rs.all_converged
+    assert rs.certified >= 0.95 * degree
+
+
+@pytest.mark.parametrize("problem, share", [("cube", 0.01), ("eight", 0.1)])
+def test_first_sweep_runs_on_the_uncertified_roots(problem, share):
+    # the Aberth sweeps once started on every root: 2002 of 2002 (d=3,
+    # n=1000) and 2100 of 2100 (criterion 13's poles, n=300)
+    if problem == "cube":
+        # the form alone: expanding R_1000 would overflow
+        form, n = cube_problem(0)[0].base, 1000
+    else:
+        rng = np.random.default_rng(11)
+        poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
+        form, n = polar_decompose([1.0], [(p, 1) for p in poles]), 300
+    rs = rational.zeros(form, n)
+    assert rs.all_converged
+    assert rs.active_trace[0] <= share * len(rs)
+
+
+def test_a_duplicated_start_is_never_certified_twice():
+    # both copies of a start run to the same zero, so their inclusion
+    # disks meet and neither is frozen
+    state, diagram, degree = cube_problem(100)
+    starts = rational.balance_starts(state, diagram, degree)
+    evaluator = newton_evaluator(state)
+    undisturbed = rootfind.solve(None, 1e-12, evaluator=evaluator, start=starts)
+    copy = starts.copy()
+    for offset in (0.0, 1e-9):
+        copy[-1] = starts[0] + offset
+        _, frozen = rootfind._newton_passes(evaluator, 1e-12, copy)
+        assert not (frozen[0] and frozen[-1])
+    copy[-1] = starts[0]
+    with np.errstate(all="ignore"), pytest.raises(
+            NoConvergence, match=r"of 202 roots unconverged, \d+ certified"):
+        rootfind.solve(None, 1e-12, evaluator=evaluator, start=copy)
+    copy[-1] = starts[0] + 1e-9
+    rs = rootfind.solve(None, 1e-12, evaluator=evaluator, start=copy)
+    assert rs.all_converged
+    assert multiset_distance(rs.roots, undisturbed.roots) < 1e-10
 
 
 def test_zeros_retry_from_the_skeleton(monkeypatch):

@@ -167,15 +167,17 @@ def test_residuals_reported():
     assert len(rs.converged_roots()) == 2
 
 
-def dense_aberth(eval_pd, start, tolerance, max_sweeps):
-    """The dense m x m sweep that the active-set sweep must reproduce."""
+def dense_aberth(eval_pd, start, tolerance, max_sweeps, frozen):
+    """The dense m x m sweep that the active-set sweep must reproduce,
+    with the roots in frozen held fixed from the start."""
     roots = start.copy()
-    m = len(roots)
-    active = np.ones(m, dtype=bool)
-    converged = np.zeros(m, dtype=bool)
+    active = ~frozen
+    converged = frozen.copy()
     trace = []
     tiny = 1e-300
     for _ in range(max_sweeps):
+        if not active.any():
+            break
         trace.append(int(active.sum()))
         pv, dv = eval_pd(roots)
         newton = pv / np.where(np.abs(dv) < tiny, tiny, dv)
@@ -190,8 +192,6 @@ def dense_aberth(eval_pd, start, tolerance, max_sweeps):
         done = np.abs(corr) < tolerance * (1.0 + np.abs(roots))
         converged |= done & active
         active &= ~done
-        if not active.any():
-            break
     pv, dv = eval_pd(roots)
     guard = np.abs(dv) < tiny
     resid = np.abs(pv) / np.where(guard, tiny, np.abs(dv))
@@ -201,15 +201,26 @@ def dense_aberth(eval_pd, start, tolerance, max_sweeps):
     return roots, resid.astype(float), converged, trace
 
 
-def eight_pole_case(n=50):
-    """rational.zeros' double-path inputs at criterion 13's eight poles."""
+def eight_poles(n):
+    """(diagram, state, degree of R_n) at criterion 13's eight poles."""
     rng = np.random.default_rng(11)
     poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
     form = rational.polar_decompose([1.0], [(p, 1) for p in poles])
     state = rational.derivative_state(form, n)
-    degree, _ = rational.leading_term(state)
-    start = measure.skeleton_starts(voronoi.build(poles), degree)
-    return None, rational.newton_evaluator(state), start
+    return voronoi.build(poles), state, rational.leading_term(state)[0]
+
+
+def eight_pole_case(n=50):
+    """rational.zeros' retry inputs at criterion 13's eight poles."""
+    diagram, state, degree = eight_poles(n)
+    return None, rational.newton_evaluator(state), measure.skeleton_starts(diagram, degree)
+
+
+def balance_case():
+    """The same from the balance starts: the Newton passes freeze most
+    roots, so the sweeps run on the rest."""
+    diagram, state, degree = eight_poles(50)
+    return None, rational.newton_evaluator(state), rational.balance_starts(state, diagram, degree)
 
 
 def horner_case():
@@ -244,7 +255,7 @@ def counted(eval_pd, sizes):
     return wrapped
 
 
-@pytest.mark.parametrize("case", [eight_pole_case, horner_case, extended_case])
+@pytest.mark.parametrize("case", [eight_pole_case, balance_case, horner_case, extended_case])
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     p, eval_pd, start = case()
@@ -252,11 +263,14 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     # `chunk` rows per block: many blocks, and a ragged last one whenever
     # the active count is not a multiple of it
     monkeypatch.setattr(rootfind, "CHUNK_ELEMENTS", chunk * m + 1)
+    # the reference sweeps from where the Newton passes leave the roots
+    prelude = []
     with _poly.workprec():
-        roots, resid, conv, trace = dense_aberth(eval_pd, start, 1e-12, 200)
+        begin, frozen = rootfind._newton_passes(counted(eval_pd, prelude), 1e-12, start)
+        roots, resid, conv, trace = dense_aberth(eval_pd, begin, 1e-12, 200, frozen)
     assert conv.all() and any(k % 3 and k > 3 for k in trace)
     sizes = []
-    if case is eight_pole_case:
+    if p is None:
         rs = solve(None, 1e-12, evaluator=counted(eval_pd, sizes), start=start)
     else:
         # the coefficient path of either precision
@@ -271,10 +285,60 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     assert rs.residuals.tobytes() == resid.tobytes()
     assert np.array_equal(rs.converged, conv)
     assert rs.active_trace == tuple(trace) and rs.sweeps == len(trace)
+    assert rs.certified == frozen.sum()
     if sizes:
-        # each sweep evaluates only the roots still active after the
-        # previous one; the residual pass evaluates all of them
-        assert sizes[:-1] == trace and sizes[-1] == m
+        # the first Newton pass evaluates all m roots, each later one
+        # and each sweep only the roots still moving after the previous
+        # call, and the residual pass all of them
+        assert prelude[0] == m and prelude == sorted(prelude, reverse=True)
+        assert sizes[:len(prelude)] == prelude
+        assert sizes[len(prelude):-1] == trace and sizes[-1] == m
+
+
+def test_circle_starts_certify_nothing():
+    # no start on a circle is near a root, so one Newton pass finds no
+    # small step and ends the passes; the sweeps run on every root
+    p, eval_pd, start = horner_case()
+    calls = []
+    roots, frozen = rootfind._newton_passes(counted(eval_pd, calls), 1e-12, start)
+    assert calls == [60] and not frozen.any()
+    assert roots.tobytes() == start.tobytes()
+    rs = solve(p)
+    assert rs.certified == 0 and rs.active_trace[0] == 60
+
+
+def dense_disjoint(centers, radii):
+    """The O(m^2) reference: disk k meets no other disk."""
+    meets = np.abs(centers[:, None] - centers[None, :]) <= radii[:, None] + radii[None, :]
+    np.fill_diagonal(meets, False)
+    return ~meets.any(axis=1)
+
+
+def test_disjoint_disks_match_the_dense_reference():
+    rng = np.random.default_rng(2)
+    for trial in range(200):
+        m = int(rng.integers(0, 60))
+        centers = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+        if trial % 4 == 1:
+            centers = centers.imag * 1j  # a vertical line
+        radii = rng.exponential(0.5 / max(m, 1), m)
+        if trial % 4 == 2 and m:
+            radii[rng.integers(m)] = 5.0  # wider than the whole set
+        assert np.array_equal(rootfind._disjoint(centers, radii),
+                              dense_disjoint(centers, radii))
+
+
+@pytest.mark.parametrize("centers, radii, free", [
+    ([], [], []),
+    ([1.0 + 1j], [3.0], [True]),
+    ([0.0, 2.0], [0.5, 0.5], [True, True]),
+    ([0.0, 2.0], [1.0, 1.0], [False, False]),  # touching disks meet
+    ([0.0, 2.0j, 5.0], [1.0, 1.0, 1.0], [False, False, True]),
+    ([0.0, 0.5, 3.0, 9.0 + 1j], [0.1, 0.1, 0.1, 20.0], [False] * 4),
+])
+def test_disjoint_disks_small_cases(centers, radii, free):
+    got = rootfind._disjoint(np.array(centers, dtype=complex), np.array(radii, dtype=float))
+    assert got.tolist() == free
 
 
 def test_residual_falls_back_to_nearest_neighbour():
