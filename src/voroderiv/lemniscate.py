@@ -209,10 +209,11 @@ def balance_starts(problem, n, degree):
 
     Where terms i and j lead, R_n ~ 0 means (A/B)^n = -1 for A/B =
     prod_k P_k^{f_k}, f = row i - row j of _term_exponents(problem, 1), so
-    np.roots solves A - w B = 0 for the n values w^n = -1.  Candidates
-    rank by the margin of min(s_i, s_j) over the other summand logs s
-    (_summand_logs); the first degree are kept, in the order found.  The
-    top term's pairs alone give at least deg R_n candidates.
+    the zeros of A - w B for the n values w^n = -1 are candidates, as
+    np.roots finds them (_stacked_roots).  Candidates rank by the margin
+    of min(s_i, s_j) over the other summand logs s (_summand_logs); the
+    first degree are kept, in the order found.  The top term's pairs
+    alone give at least deg R_n candidates.
     """
     rows = np.array(_term_exponents(problem, 1))
     omega = np.exp(1j * math.pi * (2 * np.arange(n) + 1) / n)
@@ -220,13 +221,42 @@ def balance_starts(problem, n, degree):
     for i, j in itertools.combinations(range(len(rows)), 2):
         f = rows[i] - rows[j]
         a, b = _product(problem, np.maximum(f, 0)), _product(problem, np.maximum(-f, 0))
-        z = np.concatenate([np.roots(_poly.polyadd(a, -w * b)[::-1]) for w in omega])
+        coeffs = np.zeros((n, max(len(a), len(b))), dtype=complex)
+        coeffs[:, :len(a)] += a
+        coeffs[:, :len(b)] += -omega[:, None] * b
+        z = _stacked_roots(coeffs)
         logs = _summand_logs(problem, z)
         rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
         pts.append(z)
         margin.append(np.minimum(logs[i], logs[j]) - rest)
     keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
     return np.concatenate(pts)[np.sort(keep)]
+
+
+def _stacked_roots(coeffs):
+    """np.roots of each row of ascending coeffs, concatenated row by row.
+
+    The rows whose leading and trailing zero coefficients match share one
+    stacked eigvals call on companion matrices built as np.roots builds
+    them; a trailing zero is a root at 0, placed last.  No row is all zero.
+    """
+    desc = coeffs[:, ::-1]
+    nonzero = desc != 0
+    first = nonzero.argmax(axis=1)
+    last = desc.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    out = [None] * len(desc)
+    for lo, hi in set(zip(first.tolist(), last.tolist())):
+        which = np.flatnonzero((first == lo) & (last == hi))
+        p = desc[which, None, lo:hi + 1]
+        m = hi - lo
+        companion = np.zeros((len(which), m, m), dtype=complex)
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        companion[:, :1] = -p[:, :, 1:] / p[:, :, :1]
+        roots = np.linalg.eigvals(companion)
+        zeros = np.zeros((len(which), desc.shape[1] - 1 - hi), dtype=complex)
+        for k, z in zip(which, np.concatenate([roots, zeros], axis=1)):
+            out[k] = z
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -267,11 +297,10 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
             if compact else None)
         all_roots.append(tuple(rs.roots))
         max_mod.append(float(np.abs(rs.roots).max()))
-        pts = asympt.grid_points(window, grid, rng)
         value, skipped = asympt.grid_discrepancy(
-            pts, rs.roots, (math.log(lead), n), lambda z: psi_max(problem, z),
-            1e-3 * 2.0 * float(window[1]))
-        asympt._check_exclusion(skipped, len(pts))
+            asympt.grid_axes(window, grid, rng), rs.roots, (math.log(lead), n),
+            lambda z: psi_max(problem, z), 1e-3 * 2.0 * float(window[1]), ())
+        asympt._check_exclusion(skipped, grid * grid)
         l1.append(value)
     return LemniscateReport(
         n_list=tuple(n_list),

@@ -170,22 +170,40 @@ def test_potential_l1_decreases_with_n():
     assert vals[-1] < 0.05
 
 
+def test_grid_axes_span_the_jittered_grid():
+    # the axes give, bit for bit, the points of the flattened complex grid
+    # (center - h - ih) + 2h (gx + i gy) from the same draws
+    for window, grid, seed in (((0.0, 2.0), 7, 0), ((0.3 - 1.7j, 0.05), 5, 3),
+                               ((-40.0 + 8.0j, 300.0), 6, 11)):
+        rng = np.random.default_rng(seed)
+        gx, gy = np.meshgrid((np.arange(grid) + rng.random(grid)) / grid,
+                             (np.arange(grid) + rng.random(grid)) / grid)
+        want = (window[0] - window[1] - 1j * window[1]) + 2.0 * window[1] * (gx + 1j * gy)
+        xs, ys = asympt.grid_axes(window, grid, np.random.default_rng(seed))
+        assert np.array_equal(np.broadcast_to(xs, want.shape), want.real)
+        assert np.array_equal(np.broadcast_to(ys[:, None], want.shape), want.imag)
+        assert (np.diff(xs) >= 0).all() and (np.diff(ys) >= 0).all()
+
+
 def test_potential_l1_independent_of_block_size(monkeypatch):
     d = voronoi.build([1j, -1j])
     roots = two_pole_rootset(40).roots
     value = asympt.potential_l1(roots, d, window=(0.0, 2.0), grid=25)
-    for rows in (1, 3):
-        # 625 grid points in blocks of 40 or 120: the last block is ragged
-        monkeypatch.setattr(asympt, "GRID_BLOCK_POINTS", rows * len(roots))
+    for block in (1, 25, 3 * 25 + 7, 7 * 25):
+        # blocks of 1, 1, 3 and 7 of the 25 rows, the last two with a
+        # ragged last block; the smaller blocks also take the axis
+        # squares of 1 or 5 atoms at a time
+        monkeypatch.setattr(asympt, "GRID_BLOCK_POINTS", block)
         assert asympt.potential_l1(roots, d, window=(0.0, 2.0),
                                    grid=25) == value
 
 
-def scalar_discrepancy(points, atoms, log_norm, reference, exclusion_radius):
+def scalar_discrepancy(points, atoms, log_norm, reference, exclusion_radius, sites):
     """grid_discrepancy one point and one atom at a time, with math.log."""
     gaps = []
+    centres = list(atoms) + list(sites)
     for z in points.tolist():
-        if min(abs(z - a) for a in atoms) <= exclusion_radius:
+        if min(abs(z - c) for c in centres) <= exclusion_radius:
             continue
         total = math.fsum(math.log(abs(z - a)) for a in atoms)
         ref = float(reference(np.array([z]))[0])
@@ -201,49 +219,65 @@ def test_grid_discrepancy_matches_scalar_reference():
     c12 = LemniscateProblem(((0.0, 0.0, 1.0), (-3.0, 1.0)), (1, 1))
     c12_roots = np.asarray(compactness_and_compare(c12, [80], (0.0, 6.0), grid=16).roots[0])
     cases = (
-        (roots, (0.0, len(roots)), lambda z: voronoi.psi(sites, z), (0.0, 2.0)),
+        (roots, (0.0, len(roots)), lambda z: voronoi.psi(sites, z), (0.0, 2.0), sites),
         (c12_roots, (math.log(leading_term(c12, 80)[1]), 80),
-         lambda z: psi_max(c12, z), (0.0, 6.0)),
+         lambda z: psi_max(c12, z), (0.0, 6.0), ()),
     )
-    for atoms, log_norm, reference, window in cases:
+    for atoms, log_norm, reference, window, centres in cases:
         radius = 1e-3 * 2.0 * window[1]
-        near = atoms[:7] + 0.5 * radius * np.exp(1j * np.arange(7.0))
-        pts = np.concatenate([asympt.grid_points(window, 24, np.random.default_rng(3)),
-                              near])
-        mean, skipped = asympt.grid_discrepancy(pts, atoms, log_norm, reference, radius)
-        want, want_skipped = scalar_discrepancy(pts, atoms, log_norm, reference, radius)
-        assert skipped == want_skipped >= 7
+        # one more row and column through a point 0.5 r from each of 7
+        # atoms and each site
+        near = np.concatenate([atoms[:7], centres]) + 0.5 * radius * np.exp(1j * np.arange(
+            7.0 + len(centres)))
+        xs, ys = asympt.grid_axes(window, 24, np.random.default_rng(3))
+        axes = np.sort(np.concatenate([xs, near.real])), np.sort(np.concatenate([ys, near.imag]))
+        pts = (axes[0] + 1j * axes[1][:, None]).ravel()
+        mean, skipped = asympt.grid_discrepancy(axes, atoms, log_norm, reference, radius,
+                                                centres)
+        want, want_skipped = scalar_discrepancy(pts, atoms, log_norm, reference, radius,
+                                                centres)
+        assert skipped == want_skipped >= 7 + len(centres)
         assert mean == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_grid_discrepancy_without_atoms():
     with pytest.raises(asympt.EmptyRootSet):
-        asympt.grid_discrepancy(np.array([0.5j]), [], (0.0, 1),
-                                lambda z: np.zeros(len(z)), 1e-3)
+        asympt.grid_discrepancy((np.array([0.0]), np.array([0.5])), [], (0.0, 1),
+                                lambda z: np.zeros(len(z)), 1e-3, ())
 
 
 def test_grid_discrepancy_far_atoms():
     # every distance is about 1e200 and the exclusion radius 1e-3: the
     # scale keeps each squared distance in range, as the per-pair logs did
-    pts = asympt.grid_points((1.0, 0.5), 20, np.random.default_rng(0))
+    axes = asympt.grid_axes((1.0, 0.5), 20, np.random.default_rng(0))
     atoms = 1e200 * np.exp(1j * np.linspace(0.0, 1.0, 5))
-    mean, skipped = asympt.grid_discrepancy(pts, atoms, (0.0, len(atoms)),
-                                            lambda z: np.zeros(len(z)), 1e-3)
+    mean, skipped = asympt.grid_discrepancy(axes, atoms, (0.0, len(atoms)),
+                                            lambda z: np.zeros(len(z)), 1e-3, ())
     assert skipped == 0
     assert mean == pytest.approx(460.5170185988091, rel=1e-14)
 
 
+def test_grid_discrepancy_range_starts_at_the_nearest_distance():
+    # every distance is about 1e300, so the nearest one, not the radius
+    # 1e-300, bounds the kept distances below and the range fits
+    axes = asympt.grid_axes((1.0, 0.5), 4, np.random.default_rng(0))
+    mean, skipped = asympt.grid_discrepancy(axes, [1e300], (0.0, 1),
+                                            lambda z: np.zeros(len(z)), 1e-300, ())
+    assert skipped == 0
+    assert mean == pytest.approx(690.7755278982137, rel=1e-14)
+
+
 @pytest.mark.parametrize("atoms, radius", [
-    ([1e300], 1e-300),  # distances over the radius: 1e600
+    ([1e308, 1.0], 1e-300),  # distances from about 0.1 to 1e308
     ([1.5e308, -1.5e308j], 1e-3),  # the largest distance overflows
     ([math.nan], 1e-3),
     ([2.0], 0.0),
 ])
 def test_grid_discrepancy_unrepresentable_range(atoms, radius):
-    pts = asympt.grid_points((1.0, 0.5), 4, np.random.default_rng(0))
+    axes = asympt.grid_axes((1.0, 0.5), 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        asympt.grid_discrepancy(pts, atoms, (0.0, 1), lambda z: np.zeros(len(z)),
-                                radius)
+        asympt.grid_discrepancy(axes, atoms, (0.0, 1), lambda z: np.zeros(len(z)),
+                                radius, ())
 
 
 def test_exclusion_too_large_guard():
@@ -252,6 +286,31 @@ def test_exclusion_too_large_guard():
     with pytest.raises(asympt.ExclusionTooLarge):
         asympt.potential_l1(rs.roots, d, window=(0.0, 0.05),
                             grid=10, exclusion_radius=1.0)
+
+
+def test_exclusion_counts_each_point_once():
+    # a root on the grid point nearest the site i, so that point lies
+    # within r of both; radii midway between the 16th, 17th and 18th
+    # nearest-centre distances put exactly 16 or 17 of the 1600 points
+    # within r, at and past the 1% guard
+    d = voronoi.build([1j, -1j])
+    sites = np.asarray(d.sites)
+    xs, ys = asympt.grid_axes((0.0, 2.0), 40, np.random.default_rng(0))
+    pts = xs + 1j * ys[:, None]
+    on_grid = pts.flat[np.argmin(np.abs(pts - 1j))]
+    roots = np.append(two_pole_rootset(10).roots, on_grid)
+    nearest = np.sort(np.abs(pts.reshape(-1, 1) - np.concatenate([roots, sites])).min(axis=1))
+    for count in (16, 17):
+        radius = 0.5 * (nearest[count - 1] + nearest[count])
+        assert abs(on_grid - 1j) < radius
+        _, skipped = asympt.grid_discrepancy((xs, ys), roots, (0.0, len(roots)),
+                                             lambda z: voronoi.psi(sites, z), radius, sites)
+        assert skipped == count
+        if count == 16:
+            asympt.potential_l1(roots, d, (0.0, 2.0), grid=40, exclusion_radius=radius)
+        else:
+            with pytest.raises(asympt.ExclusionTooLarge):
+                asympt.potential_l1(roots, d, (0.0, 2.0), grid=40, exclusion_radius=radius)
 
 
 def test_single_pole_escape_example():

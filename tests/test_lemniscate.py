@@ -1,11 +1,12 @@
 """Derivatives of products of polynomial powers and their zero sets."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from voroderiv import _poly, asympt, rootfind
+from voroderiv import _poly, asympt, lemniscate, rootfind
 from voroderiv.errors import CoefficientOverflow
 from voroderiv.lemniscate import (LemniscateProblem, NoDominantDegree,
                                   balance_starts, build_rn,
@@ -130,11 +131,11 @@ def test_build_rn_overflow_is_named():
 def test_grid_discrepancy_independent_of_block_size(monkeypatch):
     problem = fig_problem()
     rep = compactness_and_compare(problem, [4, 8], window=(0.0, 2.0), grid=25)
-    for rows in (1, 3):
-        # the 625 grid points in blocks of 168 or 504 points (the number
-        # of roots at n = 8, or three times it), each with a ragged last block
-        monkeypatch.setattr(asympt, "GRID_BLOCK_POINTS",
-                            rows * len(rep.roots[1]))
+    for block in (1, 25, 3 * 25 + 7, 7 * 25):
+        # blocks of 1, 1, 3 and 7 of the 25 rows, the last two with a
+        # ragged last block; the smaller blocks also take the axis
+        # squares of 1 or 5 of the 84 or 168 roots at a time
+        monkeypatch.setattr(asympt, "GRID_BLOCK_POINTS", block)
         again = compactness_and_compare(problem, [4, 8], window=(0.0, 2.0),
                                         grid=25)
         assert again.l1_discrepancy == rep.l1_discrepancy
@@ -143,12 +144,12 @@ def test_grid_discrepancy_independent_of_block_size(monkeypatch):
 def test_lemniscate_exclusion_guard(monkeypatch):
     # the exclusion radius is 1e-3 of the window width, so a window of
     # any size leaves about m * 3e-6 of its points near the m roots; a
-    # grid that falls on the roots stands in for one that does not
+    # grid whose lines cross at the roots stands in for one that does not:
+    # its 84 x 84 points hold the 84 crossings next to the 84 roots
     problem = fig_problem()
     roots = np.asarray(compactness_and_compare(problem, [4], (0.0, 2.0), grid=16).roots[0])
-    on_roots = np.concatenate([roots + 1e-6, asympt.grid_points((0.0, 2.0), 16,
-                                                                np.random.default_rng(0))])
-    monkeypatch.setattr(asympt, "grid_points", lambda window, grid, rng: on_roots)
+    on_roots = np.sort(roots.real + 1e-6), np.sort(roots.imag + 1e-6)
+    monkeypatch.setattr(asympt, "grid_axes", lambda window, grid, rng: on_roots)
     with pytest.raises(asympt.ExclusionTooLarge):
         compactness_and_compare(problem, [4], (0.0, 2.0), grid=16)
 
@@ -214,6 +215,46 @@ def test_balance_starts_are_exact_and_deterministic():
         pts = balance_starts(p, n, degree)
         assert len(pts) == len(np.unique(pts)) == degree
         assert np.array_equal(pts, balance_starts(p, n, degree))
+
+
+def np_roots_balance_starts(problem, n, degree):
+    """balance_starts with one np.roots call per w, the reference."""
+    rows = np.array(lemniscate._term_exponents(problem, 1))
+    omega = np.exp(1j * math.pi * (2 * np.arange(n) + 1) / n)
+    pts, margin = [], []
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        f = rows[i] - rows[j]
+        a = lemniscate._product(problem, np.maximum(f, 0))
+        b = lemniscate._product(problem, np.maximum(-f, 0))
+        z = np.concatenate([np.roots(_poly.polyadd(a, -w * b)[::-1]) for w in omega])
+        logs = lemniscate._summand_logs(problem, z)
+        rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
+        pts.append(z)
+        margin.append(np.minimum(logs[i], logs[j]) - rest)
+    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
+    return np.concatenate(pts)[np.sort(keep)]
+
+
+def test_balance_starts_match_np_roots():
+    # z^2 and z(z - 1) both vanish at 0, so A - w B has a zero constant
+    # coefficient for every w, which np.roots strips as a root at 0
+    common = LemniscateProblem(((0.0, 0.0, 1.0), (0.0, -1.0, 1.0), (-2.0, 1.0)), (1, 1, 2))
+    for p, n in ((fig_problem(), 8), (fig_problem(), 3), (c12_problem(), 30),
+                 (LemniscateProblem(((0.0, 1.0), (-3.0, 1.0)), (1, -1)), 5),
+                 (common, 5)):
+        degree, _ = leading_term(p, n)
+        assert np.array_equal(balance_starts(p, n, degree),
+                              np_roots_balance_starts(p, n, degree))
+    assert (np_roots_balance_starts(common, 5, 30) == 0).sum() == 5
+
+
+def test_stacked_roots_match_np_roots_row_by_row():
+    # rows with different leading and trailing zero coefficients, and a
+    # constant row, which has no roots
+    coeffs = np.array([[0, 0, 1, 2, 0], [1, 0, 1j, 2, 0], [0, 1, 1, 0, 0],
+                       [3, 0, 0, 0, 0], [1, 2, 3, 4, 5]], dtype=complex)
+    assert np.array_equal(lemniscate._stacked_roots(coeffs),
+                          np.concatenate([np.roots(c[::-1]) for c in coeffs]))
 
 
 @pytest.fixture()
