@@ -224,8 +224,8 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius, sites):
 
     axes = (xs, ys) as from grid_axes: the points are xs[j] + 1j ys[i].
     L(z) = (log_norm[0] + sum_k log|z - atoms[k]|) / log_norm[1], and
-    reference (voronoi.psi, lemniscate.psi_max) takes an array of
-    points.  Points within exclusion_radius of an atom, or of one of
+    reference (voronoi.psi, lemniscate.psi_max) takes a 2-D block of
+    grid rows.  Points within exclusion_radius of an atom, or of one of
     sites (the reference's own singular points, maybe none), are
     skipped, each once.  Returns (mean, skipped count); the mean is NaN
     if all are skipped.  Raises EmptyRootSet without atoms.
@@ -302,9 +302,7 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius, sites):
         twos = twos[keep] + 2 * len(atoms) * t
         ln = ((0.5 * logsum[keep] + twos * (0.5 * _LN2_LO) + log_norm[0])
               + twos * (0.5 * _LN2_HI)) / log_norm[1]
-        points = np.empty(shape, dtype=complex)
-        points.real, points.imag = xs, ys[top:top + height, None]
-        gaps.append(np.abs(ln - reference(points[keep])))
+        gaps.append(np.abs(ln - reference(xs + 1j * ys[top:top + height, None])[keep]))
     gaps = np.concatenate(gaps)
     return (float(gaps.mean()) if len(gaps) else math.nan), len(xs) * len(ys) - len(gaps)
 

@@ -143,18 +143,20 @@ def _summand_logs(problem, z):
     +inf for m < 0 (a pole of the reciprocal summand).
     """
     z = np.asarray(z, dtype=complex)
-    x, y = z.real, z.imag
-    logs = []
-    for p, m in zip(problem.polynomials, problem.multipliers):
+    x, y = z.real.copy(), z.imag.copy()  # contiguous, faster to read than views
+    logs = np.empty((len(problem.polynomials),) + z.shape)
+    for i, (p, m) in enumerate(zip(problem.polynomials, problem.multipliers)):
         # Horner in real parts rounds as Python's complex scalars do;
         # numpy's complex multiply and abs round differently per CPU
-        re, im = np.full(z.shape, p[-1].real), np.full(z.shape, p[-1].imag)
+        re, im = p[-1].real, p[-1].imag
         for c in p[-2::-1]:
             re, im = re * x - im * y + c.real, re * y + im * x + c.imag
         v = np.hypot(re, im)
-        with np.errstate(divide="ignore"):
-            logs.append(np.where(v > 0.0, m * np.log(v), np.inf if m < 0 else -np.inf))
-    return np.array(logs)
+        # logs[i, ...] is a view of row i even when z is a scalar
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(m, np.log(v), out=logs[i, ...])
+        np.copyto(logs[i, ...], np.inf if m < 0 else -np.inf, where=~(v > 0.0))
+    return logs
 
 
 def psi_max(problem, z):
@@ -169,38 +171,40 @@ def psi_max(problem, z):
 def dominance_radius(problem):
     """Radius outside which the top-degree summand outweighs the rest.
 
-    Doubles a circle (at most 60 times) until, at all 720 sample angles,
-    |P_dom(z)| exceeds (k-1) max_{i != dom} |P_i(z)| (multiplier-weighted),
-    bisects back and returns 1.25 times that radius.  All zeros of
-    every R_n, n >= 1, lie inside it.
+    For |z| = R > rho_i, the largest root modulus of P_i (np.roots),
+    (R - rho_i)^deg_i <= |P_i(z)| <= (R + rho_i)^deg_i, and the gap
+    between the dominant summand's lower bound on m log|P| and the other
+    upper bounds grows with R.  Doubling R from 1 + max |coefficient|
+    (at most 60 times) and bisection find where the gap exceeds
+    log(k-1); 1.25 times that R is returned.  At every z with |z| at
+    least that, |P_dom(z)|^m_dom > (k-1) |P_i(z)|^m_i for each i != dom,
+    so all zeros of every R_n, n >= 1, lie inside it.
     """
     eff = problem.effective_degrees
     dom = int(np.argmax(eff))
     if sorted(eff)[-1] == sorted(eff)[-2]:
         raise NoDominantDegree("no strictly dominant summand degree")
-    k = len(problem.polynomials)
-    ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False))
+    # rho_i with the sign of m_i: m_i log|P_i| >= e_i log(R - s_i) and
+    # m_i log|P_i| <= e_i log(R + s_i)
+    signed = [math.copysign(float(np.abs(np.roots(p[::-1])).max(initial=0.0)), m)
+              for p, m in zip(problem.polynomials, problem.multipliers)]
+    slack = math.log(len(eff) - 1)
 
     def dominated(radius):
-        logs = _summand_logs(problem, radius * ring)
-        others = np.delete(logs, dom, axis=0).max(axis=0)
-        return bool((logs[dom] > others + math.log(max(k - 1, 1))).all())
+        upper = max(e * math.log(radius + s)
+                    for i, (e, s) in enumerate(zip(eff, signed)) if i != dom)
+        return eff[dom] * math.log(radius - signed[dom]) > upper + slack
 
-    lo = 1.0 + max(float(np.abs(p).max()) for p in problem.polynomials)
-    hi = lo
+    lo = hi = 1.0 + max(float(np.abs(p).max()) for p in problem.polynomials)
     for _ in range(60):
         if dominated(hi):
             break
-        lo = hi
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
-        raise NoDominantDegree("dominance never reached on sampled circles")
+        raise NoDominantDegree("dominance never reached")
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if dominated(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if dominated(mid) else (mid, hi)
     return hi * 1.25
 
 

@@ -189,11 +189,14 @@ def psi(sites, z):
     giving a float, or an array of points, giving an array of that
     shape; on ties the lowest site index counts as nearest.
     """
-    diff = np.asarray(z, dtype=complex)[..., None] - np.asarray(sites, dtype=complex)
-    dists = np.hypot(diff.real, diff.imag)  # rounds as Python's abs(complex)
+    z = np.asarray(z, dtype=complex)
+    # sites along a new first axis, so that each step below is one
+    # elementwise pass over the points and the sum adds site by site
+    s = np.asarray(sites, dtype=complex).reshape((-1,) + (1,) * z.ndim)
+    dists = np.hypot(z.real - s.real, z.imag - s.imag)  # rounds as Python's abs(complex)
     # log 1 = 0 drops the nearest factor from the sum
-    np.put_along_axis(dists, np.argmin(dists, axis=-1)[..., None], 1.0, axis=-1)
-    out = np.log(dists).sum(axis=-1) / (dists.shape[-1] - 1)
+    np.put_along_axis(dists, np.argmin(dists, axis=0)[None], 1.0, axis=0)
+    out = np.log(dists).sum(axis=0) / (len(dists) - 1)
     return float(out) if out.ndim == 0 else out
 
 

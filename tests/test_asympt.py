@@ -243,7 +243,7 @@ def test_grid_discrepancy_matches_scalar_reference():
 def test_grid_discrepancy_without_atoms():
     with pytest.raises(asympt.EmptyRootSet):
         asympt.grid_discrepancy((np.array([0.0]), np.array([0.5])), [], (0.0, 1),
-                                lambda z: np.zeros(len(z)), 1e-3, ())
+                                lambda z: np.zeros(np.shape(z)), 1e-3, ())
 
 
 def test_grid_discrepancy_far_atoms():
@@ -252,7 +252,7 @@ def test_grid_discrepancy_far_atoms():
     axes = asympt.grid_axes((1.0, 0.5), 20, np.random.default_rng(0))
     atoms = 1e200 * np.exp(1j * np.linspace(0.0, 1.0, 5))
     mean, skipped = asympt.grid_discrepancy(axes, atoms, (0.0, len(atoms)),
-                                            lambda z: np.zeros(len(z)), 1e-3, ())
+                                            lambda z: np.zeros(np.shape(z)), 1e-3, ())
     assert skipped == 0
     assert mean == pytest.approx(460.5170185988091, rel=1e-14)
 
@@ -262,7 +262,7 @@ def test_grid_discrepancy_range_starts_at_the_nearest_distance():
     # 1e-300, bounds the kept distances below and the range fits
     axes = asympt.grid_axes((1.0, 0.5), 4, np.random.default_rng(0))
     mean, skipped = asympt.grid_discrepancy(axes, [1e300], (0.0, 1),
-                                            lambda z: np.zeros(len(z)), 1e-300, ())
+                                            lambda z: np.zeros(np.shape(z)), 1e-300, ())
     assert skipped == 0
     assert mean == pytest.approx(690.7755278982137, rel=1e-14)
 
@@ -276,7 +276,7 @@ def test_grid_discrepancy_range_starts_at_the_nearest_distance():
 def test_grid_discrepancy_unrepresentable_range(atoms, radius):
     axes = asympt.grid_axes((1.0, 0.5), 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        asympt.grid_discrepancy(axes, atoms, (0.0, 1), lambda z: np.zeros(len(z)),
+        asympt.grid_discrepancy(axes, atoms, (0.0, 1), lambda z: np.zeros(np.shape(z)),
                                 radius, ())
 
 

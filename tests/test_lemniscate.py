@@ -69,6 +69,29 @@ def test_dominance_radius_frozen():
     assert dominance_radius(p) == pytest.approx(5.0, rel=0.3)
 
 
+def test_dominance_holds_everywhere_outside_the_radius():
+    # 10^4 points with |z| from the radius to 100 times it, log-uniform,
+    # on c12, the figure, z / (z - 3) and the seeded random problems with
+    # a negative multiplier (those with a dominant degree)
+    problems = [c12_problem(), fig_problem(),
+                LemniscateProblem(((0.0, 1.0), (-3.0, 1.0)), (1, -1))]
+    problems += [p for p, _ in seeded_random_problems() if min(p.multipliers) < 0]
+    rng = np.random.default_rng(17)
+    checked = 0
+    for p in problems:
+        try:
+            radius = dominance_radius(p)
+        except NoDominantDegree:
+            continue
+        z = radius * 100.0 ** rng.random(10_000) * np.exp(2j * math.pi * rng.random(10_000))
+        logs = lemniscate._summand_logs(p, z)
+        dom = int(np.argmax(p.effective_degrees))
+        others = np.delete(logs, dom, axis=0).max(axis=0)
+        assert (logs[dom] > others + math.log(len(logs) - 1)).all()
+        checked += 1
+    assert checked == 26
+
+
 def test_no_dominant_degree():
     # z and z-1 with equal multipliers: the two summand degrees tie
     p = LemniscateProblem(((0.0, 1.0), (1.0, 1.0)), (1, 1))
@@ -117,6 +140,26 @@ def test_array_psi_max_matches_scalar_loop():
     assert psi_max(reciprocal, 3.0) == math.inf
     assert psi_max(reciprocal, 0.0) == -math.log(3.0)
     assert isinstance(psi_max(common, 0.5), float)
+
+
+def test_psi_max_on_a_block_matches_scalar_loop():
+    # a 2-D block of grid points whose axes pass through the summands'
+    # zeros, as grid_discrepancy passes it
+    rng = np.random.default_rng(4)
+    common = LemniscateProblem(((0.0, 0.0, 1.0), (0.0, -1.0, 1.0)), (1, 2))
+    cases = ((fig_problem(), [1.0, -1.0, 1j, -1j]),
+             (LemniscateProblem(((0.0, 1.0), (-3.0, 1.0)), (1, -1)), [0.0, 3.0]),
+             (common, [0.0, 1.0]))
+    for problem, special in cases:
+        special = np.asarray(special, dtype=complex)
+        xs = np.sort(np.concatenate([rng.normal(size=9), special.real]))
+        ys = np.sort(np.concatenate([rng.normal(size=6), special.imag]))
+        block = xs + 1j * ys[:, None]
+        got = psi_max(problem, block)
+        assert got.shape == block.shape
+        np.testing.assert_allclose(
+            got, [[psi_max_reference(problem, z) for z in row] for row in block],
+            rtol=1e-14, atol=1e-15)
 
 
 def test_build_rn_overflow_is_named():
@@ -289,11 +332,9 @@ def test_figure_n16_converges():
     assert rep.max_root_modulus[0] <= rep.dominance_radius
 
 
-def test_seeded_random_problems_converge():
-    # from the dominance (or Fujiwara) circle trials 3, 8, 18, 19, 21,
-    # 26, 28, 31, 33 and 35 stalled
+def seeded_random_problems():
+    """(problem, n) for 39 seeded draws of 2 to 4 summands of degree 1 to 3."""
     rng = np.random.default_rng(5)
-    solved = 0
     for _ in range(40):
         k = rng.integers(2, 5)
         polys = []
@@ -304,7 +345,14 @@ def test_seeded_random_problems_converge():
         if (mult < 0).all():
             continue
         n = int(rng.integers(2, 25))
-        p = LemniscateProblem(tuple(polys), tuple(int(m) for m in mult))
+        yield LemniscateProblem(tuple(polys), tuple(int(m) for m in mult)), n
+
+
+def test_seeded_random_problems_converge():
+    # from the dominance (or Fujiwara) circle trials 3, 8, 18, 19, 21,
+    # 26, 28, 31, 33 and 35 stalled
+    solved = 0
+    for p, n in seeded_random_problems():
         rep = compactness_and_compare(p, [n], window=(0.0, 2.0), grid=16)
         assert len(rep.roots[0]) == leading_term(p, n)[0]
         solved += 1

@@ -120,6 +120,23 @@ def test_array_psi_matches_scalar_loop():
     assert isinstance(psi([1j, -1j], 2j), float)
 
 
+def test_psi_on_a_block_matches_scalar_loop():
+    # a 2-D block of grid points whose axes pass through the sites; 12
+    # sites are past the 8 at which numpy's pairwise summation starts
+    rng = np.random.default_rng(9)
+    for sites in (cube_roots(), [1j, -1j],
+                  list(rng.normal(size=12) + 1j * rng.normal(size=12))):
+        sites = np.asarray(sites)
+        xs = np.sort(np.concatenate([rng.normal(size=11), sites.real]))
+        ys = np.sort(np.concatenate([rng.normal(size=8), sites.imag]))
+        block = xs + 1j * ys[:, None]
+        got = psi(sites, block)
+        assert got.shape == block.shape
+        np.testing.assert_allclose(
+            got, [[psi_reference(sites, z) for z in row] for row in block],
+            rtol=1e-14, atol=1e-15)
+
+
 def test_phi_is_min_distance():
     sites = cube_roots()
     z = 1.7 - 0.4j
