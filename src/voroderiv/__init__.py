@@ -46,11 +46,9 @@ from .rational import (
     NumeratorResult,
     PolarForm,
     degree_diagnostics,
-    derivative,
     derivative_state,
     newton_evaluator,
     numerator,
-    numerators,
     polar_decompose,
     polar_form,
 )

@@ -53,13 +53,7 @@ def asarray(coeffs, precision=DOUBLE):
 
 
 def zeros(n, precision=DOUBLE):
-    if precision == DOUBLE:
-        return np.zeros(n, dtype=complex)
-    out = np.empty(n, dtype=object)
-    z = scalar(0.0, EXTENDED)
-    for k in range(n):
-        out[k] = z
-    return out
+    return np.full(n, scalar(0.0, precision), dtype=complex if precision == DOUBLE else object)
 
 
 def precision_of(p):
@@ -109,15 +103,8 @@ def polyadd(a, b):
 
 
 def polymul(a, b):
-    if precision_of(a) == DOUBLE and precision_of(b) == DOUBLE:
-        return np.convolve(a, b)
-    out = zeros(len(a) + len(b) - 1, EXTENDED)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
+    """Product of two polynomials; np.convolve also convolves mpc objects."""
+    return np.convolve(a, b)
 
 
 def polypow(p, k):
@@ -135,14 +122,19 @@ def polypow(p, k):
     return result
 
 
-def polyder(p):
-    precision = precision_of(p)
-    if len(p) == 1:
-        return zeros(1, precision)
-    out = zeros(len(p) - 1, precision)
-    for k in range(1, len(p)):
-        out[k - 1] = p[k] * k
+def product(factors, exponents):
+    """prod_k factors[k]^exponents[k], expanded; exponents are non-negative."""
+    out = asarray([1.0], precision_of(factors[0]))
+    for f, e in zip(factors, exponents):
+        if e:
+            out = polymul(out, polypow(f, e))
     return out
+
+
+def polyder(p):
+    if len(p) == 1:
+        return zeros(1, precision_of(p))
+    return p[1:] * np.arange(1, len(p))
 
 
 def taylor_shift(p, a):
@@ -197,18 +189,6 @@ def polydivmod(a, b):
         for j in range(len(b)):
             rem[k + j] = rem[k + j] - c * b[j]
     return quot, trim(rem)
-
-
-def compensated_accumulate(total, comp, term):
-    """Kahan step: add `term` into `total` with running compensation.
-
-    Only meaningful on the double backend; on the extended backend the
-    compensation is a harmless no-op refinement.
-    """
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
 
 
 def to_complex(x):

@@ -81,7 +81,6 @@ class ComparisonReport:
     off_skeleton_fraction: float
     mean_distance: float
     assignments: tuple = field(repr=False, default=())
-    potential_l1: float = float("nan")
 
     def to_json(self):
         doc = {
@@ -98,7 +97,6 @@ class ComparisonReport:
             ],
             "off_skeleton_fraction": self.off_skeleton_fraction,
             "mean_distance_to_skeleton": self.mean_distance,
-            "potential_l1": None if math.isnan(self.potential_l1) else self.potential_l1,
         }
         return json.dumps(doc, sort_keys=True)
 

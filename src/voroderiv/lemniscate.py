@@ -6,9 +6,10 @@ one summand strictly dominates in degree, the zero sets stay in a disk
 whose radius comes from an explicit dominance criterion, and the
 normalized log-modulus converges to max_i m_i log |P_i| in the mean.
 
-The zeros come as in rational.zeros, without expanding R_n (build_rn):
-degree and lead in closed form (leading_term), and Aberth on
-rn_evaluator from the zeros of two balancing summands (balance_starts).
+R_n is one rootfind.SumOfProducts (_model), expanded by build_rn.  The
+zeros come as in rational.zeros, without expanding it: degree and lead
+in closed form (leading_term), and Aberth on its point evaluator
+(rn_evaluator) from the zeros of two balancing summands (balance_starts).
 """
 
 import itertools
@@ -63,8 +64,15 @@ class LemniscateProblem:
         return tuple(m * d for m, d in zip(self.multipliers, self.degrees))
 
 
+def _model(problem, n):
+    """R_n's cleared numerator as a rootfind.SumOfProducts, every weight 1."""
+    rows = tuple(_term_exponents(problem, n))
+    return rootfind.SumOfProducts(problem.polynomials, rows,
+                                  (_poly.asarray([1.0]),) * len(rows), (0.0,) * len(rows))
+
+
 def build_rn(problem, n):
-    """Dense expansion of sum_i P_i^{m_i n}.
+    """Dense expansion of sum_i P_i^{m_i n}, from _model.
 
     Negative multipliers are allowed (reciprocal summands): the common
     denominator prod_{m_j < 0} P_j^{-m_j n} is cleared first and the
@@ -73,10 +81,7 @@ def build_rn(problem, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = None
-    for row in _term_exponents(problem, n):
-        term = _product(problem, row)
-        total = term if total is None else _poly.polyadd(total, term)
+    total = _model(problem, n).expand(leading_term(problem, n)[0] + 1)
     if not _poly.all_finite(total):
         raise CoefficientOverflow(
             f"order n={n} overflowed: R_n has non-finite coefficients")
@@ -90,15 +95,6 @@ def _term_exponents(problem, n):
     # k with m_k < 0 (the cleared denominator)
     return [[abs(m) * n if (k == i) == (m > 0) else 0 for k, m in enumerate(mult)]
             for i in range(len(mult))]
-
-
-def _product(problem, exponents):
-    """prod_k P_k^{e_k}, expanded, for non-negative exponents e_k."""
-    term = _poly.asarray([1.0])
-    for p, e in zip(problem.polynomials, exponents):
-        if e:
-            term = _poly.polymul(term, _poly.polypow(p, e))
-    return term
 
 
 def leading_term(problem, n):
@@ -116,24 +112,13 @@ def leading_term(problem, n):
 def rn_evaluator(problem, n):
     """Point evaluator (R_n, R_n') up to a common per-point scale.
 
-    Works from the sum of products form in log space
+    The model's evaluator works from the sum of products in log space
     (rootfind.product_sum) rather than the dense expansion, which keeps
     root iterations well conditioned when the expanded coefficients
     span many orders of magnitude.  Only the ratio R_n/R_n' and the
     residual are meaningful.
     """
-    polys = [np.asarray([complex(c) for c in p]) for p in problem.polynomials]
-    ders = [np.polyder(p[::-1])[::-1] for p in polys]
-    expo = _term_exponents(problem, n)
-
-    def eval_pd(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        vals = np.array([np.polyval(p[::-1], z) for p in polys])
-        dvals = np.array([np.polyval(dp[::-1], z) if len(dp) else np.zeros_like(z)
-                          for dp in ders])
-        return rootfind.product_sum(vals, dvals, expo)
-
-    return eval_pd
+    return _model(problem, n).evaluator()
 
 
 def _summand_logs(problem, z):
@@ -224,7 +209,8 @@ def balance_starts(problem, n, degree):
     pts, margin = [], []
     for i, j in itertools.combinations(range(len(rows)), 2):
         f = rows[i] - rows[j]
-        a, b = _product(problem, np.maximum(f, 0)), _product(problem, np.maximum(-f, 0))
+        a = _poly.product(problem.polynomials, np.maximum(f, 0))
+        b = _poly.product(problem.polynomials, np.maximum(-f, 0))
         coeffs = np.zeros((n, max(len(a), len(b))), dtype=complex)
         coeffs[:, :len(a)] += a
         coeffs[:, :len(b)] += -omega[:, None] * b

@@ -11,9 +11,10 @@ part: numerator and newton_evaluator add its term while pp^(n) is
 nonzero, so one numerator serves any Q = R/P, one pole or many.
 
 deg R_n and alpha_n / n! have one source, leading_term, a closed form
-from Q at infinity.  The dense expansion (numerator) serves only where
-it is short or is the output; zeros with two or more poles iterates on
-newton_evaluator in either precision.
+from Q at infinity.  R_n itself is one rootfind.SumOfProducts (_model),
+read two ways: its dense expansion (numerator) serves only where it is
+short or is the output; zeros with two or more poles iterates on its
+point evaluator (newton_evaluator) in either precision.
 """
 
 import cmath
@@ -32,7 +33,6 @@ __all__ = [
     "NumeratorResult",
     "polar_decompose",
     "polar_form",
-    "derivative",
     "leading_term",
     "numerator",
     "newton_evaluator",
@@ -170,9 +170,7 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE):
         if abs(_poly.polyval(numer, zi)) <= 1e-10 * mag:
             raise SharedRoot(f"numerator vanishes at pole {complex(zi)}")
 
-    denom = _poly.asarray([1.0], precision)
-    for zi, r in zip(poles, orders):
-        denom = _poly.polymul(denom, _poly.polypow(_poly.asarray([-zi, 1.0], precision), r))
+    denom = _poly.product([_poly.asarray([-zi, 1.0], precision) for zi in poles], orders)
 
     poly_part = _poly.zeros(1, precision)
     rem = numer
@@ -183,11 +181,8 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE):
     for i, (zi, ri) in enumerate(zip(poles, orders)):
         # Taylor coefficients at z_i of rem / prod_{l != i} (z-z_l)^{r_l}
         num_shift = _poly.taylor_shift(rem, zi)
-        den = _poly.asarray([1.0], precision)
-        for l, (zl, rl) in enumerate(zip(poles, orders)):
-            if l == i:
-                continue
-            den = _poly.polymul(den, _poly.polypow(_poly.asarray([zi - zl, 1.0], precision), rl))
+        den = _poly.product([_poly.asarray([zi - zl, 1.0], precision) for zl in poles],
+                            [0 if l == i else rl for l, rl in enumerate(orders)])
         inv = _poly.series_inverse(den, ri)
         tay = _poly.polymul(num_shift[: ri + 1] if len(num_shift) > ri else num_shift, inv)
         # a_{i, r_i - k} = k-th Taylor coefficient
@@ -240,46 +235,27 @@ def derivative_state(form, n=0):
     return DerivativeState(form, n, coeffs, _poly.asarray(pp_n or [0.0], form.precision))
 
 
-def derivative(state):
-    """The next order, c_{i,j,n+1} = a_{i,j} (-1)^(n+1) C(j+n, n+1), by derivative_state."""
-    return derivative_state(state.base, state.n + 1)
+def _model(state):
+    """R_n of state as a rootfind.SumOfProducts in the factors z - z_k.
 
-
-def _terms(state):
-    """The numerator's terms one at a time, so that only one is held.
-
-    c_{i,j,n} prod_{k != i}(z-z_k)^{r_k+n} (z-z_i)^{r_i-j} summed over j
-    per pole i, then pp_n prod_k (z-z_k)^{r_k+n} for the scaled
-    polynomial part pp_n when it is nonzero.
+    Term i is inner_i(z - z_i) prod_{k != i} (z - z_k)^{r_k + n}, where
+    inner_i(w) = sum_j c_{i,j,n} w^{r_i - j}, j = 1..r_i.  A nonzero
+    scaled polynomial part pp_n adds pp_n(z) prod_k (z - z_k)^{r_k + n};
+    a zero one adds none, since a zero-weight term would still set the
+    evaluator's per-point scale.
     """
-    base = state.base
-    precision = base.precision
-    n = state.n
-
-    def product(skip=None):
-        """prod_{k != skip} (z - z_k)^{r_k + n}."""
-        g = _poly.asarray([1.0], precision)
-        for k, zk in enumerate(base.poles):
-            if k != skip:
-                g = _poly.polymul(g, _poly.polypow(
-                    _poly.asarray([-zk, 1.0], precision), base.orders[k] + n))
-        return g
-
-    for i, zi in enumerate(base.poles):
-        ri = base.orders[i]
-        inner = _poly.zeros(ri, precision)
-        lin_pow = _poly.asarray([1.0], precision)
-        lin = _poly.asarray([-zi, 1.0], precision)
-        # inner = sum_j c_{i,j,n} (z - z_i)^{r_i - j}; the zero c_j below
-        # the lowest nonzero one would only lengthen lin_pow
-        lowest = next(j for j, c in enumerate(state.scaled_coeffs[i], 1) if c != 0)
-        for j in range(ri, lowest - 1, -1):
-            inner[: len(lin_pow)] += state.scaled_coeffs[i][j - 1] * lin_pow
-            lin_pow = _poly.polymul(lin_pow, lin)
-        yield _poly.polymul(product(skip=i), _poly.trim(inner))
-    pp = _poly.trim(state.poly_part_scaled)
+    base, n, precision = state.base, state.n, state.base.precision
+    rows = [[0 if k == i else r + n for k, r in enumerate(base.orders)] for i in range(base.d)]
+    # trimmed, a weight expands in no more powers of z - z_i than it needs
+    weights = [_poly.trim(_poly.asarray(cs[::-1], precision)) for cs in state.scaled_coeffs]
+    centres = list(base.poles)
+    pp = _poly.trim(_poly.asarray(state.poly_part_scaled, precision))
     if not _poly.is_zero(pp):
-        yield _poly.polymul(product(), pp)
+        rows.append([r + n for r in base.orders])
+        weights.append(pp)
+        centres.append(0.0)
+    factors = tuple(_poly.asarray([-zk, 1.0], precision) for zk in base.poles)
+    return rootfind.SumOfProducts(factors, tuple(rows), tuple(weights), tuple(centres))
 
 
 @_poly.workprec()
@@ -306,7 +282,7 @@ def leading_term(state):
     pole_part = DerivativeState(base, 0, base.coeffs, _poly.zeros(1, precision))
     total = _poly.zeros(base.r, precision)
     mags = np.zeros(base.r)
-    for term in _terms(pole_part):
+    for term in _model(pole_part).terms(base.r):
         total[: len(term)] += term
         mags[: len(term)] += [float(abs(c)) for c in term]
     top = base.r - 1
@@ -324,24 +300,13 @@ def leading_term(state):
 def numerator(state):
     """Monic numerator R_n and scale of Q^{(n)} = alpha_n R_n/(P P0^n).
 
-    The degree and alpha_n / n! come from leading_term.  The expansion
-    sums the terms of _terms, each a convolution of linear factors,
-    with compensated accumulation in double precision, keeps the slots
-    up to that degree and divides them by the top one.  Raises
-    CoefficientOverflow when the result is not finite, as for three
-    poles on the unit circle at n = 1000 in double precision.
+    The degree and alpha_n / n! come from leading_term; _model's
+    expansion is cut to that degree and divided by its top coefficient.  Raises CoefficientOverflow when the result is not
+    finite, as for three poles on the unit circle at n = 1000 in double
+    precision.
     """
     degree, alpha = leading_term(state)
-    precision = state.base.precision
-    total = _poly.zeros(degree + 1, precision)
-    comp = _poly.zeros(degree + 1, precision)
-    for term in _terms(state):
-        term = term[: degree + 1]
-        if precision == DOUBLE:
-            total[: len(term)], comp[: len(term)] = _poly.compensated_accumulate(
-                total[: len(term)], comp[: len(term)], term)
-        else:
-            total[: len(term)] += term
+    total = _model(state).expand(degree + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r_n = total / total[-1]
     if not _poly.all_finite(r_n):
@@ -354,45 +319,17 @@ def newton_evaluator(state):
     """Point evaluator (value, derivative) of the unexpanded numerator.
 
     Returns a callable mapping an array of points to (N, N') up to a
-    common per-point scale, computed from the sum of products form by
-    rootfind.product_sum rather than from expanded coefficients.  At
-    large n the expanded coefficients span hundreds of orders of
-    magnitude and coefficient Horner loses the roots to cancellation;
-    the product form stays well conditioned, so root iterations can use
-    this callable in place of Horner.  Only the ratio N/N' and the
-    residual |N|/|N'| are meaningful.  A nonzero scaled polynomial part
-    pp_n adds one term pp_n(z) prod_k (z - z_k)^{r_k + n}; a zero one
-    adds none, since a zero-weight term would still set the per-point
-    scale.  It works in the form's precision: on complex arrays, or on
-    object arrays of mpmath.mpc (call it at _poly.workprec()).
+    common per-point scale: _model's evaluator, computed from the sum of
+    products by rootfind.product_sum rather than from expanded
+    coefficients.  At large n the expanded coefficients span hundreds
+    of orders of magnitude and coefficient Horner loses the roots to
+    cancellation; the product form stays well conditioned, so root
+    iterations can use this callable in place of Horner.  Only the
+    ratio N/N' and the residual |N|/|N'| are meaningful.  It works in
+    the form's precision: on complex arrays, or on object arrays of
+    mpmath.mpc (call it at _poly.workprec()).
     """
-    base = state.base
-    dtype = complex if base.precision == DOUBLE else object
-    poles = _poly.asarray(base.poles, base.precision)
-    n = state.n
-    # term i: inner_i(z - z_i) prod_{k != i} (z - z_k)^{r_k + n}, where
-    # inner_i(w) = sum_j c_{i,j} w^{r_i - j}, j = 1..r_i
-    expo = [[0 if k == i else r + n for k, r in enumerate(base.orders)]
-            for i in range(base.d)]
-    inners = [_poly.asarray(cs[::-1], base.precision) for cs in state.scaled_coeffs]
-    centers = poles
-    pp = _poly.trim(_poly.asarray(state.poly_part_scaled, base.precision))
-    if not _poly.is_zero(pp):
-        # its weight pp_n(z) is a polynomial about the center 0
-        expo.append([r + n for r in base.orders])
-        inners.append(pp)
-        centers = np.append(poles, 0.0)
-    dinners = [_poly.polyder(inner) for inner in inners]
-    dlin = np.ones(base.d)  # (z - z_k)' = 1
-
-    def eval_pd(z):
-        z = np.atleast_1d(np.asarray(z, dtype=dtype))
-        shifted = z[None, :] - centers[:, None]
-        weights = ([_poly.polyval(c, w) for c, w in zip(inners, shifted)],
-                   [_poly.polyval(c, w) for c, w in zip(dinners, shifted)])
-        return rootfind.product_sum(shifted[: base.d], dlin, expo, weights)
-
-    return eval_pd
+    return _model(state).evaluator()
 
 
 # Newton steps that polish each two-term zero when the pole orders differ
@@ -501,12 +438,6 @@ def zeros(form, n):
                           evaluator=newton_evaluator(state),
                           start=balance_starts(state, diagram, degree),
                           retry_start=lambda: measure.skeleton_starts(diagram, degree))
-
-
-def numerators(form, n_list):
-    """NumeratorResults of the requested orders (sorted), each state in closed
-    form, c_{i,j,n} = a_{i,j} (-1)^n C(j+n-1, n), from derivative_state."""
-    return [numerator(derivative_state(form, n)) for n in sorted(set(n_list))]
 
 
 def degree_diagnostics(results):

@@ -19,10 +19,11 @@ memory.  Each row is summed over all m columns in index order, so with
 a pointwise evaluator the roots do not depend on the block size or on
 which other roots are still active.
 
-product_sum is the one log-space evaluator of sums of products of
-powers, behind both structural numerators: rational.newton_evaluator
-and lemniscate.rn_evaluator.  Like _aberth it runs on complex arrays
-or on object arrays of mpmath.mpc.
+SumOfProducts models both structural numerators (rational._model,
+lemniscate._model) and reads as a dense expansion or as a point
+evaluator on product_sum, the log-space evaluator of sums of products
+of powers.  Like _aberth both run on complex arrays or on object arrays
+of mpmath.mpc.
 """
 
 import contextlib
@@ -36,7 +37,7 @@ from . import _poly
 from ._poly import DOUBLE, EXTENDED
 from .errors import NoConvergence, ZeroPolynomial
 
-__all__ = ["RootSet", "fujiwara_bound", "product_sum", "solve"]
+__all__ = ["RootSet", "SumOfProducts", "fujiwara_bound", "product_sum", "solve"]
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -121,18 +122,17 @@ _MPMATH_FUNCS = (np.frompyfunc(mpmath.log, 1, 1), np.frompyfunc(mpmath.exp, 1, 1
                  np.frompyfunc(mpmath.re, 1, 1))
 
 
-def product_sum(vals, dvals, exponents, weights=None):
+def product_sum(vals, dvals, exponents, weights):
     """(N, N') of N = sum_i w_i prod_j f_j^{e_ij}, up to a per-point scale.
 
     vals and dvals hold f_j and f_j' as rows over the points (a row of
-    dvals may be a constant), exponents
-    is the matrix e_ij of non-negative integers, and weights, when
-    given, is a pair (w, w') of per-term values or arrays (default
-    w = 1).  The products are formed in log space and scaled by the
-    largest modulus per point, so degrees in the thousands neither
-    overflow nor underflow; only N/N' and |N|/|N'| are meaningful.
-    vals is a complex array, or an object array of mpmath.mpc: then
-    every step runs in mpmath at its working precision.
+    dvals may be a constant), exponents is the matrix e_ij of
+    non-negative integers, and weights is a pair (w, w') of per-term
+    values or arrays.  The products are formed in log space and scaled
+    by the largest modulus per point, so degrees in the thousands
+    neither overflow nor underflow; only N/N' and |N|/|N'| are
+    meaningful.  vals is a complex array, or an object array of
+    mpmath.mpc: then every step runs in mpmath at its working precision.
     """
     vals = np.asarray(vals)
     dtype = object if vals.dtype == object else complex
@@ -158,14 +158,79 @@ def product_sum(vals, dvals, exponents, weights=None):
         for j, e in enumerate(row):
             if e:
                 s += e * dvals[j] / vals[j]
-        if weights is None:
-            pv += b
-            dv += b * s
-        else:
-            w, dw = weights[0][i], weights[1][i]
-            pv += b * w
-            dv += b * (s * w + dw)
+        w, dw = weights[0][i], weights[1][i]
+        pv += b * w
+        dv += b * (s * w + dw)
     return pv, dv
+
+
+@dataclass(frozen=True)
+class SumOfProducts:
+    """N(z) = sum_i w_i(z - c_i) prod_k f_k(z)^{e_ik}, expanded or evaluated.
+
+    factors holds the polynomials f_k, exponents the rows e_i of
+    non-negative integers, weights the polynomials w_i in powers of
+    z - c_i and centres the c_i, all of one _poly precision.  Both
+    structural numerators are one: rational._model and lemniscate._model.
+    """
+
+    factors: tuple
+    exponents: tuple
+    weights: tuple
+    centres: tuple
+
+    def terms(self, length):
+        """Each term expanded in powers of z, cut to length slots (None: whole)."""
+        precision = _poly.precision_of(self.factors[0])
+        for row, w, c in zip(self.exponents, self.weights, self.centres):
+            # w(z - c) = sum_k w_k (z - c)^k in powers of z
+            inner = _poly.zeros(len(w), precision)
+            power, lin = _poly.asarray([1.0], precision), _poly.asarray([-c, 1.0], precision)
+            for k, wk in enumerate(w):
+                inner[: k + 1] += wk * power
+                power = _poly.polymul(power, lin)
+            yield _poly.polymul(_poly.product(self.factors, row), inner)[:length]
+
+    def expand(self, length):
+        """The first length coefficients of N, the terms added by Kahan's
+        compensated summation."""
+        precision = _poly.precision_of(self.factors[0])
+        total, comp = _poly.zeros(length, precision), _poly.zeros(length, precision)
+        for term in self.terms(length):
+            k = len(term)
+            y = term - comp[:k]
+            t = total[:k] + y
+            comp[:k] = (t - total[:k]) - y
+            total[:k] = t
+        return total
+
+    def evaluator(self):
+        """Point evaluator z -> (N, N') up to a common per-point scale (product_sum).
+
+        A monic linear factor z - a is evaluated as such, with the
+        derivative 1; any other factor and every weight by Horner.
+        Works on complex arrays, or on object arrays of mpmath.mpc
+        (call it at _poly.workprec()).
+        """
+        precision = _poly.precision_of(self.factors[0])
+        dtype = complex if precision == DOUBLE else object
+        linear = [len(f) == 2 and f[1] == 1 for f in self.factors]
+        dfactors = [1.0 if lin else _poly.polyder(f) for f, lin in zip(self.factors, linear)]
+        dweights = [_poly.polyder(w) for w in self.weights]
+        centres = _poly.asarray(self.centres, precision)
+
+        def eval_pd(z):
+            z = np.atleast_1d(np.asarray(z, dtype=dtype))
+            # z + f_0 is z - a for the factor z - a
+            vals = [z + f[0] if lin else _poly.polyval(f, z)
+                    for f, lin in zip(self.factors, linear)]
+            dvals = [df if lin else _poly.polyval(df, z) for df, lin in zip(dfactors, linear)]
+            shifted = z[None, :] - centres[:, None]
+            weights = ([_poly.polyval(w, u) for w, u in zip(self.weights, shifted)],
+                       [_poly.polyval(dw, u) for dw, u in zip(dweights, shifted)])
+            return product_sum(vals, dvals, self.exponents, weights)
+
+        return eval_pd
 
 
 def _row_blocks(roots, idx):

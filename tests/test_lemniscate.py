@@ -267,8 +267,8 @@ def np_roots_balance_starts(problem, n, degree):
     pts, margin = [], []
     for i, j in itertools.combinations(range(len(rows)), 2):
         f = rows[i] - rows[j]
-        a = lemniscate._product(problem, np.maximum(f, 0))
-        b = lemniscate._product(problem, np.maximum(-f, 0))
+        a = _poly.product(problem.polynomials, np.maximum(f, 0))
+        b = _poly.product(problem.polynomials, np.maximum(-f, 0))
         z = np.concatenate([np.roots(_poly.polyadd(a, -w * b)[::-1]) for w in omega])
         logs = lemniscate._summand_logs(problem, z)
         rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)

@@ -10,9 +10,8 @@ from scipy.optimize import linear_sum_assignment
 
 from voroderiv import _poly, asympt, measure, rational, rootfind, voronoi
 from voroderiv.errors import CoefficientOverflow, NoConvergence, ZeroPolynomial
-from voroderiv.rational import (DegreeCollapse, DuplicatePole, derivative,
-                                derivative_state, newton_evaluator, numerator,
-                                numerators, polar_decompose, polar_form)
+from voroderiv.rational import (DegreeCollapse, DuplicatePole, derivative_state,
+                                newton_evaluator, numerator, polar_decompose, polar_form)
 
 
 MIXED = dict(orders=(1, 2, 3), coeffs=((1.0,), (0.5, 2.0), (1.0, 0.3j, 1.0 + 1j)))
@@ -51,7 +50,7 @@ def test_derivative_matches_finite_differences():
     form = polar_form([1.0, -1.0 + 0.5j], [1, 2],
                       [[2.0], [1.0 - 1.0j, 0.5]], polynomial_part=[0.25])
     st0 = derivative_state(form)
-    st1 = derivative(st0)
+    st1 = derivative_state(st0.base, st0.n + 1)
     z = 0.4 + 0.9j
     h = 1e-6
     fd = (form.evaluate(z + h) - form.evaluate(z - h)) / (2.0 * h)
@@ -127,7 +126,7 @@ def test_numerator_frozen_small_cases():
         2: ([-1.0 / 3.0, 0.0, 1.0], 3.0),
         3: ([0.0, -1.0, 0.0, 1.0], -4.0),
     }
-    for res in numerators(form, [1, 2, 3]):
+    for res in (numerator(derivative_state(form, n)) for n in (1, 2, 3)):
         coeffs, alpha = frozen[res.n]
         assert res.degree == len(coeffs) - 1
         assert np.allclose(np.asarray(res.r_n, dtype=complex), coeffs,
@@ -167,7 +166,7 @@ def expansion_lead(state):
     in extended precision) of the magnitudes summed into them.
     """
     precision = state.base.precision
-    terms = list(rational._terms(state))
+    terms = list(rational._model(state).terms(None))
     width = max(len(t) for t in terms)
     total, mags = _poly.zeros(width, precision), np.zeros(width)
     with _poly.workprec():
@@ -278,7 +277,7 @@ def test_degree_diagnostics_cancelling_instance():
     # 1/(z^2-1): degree drops to n, so deg/n is exactly 1 at every n,
     # and log|n!/alpha_n|/n stays finite
     form = polar_decompose([1.0], [(1.0, 1), (-1.0, 1)])
-    results = numerators(form, [1, 2, 3, 4])
+    results = [numerator(derivative_state(form, n)) for n in (1, 2, 3, 4)]
     diag = rational.degree_diagnostics(results)
     assert [row[0] for row in diag] == [1, 2, 3, 4]
     for n, deg_ratio, log_ratio in diag:

@@ -161,6 +161,47 @@ def test_evaluator_takes_no_coefficients_and_needs_starts():
         solve(None, evaluator=ev, start=[])
 
 
+@pytest.mark.parametrize("precision, rel", [(_poly.DOUBLE, 1e-12), (_poly.EXTENDED, 1e-30)])
+def test_sum_of_products_expansion_and_evaluator_agree(precision, rel):
+    # a degree-2 factor, a monic linear one (evaluated as z - a) and a
+    # non-monic linear one (by Horner); rows with zero exponents; weights
+    # of degree >= 1 about non-zero centres
+    factors = [[0.7 - 0.2j, -0.4 + 0.1j, 1.0], [-0.3 - 0.8j, 1.0], [0.5, 2.0j]]
+    rows = ((3, 0, 1), (0, 4, 2), (2, 1, 0))
+    weights = [[1.0, 0.5j, -0.25], [2.0 - 1.0j], [0.3, 1.0]]
+    centres = (0.4 - 0.6j, 0.0, -1.1 + 0.2j)
+    model = rootfind.SumOfProducts(
+        tuple(_poly.asarray(f, precision) for f in factors), rows,
+        tuple(_poly.asarray(w, precision) for w in weights),
+        tuple(_poly.scalar(c, precision) for c in centres))
+    points = [0.3 + 0.2j, -0.7 + 0.5j, 1.1 - 0.4j, -0.2 - 0.9j, 0.6 + 1.0j]
+    with _poly.workprec():
+        z = _poly.asarray(points, precision)
+        coeffs = model.expand(10)
+        dcoeffs = _poly.polyder(coeffs)
+        evaluate = model.evaluator()
+        pv, dv = evaluate(z)
+        pv2, dv2 = evaluate(z[[0, 2]])
+        for k, x in enumerate(z):
+            direct = 0
+            for row, w, c in zip(model.exponents, model.weights, model.centres):
+                term = _poly.polyval(w, x - c)
+                for f, e in zip(model.factors, row):
+                    term = term * _poly.polyval(f, x) ** e
+                direct = direct + term
+            horner = _poly.polyval(coeffs, x)
+            assert abs(horner - direct) <= rel * abs(direct)
+            ratio = _poly.polyval(dcoeffs, x) / horner
+            assert abs(dv[k] / pv[k] - ratio) <= 1e-10 * abs(ratio)
+    # each output depends only on its own point, bit for bit; the pair
+    # leaves out point 3, whose term logs are the largest, so a scale
+    # shared across points would show
+    assert list(pv2) == list(pv[[0, 2]]) and list(dv2) == list(dv[[0, 2]])
+    if precision == _poly.DOUBLE:
+        assert pv2.tobytes() == pv[[0, 2]].tobytes()
+        assert dv2.tobytes() == dv[[0, 2]].tobytes()
+
+
 def test_residuals_reported():
     rs = solve([-1.0, 0.0, 1.0])
     assert np.all(rs.residuals < 1e-12)
