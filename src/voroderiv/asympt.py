@@ -45,6 +45,9 @@ _PRODUCT_LOG2_MAX = 1020
 # bits, so n * _LN2_HI / 2 is exact for |n| < 2^21
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+# consecutive orders whose zeros must all lie outside the radius in
+# single_pole_escape
+ESCAPE_STREAK = 5
 
 
 @dataclass(frozen=True)
@@ -353,13 +356,13 @@ def twopole_zeros(a1, a2, z1, z2, n):
     return out
 
 
-def single_pole_escape(numer, pole, order, radius, n_max=500, streak=5):
+def single_pole_escape(numer, pole, order, radius, n_max=500):
     """Smallest N with all zeros of the n-th derivative outside |z| < radius.
 
     Q = numer/(z - pole)^order, decomposed once by rational.polar_decompose
     (which rejects a numerator vanishing at the pole); for each n the
     zeros of R_n come from rational.zeros, and the zero-free disk must
-    persist for `streak` consecutive n.  A constant R_n (ZeroPolynomial)
+    persist for ESCAPE_STREAK consecutive n.  A constant R_n (ZeroPolynomial)
     has no zeros at all; NoConvergence counts as a zero inside.
     """
     form = rational.polar_decompose(numer, [(pole, order)])
@@ -376,7 +379,7 @@ def single_pole_escape(numer, pole, order, radius, n_max=500, streak=5):
             if first is None:
                 first = n
             run += 1
-            if run >= streak:
+            if run >= ESCAPE_STREAK:
                 return first
         else:
             first = None

@@ -10,6 +10,8 @@ R_n is one rootfind.SumOfProducts (_model), expanded by build_rn.  The
 zeros come as in rational.zeros, without expanding it: degree and lead
 in closed form (leading_term), and Aberth on its point evaluator
 (rn_evaluator) from the zeros of two balancing summands (balance_starts).
+The summand logs m_i log|P_i| are sums over the roots of P_i
+(LemniscateProblem.branches, read by voronoi.branch_logs and balanced).
 """
 
 import itertools
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _poly, asympt, rootfind
+from . import _poly, asympt, rootfind, voronoi
 from .errors import CoefficientOverflow, NoDominantDegree
 
 __all__ = [
@@ -62,6 +64,12 @@ class LemniscateProblem:
     def effective_degrees(self):
         """Degree growth rate of each summand per unit n."""
         return tuple(m * d for m, d in zip(self.multipliers, self.degrees))
+
+    @property
+    def branches(self):
+        """(0, m_i, roots of P_i) per summand: m_i log|P_i| for voronoi.branch_logs."""
+        return tuple((0.0, m, np.roots(p[::-1]))
+                     for p, m in zip(self.polynomials, self.multipliers))
 
 
 def _model(problem, n):
@@ -121,42 +129,16 @@ def rn_evaluator(problem, n):
     return _model(problem, n).evaluator()
 
 
-def _summand_logs(problem, z):
-    """m_i log |P_i(z)| per summand, stacked along a new first axis.
-
-    A vanishing summand is the limit of m log|P|: -inf for m >= 0 and
-    +inf for m < 0 (a pole of the reciprocal summand).
-    """
-    z = np.asarray(z, dtype=complex)
-    x, y = z.real.copy(), z.imag.copy()  # contiguous, faster to read than views
-    logs = np.empty((len(problem.polynomials),) + z.shape)
-    for i, (p, m) in enumerate(zip(problem.polynomials, problem.multipliers)):
-        # Horner in real parts rounds as Python's complex scalars do;
-        # numpy's complex multiply and abs round differently per CPU
-        re, im = p[-1].real, p[-1].imag
-        for c in p[-2::-1]:
-            re, im = re * x - im * y + c.real, re * y + im * x + c.imag
-        v = np.hypot(re, im)
-        # logs[i, ...] is a view of row i even when z is a scalar
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(m, np.log(v), out=logs[i, ...])
-        np.copyto(logs[i, ...], np.inf if m < 0 else -np.inf, where=~(v > 0.0))
-    return logs
-
-
 def psi_max(problem, z):
-    """max_i m_i log |P_i(z)|; -inf at common zeros of the maximizers.
-
-    z is a scalar (float out) or an array; per summand see _summand_logs.
-    """
-    best = _summand_logs(problem, z).max(axis=0)
+    """max_i m_i log |P_i(z)| over problem.branches; z scalar (float out) or array."""
+    best = voronoi.branch_logs(problem.branches, z).max(axis=0)
     return float(best) if best.ndim == 0 else best
 
 
 def dominance_radius(problem):
     """Radius outside which the top-degree summand outweighs the rest.
 
-    For |z| = R > rho_i, the largest root modulus of P_i (np.roots),
+    For |z| = R > rho_i, the largest root modulus of P_i (problem.branches),
     (R - rho_i)^deg_i <= |P_i(z)| <= (R + rho_i)^deg_i, and the gap
     between the dominant summand's lower bound on m log|P| and the other
     upper bounds grows with R.  Doubling R from 1 + max |coefficient|
@@ -171,8 +153,8 @@ def dominance_radius(problem):
         raise NoDominantDegree("no strictly dominant summand degree")
     # rho_i with the sign of m_i: m_i log|P_i| >= e_i log(R - s_i) and
     # m_i log|P_i| <= e_i log(R + s_i)
-    signed = [math.copysign(float(np.abs(np.roots(p[::-1])).max(initial=0.0)), m)
-              for p, m in zip(problem.polynomials, problem.multipliers)]
+    signed = [math.copysign(float(np.abs(roots).max(initial=0.0)), m)
+              for _, m, roots in problem.branches]
     slack = math.log(len(eff) - 1)
 
     def dominated(radius):
@@ -199,28 +181,22 @@ def balance_starts(problem, n, degree):
     Where terms i and j lead, R_n ~ 0 means (A/B)^n = -1 for A/B =
     prod_k P_k^{f_k}, f = row i - row j of _term_exponents(problem, 1), so
     the zeros of A - w B for the n values w^n = -1 are candidates, as
-    np.roots finds them (_stacked_roots).  Candidates rank by the margin
-    of min(s_i, s_j) over the other summand logs s (_summand_logs); the
-    first degree are kept, in the order found.  The top term's pairs
-    alone give at least deg R_n candidates.
+    np.roots finds them (_stacked_roots); voronoi.balanced ranks them over
+    problem.branches.  The top term's pairs alone give deg R_n or more.
     """
     rows = np.array(_term_exponents(problem, 1))
     omega = np.exp(1j * math.pi * (2 * np.arange(n) + 1) / n)
-    pts, margin = [], []
-    for i, j in itertools.combinations(range(len(rows)), 2):
+    pairs = list(itertools.combinations(range(len(rows)), 2))
+    pts = []
+    for i, j in pairs:
         f = rows[i] - rows[j]
         a = _poly.product(problem.polynomials, np.maximum(f, 0))
         b = _poly.product(problem.polynomials, np.maximum(-f, 0))
         coeffs = np.zeros((n, max(len(a), len(b))), dtype=complex)
         coeffs[:, :len(a)] += a
         coeffs[:, :len(b)] += -omega[:, None] * b
-        z = _stacked_roots(coeffs)
-        logs = _summand_logs(problem, z)
-        rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
-        pts.append(z)
-        margin.append(np.minimum(logs[i], logs[j]) - rest)
-    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
-    return np.concatenate(pts)[np.sort(keep)]
+        pts.append(_stacked_roots(coeffs))
+    return voronoi.balanced(pairs, pts, problem.branches, degree)
 
 
 def _stacked_roots(coeffs):

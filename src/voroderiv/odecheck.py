@@ -55,19 +55,6 @@ class PowerSumFunction:
         return sign * poch * acc
 
 
-def _elementary_symmetric(values):
-    """e_0..e_d of the given scalars, by the product expansion."""
-    coeffs = [1.0 + 0.0j]
-    for v in values:
-        nxt = [0.0 + 0.0j] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c
-            nxt[k + 1] += c * v
-        coeffs = nxt
-    # prod (t + v_j) = sum e_k t^{d-k}; coeffs is ascending in v-products
-    return coeffs
-
-
 def powersum_residual(f, n, z):
     """Left side of the power-sum derivative equation; expected zero.
 
@@ -79,7 +66,9 @@ def powersum_residual(f, n, z):
     for zj in f.poles:
         if z == complex(zj):
             raise AtPole("z coincides with a pole")
-    e = _elementary_symmetric([z - complex(zj) for zj in f.poles])
+    # prod_j (t + z - z_j) = sum_i e_i t^(d-i)
+    e = _poly.product([_poly.asarray([z - complex(zj), 1.0]) for zj in f.poles],
+                      [1] * f.d)[::-1]
     acc = 0.0 + 0.0j
     biggest = 0.0
     denom = 1.0

@@ -151,6 +151,7 @@ def polar_form(poles, orders, coeffs, polynomial_part=None, precision=DOUBLE):
     )
 
 
+@_poly.workprec()
 def polar_decompose(numer, denominator_poles, precision=DOUBLE):
     """Partial-fraction decomposition of numer / prod (z-z_i)^{r_i}.
 
@@ -185,12 +186,9 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE):
                             [0 if l == i else rl for l, rl in enumerate(orders)])
         inv = _poly.series_inverse(den, ri)
         tay = _poly.polymul(num_shift[: ri + 1] if len(num_shift) > ri else num_shift, inv)
-        # a_{i, r_i - k} = k-th Taylor coefficient
-        cs = [None] * ri
-        for k in range(ri):
-            cs[ri - 1 - k] = tay[k] if k < len(tay) else _poly.scalar(0.0, precision)
-        # top coefficient is rem(z_i)/den(z_i), nonzero by the gcd check
-        coeffs.append(tuple(cs))
+        # a_{i, r_i - k} = k-th Taylor coefficient; the top one is
+        # rem(z_i)/den(z_i), nonzero by the gcd check
+        coeffs.append(tuple(tay[ri - 1::-1]))
 
     form = PolarForm(tuple(poles), tuple(orders), tuple(coeffs), poly_part, precision)
 
@@ -384,32 +382,20 @@ def balance_starts(state, diagram, degree):
     Near the Voronoi edge of poles i and j, Q^(n)/n! is its two leading
     terms up to an exponentially small error, and their zeros
     (_edge_balance_zeros) lie exponentially close to the zeros of R_n
-    away from the vertices.  Candidates rank by the margin of
-    min(s_i, s_j) over the other summand logs, s_k = log|c_k| - (n + r_k)
-    log|z - z_k| for the top scaled coefficient c_k, and log|pp_n(z)|
-    when pp_n is nonzero; the first degree are kept, in the order found,
-    as in lemniscate.balance_starts.  Only a polynomial part at
-    n <= deg pp leaves a shortfall, filled by measure.skeleton_starts
-    (fixed seed), so the result depends only on the inputs.
+    away from the vertices.  voronoi.balanced ranks them over the term
+    logs log|c_k| - (n + r_k) log|z - z_k|, c_k the top scaled
+    coefficient, and log|lc pp_n| + sum log|z - w| over the roots w of a
+    nonzero pp_n.  Only a polynomial part at n <= deg pp leaves a
+    shortfall, filled by measure.skeleton_starts (fixed seed), so the
+    result depends only on the inputs.
     """
-    poles = np.array([complex(z) for z in state.base.poles])
-    top = np.log(np.abs([complex(cs[-1]) for cs in state.scaled_coeffs]))
-    expo = state.n + np.array(state.base.orders)
-    pp = np.array([complex(c) for c in state.poly_part_scaled])
-    pts = [_edge_balance_zeros(state, *e.pair) for e in diagram.edges]
-    margin = []
-    for e, z in zip(diagram.edges, pts):
-        i, j = e.pair
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = top[:, None] - expo[:, None] * np.log(np.abs(z - poles[:, None]))
-            rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
-            if pp.any():
-                rest = np.maximum(rest, np.log(np.abs(_poly.polyval(pp, z))))
-            m = np.minimum(logs[i], logs[j]) - rest
-        # a non-finite margin ranks last
-        margin.append(np.where(np.isfinite(m), m, -np.inf))
-    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
-    pts = np.concatenate(pts)[np.sort(keep)]
+    branches = [(np.log(abs(complex(cs[-1]))), -(state.n + r), [z])
+                for cs, r, z in zip(state.scaled_coeffs, state.base.orders, state.base.poles)]
+    pp = _poly.trim(np.array([complex(c) for c in state.poly_part_scaled]))
+    if pp.any():
+        branches.append((np.log(abs(pp[-1])), 1, np.roots(pp[::-1])))
+    pairs = [e.pair for e in diagram.edges]
+    pts = voronoi.balanced(pairs, [_edge_balance_zeros(state, *p) for p in pairs], branches, degree)
     if len(pts) < degree:
         pts = np.concatenate([pts, measure.skeleton_starts(diagram, degree - len(pts))])
     return pts

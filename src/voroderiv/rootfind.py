@@ -181,15 +181,9 @@ class SumOfProducts:
 
     def terms(self, length):
         """Each term expanded in powers of z, cut to length slots (None: whole)."""
-        precision = _poly.precision_of(self.factors[0])
         for row, w, c in zip(self.exponents, self.weights, self.centres):
-            # w(z - c) = sum_k w_k (z - c)^k in powers of z
-            inner = _poly.zeros(len(w), precision)
-            power, lin = _poly.asarray([1.0], precision), _poly.asarray([-c, 1.0], precision)
-            for k, wk in enumerate(w):
-                inner[: k + 1] += wk * power
-                power = _poly.polymul(power, lin)
-            yield _poly.polymul(_poly.product(self.factors, row), inner)[:length]
+            # w(z - c) in powers of z
+            yield _poly.polymul(_poly.product(self.factors, row), _poly.taylor_shift(w, -c))[:length]
 
     def expand(self, length):
         """The first length coefficients of N, the terms added by Kahan's
@@ -214,6 +208,10 @@ class SumOfProducts:
         """
         precision = _poly.precision_of(self.factors[0])
         dtype = complex if precision == DOUBLE else object
+        # extended Horner starts from the array side: an mpc times an
+        # ndarray first makes mpmath try to convert the whole array
+        horner = _poly.polyval if precision == DOUBLE else lambda p, u: (
+            np.polyval(p[::-1], u) if len(p) > 1 else p[0])
         linear = [len(f) == 2 and f[1] == 1 for f in self.factors]
         dfactors = [1.0 if lin else _poly.polyder(f) for f, lin in zip(self.factors, linear)]
         dweights = [_poly.polyder(w) for w in self.weights]
@@ -222,12 +220,11 @@ class SumOfProducts:
         def eval_pd(z):
             z = np.atleast_1d(np.asarray(z, dtype=dtype))
             # z + f_0 is z - a for the factor z - a
-            vals = [z + f[0] if lin else _poly.polyval(f, z)
-                    for f, lin in zip(self.factors, linear)]
-            dvals = [df if lin else _poly.polyval(df, z) for df, lin in zip(dfactors, linear)]
+            vals = [z + f[0] if lin else horner(f, z) for f, lin in zip(self.factors, linear)]
+            dvals = [df if lin else horner(df, z) for df, lin in zip(dfactors, linear)]
             shifted = z[None, :] - centres[:, None]
-            weights = ([_poly.polyval(w, u) for w, u in zip(self.weights, shifted)],
-                       [_poly.polyval(dw, u) for dw, u in zip(dweights, shifted)])
+            weights = ([horner(w, u) for w, u in zip(self.weights, shifted)],
+                       [horner(dw, u) for dw, u in zip(dweights, shifted)])
             return product_sum(vals, dvals, self.exponents, weights)
 
         return eval_pd

@@ -5,6 +5,10 @@ bisector z(t) = (z_i+z_j)/2 - t i (z_j - z_i), t real, and is clipped
 against the half-planes closer to i than to every third site.  t is
 the canonical edge parameter used throughout the measure code; the
 ordering convention is i < j in every pair.
+
+Both limit potentials, psi and lemniscate.psi_max, are maxima of
+harmonic branches, which branch_logs evaluates with one rounding rule;
+balanced ranks both solvers' start points by those branches.
 """
 
 import json
@@ -18,6 +22,8 @@ from .errors import DegenerateScale, DuplicateSites
 __all__ = [
     "EdgeSegment",
     "VoronoiDiagram",
+    "balanced",
+    "branch_logs",
     "build",
     "cell_branch",
     "locate",
@@ -140,9 +146,6 @@ def build(sites):
                     t_hi = min(t_hi, t_star)
                 else:
                     t_lo = max(t_lo, t_star)
-                if t_lo >= t_hi:
-                    empty = True
-                    break
             # zero-length edges from cocircular degeneracies are dropped
             if empty or t_hi - t_lo <= tol / abs(w):
                 continue
@@ -180,23 +183,56 @@ def phi(sites, z):
     return min(abs(complex(z) - complex(s)) for s in sites)
 
 
-def psi(sites, z):
-    """(d-1)^{-1} sum over non-nearest sites of log |z - z_i|.
+def branch_logs(branches, z):
+    """offset + weight sum_c log|z - c| per branch (offset, weight, centres).
 
-    Equals (d-1)^{-1}(log prod|z - z_i| - log min|z - z_i|) away from
-    the sites and extends it continuously to the sites themselves by
-    dropping the nearest factor before taking logs.  z is a scalar,
-    giving a float, or an array of points, giving an array of that
-    shape; on ties the lowest site index counts as nearest.
+    Rows stack along a new first axis over z, a scalar or an array.  A
+    distance is np.hypot of the coordinate differences (as abs(complex)
+    rounds), logged once per distinct centre; at a centre a branch is
+    -inf for a positive weight and +inf for a negative one.
     """
     z = np.asarray(z, dtype=complex)
-    # sites along a new first axis, so that each step below is one
-    # elementwise pass over the points and the sum adds site by site
-    s = np.asarray(sites, dtype=complex).reshape((-1,) + (1,) * z.ndim)
-    dists = np.hypot(z.real - s.real, z.imag - s.imag)  # rounds as Python's abs(complex)
-    # log 1 = 0 drops the nearest factor from the sum
-    np.put_along_axis(dists, np.argmin(dists, axis=0)[None], 1.0, axis=0)
-    out = np.log(dists).sum(axis=0) / (len(dists) - 1)
+    x, y = z.real, z.imag
+    out = np.empty((len(branches),) + z.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = {c: np.log(np.hypot(x - c.real, y - c.imag))
+                for c in {complex(c) for _, _, cs in branches for c in cs}}
+        for k, (offset, weight, cs) in enumerate(branches):
+            # out[k, ...] is a view of row k even when z is a scalar
+            out[k, ...] = offset + weight * sum((logs[complex(c)] for c in cs), 0.0)
+    return out
+
+
+def balanced(pairs, points, branches, degree):
+    """The degree points whose branches pairs[g] = (i, j) balance best.
+
+    A point of points[g] ranks by min(b_i, b_j) - max_{k != i, j} b_k
+    over branch_logs(branches, .), non-finite last; kept in order found.
+    """
+    margin = []
+    for (i, j), z in zip(pairs, points):
+        logs = branch_logs(branches, z)
+        rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
+        with np.errstate(invalid="ignore"):
+            m = np.minimum(logs[i], logs[j]) - rest
+        margin.append(np.where(np.isfinite(m), m, -np.inf))
+    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
+    return np.concatenate(points)[np.sort(keep)]
+
+
+def _cell_branches(sites):
+    """Branch i, (d-1)^{-1} sum_{k != i} log|z - z_k|, per site i."""
+    return [(0.0, 1.0 / (len(sites) - 1), [s for k, s in enumerate(sites) if k != i])
+            for i in range(len(sites))]
+
+
+def psi(sites, z):
+    """max_i of the cell branches (d-1)^{-1} sum_{k != i} log |z - z_k|.
+
+    The largest drops the nearest site, so this extends (d-1)^{-1}(log
+    prod|z - z_i| - log min|z - z_i|) to the sites; z scalar (float out) or array.
+    """
+    out = branch_logs(_cell_branches(sites), z).max(axis=0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -205,9 +241,7 @@ def cell_branch(sites, i, z):
 
     Defined at any z; psi equals it on cell i.
     """
-    z = complex(z)
-    return sum(math.log(abs(z - complex(s)))
-               for k, s in enumerate(sites) if k != i) / (len(sites) - 1)
+    return float(branch_logs(_cell_branches(sites)[i:i + 1], z)[0])
 
 
 def distance_to_skeleton(diagram, z):

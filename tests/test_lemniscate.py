@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from voroderiv import _poly, asympt, lemniscate, rootfind
+from voroderiv import _poly, asympt, lemniscate, rootfind, voronoi
 from voroderiv.errors import CoefficientOverflow
 from voroderiv.lemniscate import (LemniscateProblem, NoDominantDegree,
                                   balance_starts, build_rn,
@@ -84,7 +84,7 @@ def test_dominance_holds_everywhere_outside_the_radius():
         except NoDominantDegree:
             continue
         z = radius * 100.0 ** rng.random(10_000) * np.exp(2j * math.pi * rng.random(10_000))
-        logs = lemniscate._summand_logs(p, z)
+        logs = voronoi.branch_logs(p.branches, z)
         dom = int(np.argmax(p.effective_degrees))
         others = np.delete(logs, dom, axis=0).max(axis=0)
         assert (logs[dom] > others + math.log(len(logs) - 1)).all()
@@ -160,6 +160,33 @@ def test_psi_max_on_a_block_matches_scalar_loop():
         np.testing.assert_allclose(
             got, [[psi_max_reference(problem, z) for z in row] for row in block],
             rtol=1e-14, atol=1e-15)
+
+
+def horner_summand_logs(problem, z):
+    """m_i log|P_i(z)| per summand by Horner in real parts, the reference
+    for the root form of LemniscateProblem.branches."""
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    logs = []
+    for p, m in zip(problem.polynomials, problem.multipliers):
+        re, im = p[-1].real, p[-1].imag
+        for c in p[-2::-1]:
+            re, im = re * x - im * y + c.real, re * y + im * x + c.imag
+        logs.append(m * np.log(np.hypot(re, im)))
+    return np.array(logs)
+
+
+def test_psi_max_from_roots_matches_horner_away_from_the_roots():
+    rng = np.random.default_rng(21)
+    problems = [fig_problem(), c12_problem(),
+                LemniscateProblem(((0.0, 1.0), (-3.0, 1.0)), (1, -1))]
+    problems += [p for p, _ in seeded_random_problems()]
+    for problem in problems:
+        roots = np.concatenate([r for _, _, r in problem.branches])
+        z = 3.0 * (rng.normal(size=400) + 1j * rng.normal(size=400))
+        z = z[np.abs(z[:, None] - roots[None, :]).min(axis=1) > 1e-2]
+        np.testing.assert_allclose(psi_max(problem, z),
+                                   horner_summand_logs(problem, z).max(axis=0), rtol=1e-12)
 
 
 def test_build_rn_overflow_is_named():
@@ -270,7 +297,7 @@ def np_roots_balance_starts(problem, n, degree):
         a = _poly.product(problem.polynomials, np.maximum(f, 0))
         b = _poly.product(problem.polynomials, np.maximum(-f, 0))
         z = np.concatenate([np.roots(_poly.polyadd(a, -w * b)[::-1]) for w in omega])
-        logs = lemniscate._summand_logs(problem, z)
+        logs = voronoi.branch_logs(problem.branches, z)
         rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
         pts.append(z)
         margin.append(np.minimum(logs[i], logs[j]) - rest)

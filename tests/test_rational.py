@@ -1,5 +1,6 @@
 """Polar form derivatives, numerators, and the structural evaluator."""
 
+import cmath
 import math
 from math import comb
 
@@ -44,6 +45,16 @@ def test_polar_decompose_recovers_simple_fractions():
     form = polar_decompose([1.0], [(1j, 1), (-1j, 1)])
     z = np.array([0.3 + 0.1j, 2.0, -1.5j + 0.2])
     assert np.allclose(form.evaluate(z), 1.0 / (z * z + 1.0))
+
+
+def test_polar_decompose_extended_runs_at_extended_precision():
+    # 1/((z - a)^2 (z - b)^2) has the residue -2/(a - b)^3 at a; the
+    # poles are the doubles nearest 1/3 and 1/7
+    a, b = 1.0 / 3.0, 1.0 / 7.0
+    form = polar_decompose([1.0], [(a, 2), (b, 2)], precision="extended")
+    with mpmath.workdps(60):
+        exact = -2 / (mpmath.mpf(a) - mpmath.mpf(b)) ** 3
+        assert abs(form.coeffs[0][0] - exact) <= 1e-35 * abs(exact)
 
 
 def test_derivative_matches_finite_differences():
@@ -424,6 +435,43 @@ def test_balance_starts_trim_a_surplus_nearest_the_vertex_first():
     dist = np.sort(np.abs(full[:, None] - np.array(diagram.sites)), axis=1)
     ratio = dist[:, 1] / dist[:, 2]
     assert ratio[~kept].min() >= ratio[kept].max()
+
+
+def abs_margin_balance_starts(state, diagram, degree):
+    """balance_starts with the margins from np.abs of complex differences,
+    the reference for the branch form (no polynomial part)."""
+    poles = np.array([complex(z) for z in state.base.poles])
+    top = np.log(np.abs([complex(cs[-1]) for cs in state.scaled_coeffs]))
+    expo = state.n + np.array(state.base.orders)
+    pts = [rational._edge_balance_zeros(state, *e.pair) for e in diagram.edges]
+    margin = []
+    for e, z in zip(diagram.edges, pts):
+        i, j = e.pair
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = top[:, None] - expo[:, None] * np.log(np.abs(z - poles[:, None]))
+            rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
+            m = np.minimum(logs[i], logs[j]) - rest
+        margin.append(np.where(np.isfinite(m), m, -np.inf))
+    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
+    return np.concatenate(pts)[np.sort(keep)]
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_balance_starts_match_the_abs_margin_ranking(n):
+    # the benchmark's d = 8 problem at seed 1: criterion 13's eight poles
+    # turned about 0 (perfbench/workloads.py, d8_poles(1)), with the
+    # residues of 1 / prod (z - z_i)
+    rng = np.random.default_rng(11)
+    turn = cmath.exp(2j * math.pi * np.random.default_rng(1).random())
+    poles = [complex(turn * z) for z in rng.normal(size=8) + 1j * rng.normal(size=8)]
+    residues = [1.0 / np.prod([z - w for k, w in enumerate(poles) if k != i])
+                for i, z in enumerate(poles)]
+    form = polar_form(poles, [1] * 8, [(a,) for a in residues])
+    state = derivative_state(form, n)
+    degree, _ = rational.leading_term(state)
+    diagram = voronoi.build(poles)
+    assert np.array_equal(rational.balance_starts(state, diagram, degree),
+                          abs_margin_balance_starts(state, diagram, degree))
 
 
 @pytest.mark.parametrize("n", [0, 3, 40])

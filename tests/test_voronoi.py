@@ -137,6 +137,60 @@ def test_psi_on_a_block_matches_scalar_loop():
             rtol=1e-14, atol=1e-15)
 
 
+def branch_reference(branch, z):
+    """The scalar loop that branch_logs is checked against."""
+    offset, weight, centres = branch
+    total = 0.0
+    for c in centres:
+        dist = abs(complex(z) - complex(c))
+        total += math.log(dist) if dist > 0.0 else -math.inf
+    return offset + weight * total
+
+
+def test_branch_logs_match_scalar_loop():
+    rng = np.random.default_rng(13)
+    sites = cube_roots()
+    # points at infinity, as e.point gives at an infinite edge parameter
+    far = [e.point(t) for e in build(sites).edges for t in (e.t_lo, e.t_hi)
+           if math.isinf(t)]
+    assert all(math.isinf(abs(z)) for z in far)
+    branches = [
+        (0.0, 0.5, sites[1:]),  # a cell branch of the three sites
+        (0.7, -3.0, [sites[0]]),  # a negative weight: +inf at its centre
+        (0.0, 1.0, [0.0, 0.0]),  # the repeated root of z^2 in criterion 12
+        (-1.5, 2.0, []),  # no centres: its offset everywhere
+    ]
+    pts = np.concatenate([rng.normal(size=30) + 1j * rng.normal(size=30),
+                          sites, [0.0], far])
+    got = voronoi.branch_logs(branches, pts)
+    assert got.shape == (len(branches), len(pts))
+    expect = [[branch_reference(b, z) for z in pts] for b in branches]
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=1e-15)
+    assert got[1, 30] == math.inf  # at sites[0]
+    assert got[2, 33] == -math.inf  # at 0
+    assert (got[3] == -1.5).all()
+    # a scalar gives one value per branch, a 2-D block one block per branch
+    scalar = voronoi.branch_logs(branches, 0.3 - 0.2j)
+    assert scalar.shape == (len(branches),)
+    np.testing.assert_allclose(scalar, [branch_reference(b, 0.3 - 0.2j) for b in branches],
+                               rtol=1e-14)
+    block = pts[:30].reshape(5, 6)
+    np.testing.assert_allclose(voronoi.branch_logs(branches, block),
+                               got[:, :30].reshape(len(branches), 5, 6), rtol=0.0)
+
+
+def test_balanced_keeps_the_largest_margins_in_order_found():
+    # branches log|z|, log|z - 2| and log 1.5 - log|z + 2|; a non-finite
+    # margin (here at z = 0) ranks after every finite one
+    branches = [(0.0, 1.0, [0.0]), (0.0, 1.0, [2.0]), (math.log(1.5), -1.0, [-2.0])]
+    points = [np.array([1.0, 0.0, 1.0 + 3j]), np.array([-1.0])]
+    kept = voronoi.balanced([(0, 1), (0, 2)], points, branches, 3)
+    # margins: 1 has log 2, 1 + 3i about 2.19, -1 (pair 0, 2) log 1 - log 3
+    # < 0, and 0 -inf
+    assert np.array_equal(kept, [1.0, 1.0 + 3j, -1.0])
+    assert np.array_equal(voronoi.balanced([(0, 1), (0, 2)], points, branches, 1), [1.0 + 3j])
+
+
 def test_phi_is_min_distance():
     sites = cube_roots()
     z = 1.7 - 0.4j
