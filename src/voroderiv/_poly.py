@@ -190,9 +190,3 @@ def polydivmod(a, b):
             rem[k + j] = rem[k + j] - c * b[j]
     return quot, trim(rem)
 
-
-def to_complex(x):
-    """Backend scalar -> python complex (for reporting, never for math)."""
-    if isinstance(x, complex):
-        return x
-    return complex(float(x.real), float(x.imag))

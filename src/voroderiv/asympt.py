@@ -4,9 +4,11 @@ Ties the numerator/root machinery to the skeleton measure: project
 roots onto edges, compare per-edge empirical CDFs with the exact
 arctan CDF (Kolmogorov-Smirnov in the canonical t parameter), average
 the potential gap on a jittered tensor grid, given by its two axes
-(grid_axes), with one kernel for the pole and the lemniscate case
-(grid_discrepancy), and provide the exact two-pole root formula as an
-independent oracle.
+(grid_axes), through one entry for the pole and the lemniscate case
+(grid_l1) and its kernel (grid_discrepancy), and provide the exact
+two-pole root formula as an independent oracle.  Only grid points near
+an atom are skipped: the limit potentials (voronoi.psi, psi_max) are
+finite at the sites, and only log|z - atom| is unbounded.
 """
 
 import cmath
@@ -29,6 +31,7 @@ __all__ = [
     "project_and_bin",
     "grid_axes",
     "grid_discrepancy",
+    "grid_l1",
     "potential_l1",
     "twopole_zeros",
     "single_pole_escape",
@@ -56,7 +59,7 @@ class EmpiricalMeasure:
 
     points: np.ndarray
     n: int
-    excluded: int = 0
+    excluded: int
 
 
 def empirical(rootset, n):
@@ -212,7 +215,7 @@ def _exclude(keep, rows, cols, r2):
     """Clear keep[i, j] where rows[k, i] + cols[k, j] <= r2 for some k.
 
     Both terms are squares, so such a crossing has rows[k, i] <= r2 and
-    cols[k, j] <= r2: only those rows and columns of centre k are added.
+    cols[k, j] <= r2: only those rows and columns of atom k are added.
     """
     near_rows, near_cols = rows <= r2, cols <= r2
     for k in np.flatnonzero(near_rows.any(axis=1) & near_cols.any(axis=1)):
@@ -220,16 +223,15 @@ def _exclude(keep, rows, cols, r2):
         keep[np.ix_(i, j)] &= rows[k, i, None] + cols[k, j] > r2
 
 
-def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius, sites):
-    """Mean of |L - reference| over the grid points away from atoms and sites.
+def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
+    """Mean of |L - reference| over the grid points away from the atoms.
 
     axes = (xs, ys) as from grid_axes: the points are xs[j] + 1j ys[i].
     L(z) = (log_norm[0] + sum_k log|z - atoms[k]|) / log_norm[1], and
     reference (voronoi.psi, lemniscate.psi_max) takes a 2-D block of
-    grid rows.  Points within exclusion_radius of an atom, or of one of
-    sites (the reference's own singular points, maybe none), are
-    skipped, each once.  Returns (mean, skipped count); the mean is NaN
-    if all are skipped.  Raises EmptyRootSet without atoms.
+    grid rows.  Points within exclusion_radius of an atom are skipped,
+    each once.  Returns (mean, skipped count); the mean is NaN if all
+    are skipped.  Raises EmptyRootSet without atoms.
 
     The kernel runs over blocks of as many whole rows as fit in
     GRID_BLOCK_POINTS points, at least one, in real arithmetic scaled by
@@ -239,19 +241,17 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius, sites):
     into a running product; per chunk of atoms it adds up the log of the
     product's mantissa and its binary exponent apart.  The exponents meet
     log 2 once, as _LN2_HI + _LN2_LO, so no rounded log 2 shifts every
-    point's L alike.  A point is skipped
-    when such a sum, for an atom or a site, is at most (r/s)^2; only the
-    crossings of a centre's rows and columns within r are tested, so no
-    per-point running minimum is kept.  s = 2^t and chunk come from the
-    axes and atoms (_log_product_range), so the result does not depend
-    on the block size, and a range doubles cannot hold raises ValueError
-    rather than giving an inf or NaN mean.  The axis terms are formed for
+    point's L alike.  A point is skipped when such a sum is at most
+    (r/s)^2; only the crossings of an atom's rows and columns within r
+    are tested, so no per-point running minimum is kept.  s = 2^t and
+    chunk come from the axes and atoms (_log_product_range), so the
+    result does not depend on the block size, and a range doubles cannot
+    hold raises ValueError rather than giving an inf or NaN mean.  The axis terms are formed for
     a batch of at most GRID_BLOCK_POINTS / (block height + row length)
     atoms at a time, so memory does not grow with the number of atoms.
     """
     xs, ys = (np.asarray(v, dtype=float) for v in axes)
     atoms = np.asarray(atoms, dtype=complex)
-    sites = np.asarray(sites, dtype=complex).reshape(-1)
     if len(atoms) == 0:
         raise EmptyRootSet("no atoms for the log-potential")
     if len(xs) * len(ys) == 0:
@@ -271,10 +271,6 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius, sites):
         y = sy[top:top + height]
         shape = (len(y), len(xs))
         keep = np.ones(shape, dtype=bool)
-        # far sites may overflow the scale; an inf square is never near
-        with np.errstate(over="ignore"):
-            _exclude(keep, np.square(y - sites.imag[:, None] * inv),
-                     np.square(sx - sites.real[:, None] * inv), r2)
         dist, prod, logsum = np.empty(shape), np.empty(shape), np.zeros(shape)
         power, twos = np.empty(shape, dtype=np.int32), np.zeros(shape, dtype=np.int64)
         # an excluded point's product may reach 0; its log is dropped
@@ -308,29 +304,30 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius, sites):
     return (float(gaps.mean()) if len(gaps) else math.nan), len(xs) * len(ys) - len(gaps)
 
 
-def potential_l1(roots, diagram, window, grid=200, exclusion_radius=None, seed=0):
-    """Grid-average of |L_n - Psi| over a square window.
+def grid_l1(atoms, log_norm, reference, window, grid, rng):
+    """grid_discrepancy's mean on the grid_axes(window, grid, rng) grid.
 
-    window is (center, half_side).  L_n is the normalized log-modulus
-    of the root set on the grid_axes tensor grid; sample points within
-    exclusion_radius of an atom or a site are skipped, each once, by
-    grid_discrepancy (at most 1% of them, else ExclusionTooLarge, since
-    the integrand is integrable but unbounded there).
+    Grid points within 1e-3 of the window width of an atom are skipped,
+    since log|z - atom| is integrable but unbounded there; more than 1%
+    of the grid skipped raises ExclusionTooLarge.
     """
-    if exclusion_radius is None:
-        exclusion_radius = 1e-3 * 2.0 * float(window[1])
-    axes = grid_axes(window, grid, np.random.default_rng(seed))
-    sites = np.asarray(diagram.sites)
-    value, skipped = grid_discrepancy(axes, roots, (0.0, len(roots)),
-                                      lambda z: psi(sites, z), exclusion_radius, sites)
-    _check_exclusion(skipped, grid * grid)
+    value, skipped = grid_discrepancy(grid_axes(window, grid, rng), atoms, log_norm,
+                                      reference, 1e-3 * 2.0 * float(window[1]))
+    if skipped > 0.01 * grid * grid:
+        raise ExclusionTooLarge(f"{skipped / (grid * grid):.2%} of samples excluded")
     return value
 
 
-def _check_exclusion(excluded, total):
-    """ExclusionTooLarge if more than 1% of total grid points were excluded."""
-    if excluded > 0.01 * total:
-        raise ExclusionTooLarge(f"{excluded / total:.2%} of samples excluded")
+def potential_l1(roots, diagram, window, grid=200, seed=0):
+    """Grid-average of |L_n - Psi| over a square window, by grid_l1.
+
+    window is (center, half_side), and L_n is the normalized
+    log-modulus of the root set.  Psi (voronoi.psi) is finite at the
+    sites, so only grid points near a root are skipped.
+    """
+    sites = np.asarray(diagram.sites)
+    return grid_l1(roots, (0.0, len(roots)), lambda z: psi(sites, z), window, grid,
+                   np.random.default_rng(seed))
 
 
 def twopole_zeros(a1, a2, z1, z2, n):

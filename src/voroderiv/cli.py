@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _poly, asympt, lemniscate, measure, odecheck, rational, svg, voronoi
+from . import asympt, lemniscate, measure, odecheck, rational, svg, voronoi
 from ._poly import DOUBLE, EXTENDED
 from .errors import VoroderivError
 
@@ -61,7 +61,7 @@ def _form(args):
 
 
 def _diagram(form):
-    return voronoi.build([_poly.to_complex(z) for z in form.poles])
+    return voronoi.build([complex(z) for z in form.poles])
 
 
 def _write_csv(path, header, rows):
@@ -82,7 +82,7 @@ def cmd_derive(args, out):
     form = _form(args)
     n = _n_list(args)[0]
     res = rational.numerator(rational.derivative_state(form, n))
-    rows = [(k, float(_poly.to_complex(c).real), float(_poly.to_complex(c).imag))
+    rows = [(k, complex(c).real, complex(c).imag)
             for k, c in enumerate(res.r_n)]
     _write_csv(out / f"rn_{n}.csv", ["k", "re", "im"], rows)
     return 0
@@ -93,8 +93,7 @@ def cmd_roots(args, out):
     n = _n_list(args)[0]
     rs = rational.zeros(form, n)
     rows = [
-        (float(_poly.to_complex(z).real), float(_poly.to_complex(z).imag),
-         float(r), int(c))
+        (complex(z).real, complex(z).imag, float(r), int(c))
         for z, r, c in zip(rs.roots, rs.residuals, rs.converged)
     ]
     _write_csv(out / f"roots_{n}.csv", ["re", "im", "residual", "converged"], rows)
@@ -222,7 +221,7 @@ def cmd_render(args, out):
     rs = rational.zeros(form, n)
     center, half = _window(args)
     svg.render_svg(out / f"render_{n}.svg", diagram,
-                   roots=[_poly.to_complex(z) for z in rs.roots],
+                   roots=[complex(z) for z in rs.roots],
                    window=(center, half))
     return 0
 

@@ -120,11 +120,11 @@ def leading_term(problem, n):
 def rn_evaluator(problem, n):
     """Point evaluator (R_n, R_n') up to a common per-point scale.
 
-    The model's evaluator works from the sum of products in log space
-    (rootfind.product_sum) rather than the dense expansion, which keeps
-    root iterations well conditioned when the expanded coefficients
-    span many orders of magnitude.  Only the ratio R_n/R_n' and the
-    residual are meaningful.
+    The model's evaluator (rootfind.SumOfProducts.evaluator) works from
+    the sum of products in log space rather than the dense expansion,
+    which keeps root iterations well conditioned when the expanded
+    coefficients span many orders of magnitude.  Only the ratio
+    R_n/R_n' and the residual are meaningful.
     """
     return _model(problem, n).evaluator()
 
@@ -241,8 +241,9 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
     Aberth runs on rn_evaluator from balance_starts and retries from the
     dominance circle.  Without a strictly dominant degree the radius is
     NaN, there is no retry, and only the pointwise comparison is
-    meaningful.  Grid points within 1e-3 of the window width of a root
-    are skipped, at most 1% of them (else ExclusionTooLarge).
+    meaningful.  The L1 gap to psi_max comes from asympt.grid_l1, which
+    skips the grid points near a root (at most 1% of them, else
+    ExclusionTooLarge).
     """
     try:
         radius = dominance_radius(problem)
@@ -263,11 +264,8 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
             if compact else None)
         all_roots.append(tuple(rs.roots))
         max_mod.append(float(np.abs(rs.roots).max()))
-        value, skipped = asympt.grid_discrepancy(
-            asympt.grid_axes(window, grid, rng), rs.roots, (math.log(lead), n),
-            lambda z: psi_max(problem, z), 1e-3 * 2.0 * float(window[1]), ())
-        asympt._check_exclusion(skipped, grid * grid)
-        l1.append(value)
+        l1.append(asympt.grid_l1(rs.roots, (math.log(lead), n),
+                                 lambda z: psi_max(problem, z), window, grid, rng))
     return LemniscateReport(
         n_list=tuple(n_list),
         max_root_modulus=tuple(max_mod),

@@ -29,12 +29,6 @@ __all__ = [
 ]
 
 
-def _atan2t(t):
-    if math.isinf(t):
-        return math.copysign(0.5 * math.pi, t)
-    return math.atan(2.0 * t)
-
-
 def edge_density(edge, t, d):
     """Density of the limit measure with respect to dt on the edge."""
     if t < edge.t_lo or t > edge.t_hi:
@@ -50,8 +44,8 @@ def edge_cdf(edge, t, d):
     if isinstance(t, np.ndarray):
         u = np.arctan(2.0 * np.clip(t, edge.t_lo, edge.t_hi))
     else:
-        u = _atan2t(min(max(t, edge.t_lo), edge.t_hi))
-    return (u - _atan2t(edge.t_lo)) / ((d - 1) * math.pi)
+        u = math.atan(2.0 * min(max(t, edge.t_lo), edge.t_hi))
+    return (u - math.atan(2.0 * edge.t_lo)) / ((d - 1) * math.pi)
 
 
 def edge_mass(edge, d):
@@ -60,7 +54,7 @@ def edge_mass(edge, d):
 
 def edge_quantile(edge, q, d):
     """t with edge_cdf(edge, t, d) = q, for 0 <= q <= edge_mass(edge, d)."""
-    u = (d - 1) * math.pi * q + _atan2t(edge.t_lo)
+    u = (d - 1) * math.pi * q + math.atan(2.0 * edge.t_lo)
     return 0.5 * math.tan(u)
 
 
@@ -137,11 +131,11 @@ def potential_from_measure(diagram, z):
     x, wts = np.polynomial.legendre.leggauss(25)
     acc = 0.0
     for e in diagram.edges:
-        u_lo = _atan2t(e.t_lo)
-        u_hi = _atan2t(e.t_hi)
+        u_lo = math.atan(2.0 * e.t_lo)
+        u_hi = math.atan(2.0 * e.t_hi)
         m, w = e.midpoint, e.direction
         t_near, _ = e.project(z)
-        bounds = _panels(u_lo, u_hi, _atan2t(t_near))
+        bounds = _panels(u_lo, u_hi, math.atan(2.0 * t_near))
         for a, b in zip(bounds[:-1], bounds[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             u = mid + half * x
@@ -165,14 +159,14 @@ def cauchy_transform(sites, z):
     return cauchy_branch(sites, int(np.argmin(dists)), z)
 
 
-def cauchy_residual(sites, z, diagram=None):
+def cauchy_residual(sites, z, diagram):
     """|prod_i (C(z) - branch_i(z))|; zero since C equals one branch.
 
-    If a diagram is supplied, points on the skeleton (where the branch
-    choice is ambiguous) are rejected.
+    Points on the diagram's skeleton, where the branch choice is
+    ambiguous, are rejected.
     """
     z = complex(z)
-    if diagram is not None and distance_to_skeleton(diagram, z) < 1e-12 * diagram.scale:
+    if distance_to_skeleton(diagram, z) < 1e-12 * diagram.scale:
         raise OnSkeleton("branch choice ambiguous on the skeleton")
     c = cauchy_transform(sites, z)
     return math.prod(abs(c - cauchy_branch(sites, i, z)) for i in range(len(sites)))

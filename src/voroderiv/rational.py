@@ -67,7 +67,7 @@ class PolarForm:
     orders: tuple
     coeffs: tuple
     polynomial_part: np.ndarray
-    precision: str = DOUBLE
+    precision: str
 
     def __post_init__(self):
         if len(self.poles) < 1:
@@ -317,15 +317,15 @@ def newton_evaluator(state):
     """Point evaluator (value, derivative) of the unexpanded numerator.
 
     Returns a callable mapping an array of points to (N, N') up to a
-    common per-point scale: _model's evaluator, computed from the sum of
-    products by rootfind.product_sum rather than from expanded
-    coefficients.  At large n the expanded coefficients span hundreds
-    of orders of magnitude and coefficient Horner loses the roots to
-    cancellation; the product form stays well conditioned, so root
-    iterations can use this callable in place of Horner.  Only the
-    ratio N/N' and the residual |N|/|N'| are meaningful.  It works in
-    the form's precision: on complex arrays, or on object arrays of
-    mpmath.mpc (call it at _poly.workprec()).
+    common per-point scale: _model's evaluator
+    (rootfind.SumOfProducts.evaluator), computed from the sum of products
+    in log space rather than from expanded coefficients.  At large n the
+    expanded coefficients span hundreds of orders of magnitude and
+    coefficient Horner loses the roots to cancellation; the product form
+    stays well conditioned, so root iterations can use this callable in
+    place of Horner.  Only the ratio N/N' and the residual |N|/|N'| are
+    meaningful.  It works in the form's precision: on complex arrays, or
+    on object arrays of mpmath.mpc (call it at _poly.workprec()).
     """
     return _model(state).evaluator()
 

@@ -21,9 +21,8 @@ which other roots are still active.
 
 SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
-evaluator on product_sum, the log-space evaluator of sums of products
-of powers.  Like _aberth both run on complex arrays or on object arrays
-of mpmath.mpc.
+evaluator that forms its products of powers in log space.  Like _aberth
+both run on complex arrays or on object arrays of mpmath.mpc.
 """
 
 import contextlib
@@ -37,7 +36,7 @@ from . import _poly
 from ._poly import DOUBLE, EXTENDED
 from .errors import NoConvergence, ZeroPolynomial
 
-__all__ = ["RootSet", "SumOfProducts", "fujiwara_bound", "product_sum", "solve"]
+__all__ = ["RootSet", "SumOfProducts", "fujiwara_bound", "solve"]
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -122,48 +121,6 @@ _MPMATH_FUNCS = (np.frompyfunc(mpmath.log, 1, 1), np.frompyfunc(mpmath.exp, 1, 1
                  np.frompyfunc(mpmath.re, 1, 1))
 
 
-def product_sum(vals, dvals, exponents, weights):
-    """(N, N') of N = sum_i w_i prod_j f_j^{e_ij}, up to a per-point scale.
-
-    vals and dvals hold f_j and f_j' as rows over the points (a row of
-    dvals may be a constant), exponents is the matrix e_ij of
-    non-negative integers, and weights is a pair (w, w') of per-term
-    values or arrays.  The products are formed in log space and scaled
-    by the largest modulus per point, so degrees in the thousands
-    neither overflow nor underflow; only N/N' and |N|/|N'| are
-    meaningful.  vals is a complex array, or an object array of
-    mpmath.mpc: then every step runs in mpmath at its working precision.
-    """
-    vals = np.asarray(vals)
-    dtype = object if vals.dtype == object else complex
-    log, exp, real = _MPMATH_FUNCS if dtype == object else (np.log, np.exp, np.real)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = log(vals)
-    shape = vals.shape[1:]
-    terms = []
-    for row in exponents:
-        acc = np.zeros(shape, dtype=dtype)
-        for j, e in enumerate(row):
-            if e:
-                acc += e * logs[j]
-        terms.append(acc)
-    terms = np.array(terms)
-    scale = real(terms).max(axis=0)
-    pv = np.zeros(shape, dtype=dtype)
-    dv = np.zeros(shape, dtype=dtype)
-    for i, row in enumerate(exponents):
-        b = exp(terms[i] - scale)
-        # logarithmic derivative of the product
-        s = np.zeros(shape, dtype=dtype)
-        for j, e in enumerate(row):
-            if e:
-                s += e * dvals[j] / vals[j]
-        w, dw = weights[0][i], weights[1][i]
-        pv += b * w
-        dv += b * (s * w + dw)
-    return pv, dv
-
-
 @dataclass(frozen=True)
 class SumOfProducts:
     """N(z) = sum_i w_i(z - c_i) prod_k f_k(z)^{e_ik}, expanded or evaluated.
@@ -199,15 +156,19 @@ class SumOfProducts:
         return total
 
     def evaluator(self):
-        """Point evaluator z -> (N, N') up to a common per-point scale (product_sum).
+        """Point evaluator z -> (N, N') up to a common per-point scale.
 
         A monic linear factor z - a is evaluated as such, with the
-        derivative 1; any other factor and every weight by Horner.
-        Works on complex arrays, or on object arrays of mpmath.mpc
-        (call it at _poly.workprec()).
+        derivative 1; any other factor and every weight by Horner.  The
+        products are formed in log space and scaled by the largest
+        modulus per point, so degrees in the thousands neither overflow
+        nor underflow; only N/N' and |N|/|N'| are meaningful.  Works on
+        complex arrays, or on object arrays of mpmath.mpc (call it at
+        _poly.workprec()): then every step runs in mpmath.
         """
         precision = _poly.precision_of(self.factors[0])
         dtype = complex if precision == DOUBLE else object
+        log, exp, real = (np.log, np.exp, np.real) if precision == DOUBLE else _MPMATH_FUNCS
         # extended Horner starts from the array side: an mpc times an
         # ndarray first makes mpmath try to convert the whole array
         horner = _poly.polyval if precision == DOUBLE else lambda p, u: (
@@ -220,12 +181,35 @@ class SumOfProducts:
         def eval_pd(z):
             z = np.atleast_1d(np.asarray(z, dtype=dtype))
             # z + f_0 is z - a for the factor z - a
-            vals = [z + f[0] if lin else horner(f, z) for f, lin in zip(self.factors, linear)]
+            vals = np.asarray([z + f[0] if lin else horner(f, z)
+                               for f, lin in zip(self.factors, linear)])
             dvals = [df if lin else horner(df, z) for df, lin in zip(dfactors, linear)]
             shifted = z[None, :] - centres[:, None]
-            weights = ([horner(w, u) for w, u in zip(self.weights, shifted)],
-                       [horner(dw, u) for dw, u in zip(dweights, shifted)])
-            return product_sum(vals, dvals, self.exponents, weights)
+            ws = [horner(w, u) for w, u in zip(self.weights, shifted)]
+            dws = [horner(dw, u) for dw, u in zip(dweights, shifted)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = log(vals)
+            terms = []
+            for row in self.exponents:
+                acc = np.zeros(z.shape, dtype=dtype)
+                for j, e in enumerate(row):
+                    if e:
+                        acc += e * logs[j]
+                terms.append(acc)
+            terms = np.array(terms)
+            scale = real(terms).max(axis=0)
+            pv = np.zeros(z.shape, dtype=dtype)
+            dv = np.zeros(z.shape, dtype=dtype)
+            for i, row in enumerate(self.exponents):
+                b = exp(terms[i] - scale)
+                # logarithmic derivative of the product
+                s = np.zeros(z.shape, dtype=dtype)
+                for j, e in enumerate(row):
+                    if e:
+                        s += e * dvals[j] / vals[j]
+                pv += b * ws[i]
+                dv += b * (s * ws[i] + dws[i])
+            return pv, dv
 
         return eval_pd
 

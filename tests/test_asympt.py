@@ -198,12 +198,11 @@ def test_potential_l1_independent_of_block_size(monkeypatch):
                                    grid=25) == value
 
 
-def scalar_discrepancy(points, atoms, log_norm, reference, exclusion_radius, sites):
+def scalar_discrepancy(points, atoms, log_norm, reference, exclusion_radius):
     """grid_discrepancy one point and one atom at a time, with math.log."""
     gaps = []
-    centres = list(atoms) + list(sites)
     for z in points.tolist():
-        if min(abs(z - c) for c in centres) <= exclusion_radius:
+        if min(abs(z - a) for a in atoms) <= exclusion_radius:
             continue
         total = math.fsum(math.log(abs(z - a)) for a in atoms)
         ref = float(reference(np.array([z]))[0])
@@ -226,24 +225,23 @@ def test_grid_discrepancy_matches_scalar_reference():
     for atoms, log_norm, reference, window, centres in cases:
         radius = 1e-3 * 2.0 * window[1]
         # one more row and column through a point 0.5 r from each of 7
-        # atoms and each site
+        # atoms and each site; only the points near an atom are skipped,
+        # as the limit potential is finite at the sites
         near = np.concatenate([atoms[:7], centres]) + 0.5 * radius * np.exp(1j * np.arange(
             7.0 + len(centres)))
         xs, ys = asympt.grid_axes(window, 24, np.random.default_rng(3))
         axes = np.sort(np.concatenate([xs, near.real])), np.sort(np.concatenate([ys, near.imag]))
         pts = (axes[0] + 1j * axes[1][:, None]).ravel()
-        mean, skipped = asympt.grid_discrepancy(axes, atoms, log_norm, reference, radius,
-                                                centres)
-        want, want_skipped = scalar_discrepancy(pts, atoms, log_norm, reference, radius,
-                                                centres)
-        assert skipped == want_skipped >= 7 + len(centres)
+        mean, skipped = asympt.grid_discrepancy(axes, atoms, log_norm, reference, radius)
+        want, want_skipped = scalar_discrepancy(pts, atoms, log_norm, reference, radius)
+        assert skipped == want_skipped >= 7
         assert mean == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_grid_discrepancy_without_atoms():
     with pytest.raises(asympt.EmptyRootSet):
         asympt.grid_discrepancy((np.array([0.0]), np.array([0.5])), [], (0.0, 1),
-                                lambda z: np.zeros(np.shape(z)), 1e-3, ())
+                                lambda z: np.zeros(np.shape(z)), 1e-3)
 
 
 def test_grid_discrepancy_far_atoms():
@@ -252,7 +250,7 @@ def test_grid_discrepancy_far_atoms():
     axes = asympt.grid_axes((1.0, 0.5), 20, np.random.default_rng(0))
     atoms = 1e200 * np.exp(1j * np.linspace(0.0, 1.0, 5))
     mean, skipped = asympt.grid_discrepancy(axes, atoms, (0.0, len(atoms)),
-                                            lambda z: np.zeros(np.shape(z)), 1e-3, ())
+                                            lambda z: np.zeros(np.shape(z)), 1e-3)
     assert skipped == 0
     assert mean == pytest.approx(460.5170185988091, rel=1e-14)
 
@@ -262,7 +260,7 @@ def test_grid_discrepancy_range_starts_at_the_nearest_distance():
     # 1e-300, bounds the kept distances below and the range fits
     axes = asympt.grid_axes((1.0, 0.5), 4, np.random.default_rng(0))
     mean, skipped = asympt.grid_discrepancy(axes, [1e300], (0.0, 1),
-                                            lambda z: np.zeros(np.shape(z)), 1e-300, ())
+                                            lambda z: np.zeros(np.shape(z)), 1e-300)
     assert skipped == 0
     assert mean == pytest.approx(690.7755278982137, rel=1e-14)
 
@@ -277,40 +275,46 @@ def test_grid_discrepancy_unrepresentable_range(atoms, radius):
     axes = asympt.grid_axes((1.0, 0.5), 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
         asympt.grid_discrepancy(axes, atoms, (0.0, 1), lambda z: np.zeros(np.shape(z)),
-                                radius, ())
+                                radius)
+
+
+def lone_grid_points(axes, gap, count):
+    """count grid points xs[j] + 1j ys[i] whose row and column each lie
+    farther than gap from every other row and column."""
+    def lone(axis):
+        step = np.diff(axis)
+        return np.flatnonzero(np.minimum(np.append(step, np.inf), np.insert(step, 0, np.inf))
+                              > gap)
+    cols, rows = lone(axes[0]), lone(axes[1])
+    return axes[0][cols[:count]] + 1j * axes[1][rows[:count]]
 
 
 def test_exclusion_too_large_guard():
-    d = voronoi.build([1j, -1j])
-    rs = two_pole_rootset(10)
+    # grid_l1 skips the points within 1e-3 of the window width, here 4e-3,
+    # of an atom: 16 atoms on lone points of the 40 x 40 grid skip 16 of
+    # its 1600 points, at the 1% guard, and 17 atoms pass it
+    window, radius = (0.0, 2.0), 4e-3
+    axes = asympt.grid_axes(window, 40, np.random.default_rng(0))
+    atoms = lone_grid_points(axes, 2.0 * radius, 17)
+    zero = lambda z: np.zeros(np.shape(z))
+    for count in (16, 17):
+        _, skipped = asympt.grid_discrepancy(axes, atoms[:count], (0.0, count), zero, radius)
+        assert skipped == count
+    value = asympt.grid_l1(atoms[:16], (0.0, 16), zero, window, 40, np.random.default_rng(0))
+    assert math.isfinite(value)
     with pytest.raises(asympt.ExclusionTooLarge):
-        asympt.potential_l1(rs.roots, d, window=(0.0, 0.05),
-                            grid=10, exclusion_radius=1.0)
+        asympt.grid_l1(atoms, (0.0, 17), zero, window, 40, np.random.default_rng(0))
 
 
 def test_exclusion_counts_each_point_once():
-    # a root on the grid point nearest the site i, so that point lies
-    # within r of both; radii midway between the 16th, 17th and 18th
-    # nearest-centre distances put exactly 16 or 17 of the 1600 points
-    # within r, at and past the 1% guard
-    d = voronoi.build([1j, -1j])
-    sites = np.asarray(d.sites)
-    xs, ys = asympt.grid_axes((0.0, 2.0), 40, np.random.default_rng(0))
-    pts = xs + 1j * ys[:, None]
-    on_grid = pts.flat[np.argmin(np.abs(pts - 1j))]
-    roots = np.append(two_pole_rootset(10).roots, on_grid)
-    nearest = np.sort(np.abs(pts.reshape(-1, 1) - np.concatenate([roots, sites])).min(axis=1))
-    for count in (16, 17):
-        radius = 0.5 * (nearest[count - 1] + nearest[count])
-        assert abs(on_grid - 1j) < radius
-        _, skipped = asympt.grid_discrepancy((xs, ys), roots, (0.0, len(roots)),
-                                             lambda z: voronoi.psi(sites, z), radius, sites)
-        assert skipped == count
-        if count == 16:
-            asympt.potential_l1(roots, d, (0.0, 2.0), grid=40, exclusion_radius=radius)
-        else:
-            with pytest.raises(asympt.ExclusionTooLarge):
-                asympt.potential_l1(roots, d, (0.0, 2.0), grid=40, exclusion_radius=radius)
+    # a second atom within r of the same lone grid point skips no more
+    axes = asympt.grid_axes((0.0, 2.0), 40, np.random.default_rng(0))
+    radius = 4e-3
+    point = lone_grid_points(axes, 2.0 * radius, 1)[0]
+    for atoms in ([point], [point, point + 0.5 * radius * np.exp(1j)]):
+        _, skipped = asympt.grid_discrepancy(axes, atoms, (0.0, len(atoms)),
+                                             lambda z: np.zeros(np.shape(z)), radius)
+        assert skipped == 1
 
 
 def test_single_pole_escape_example():

@@ -262,7 +262,7 @@ def test_zeros_extended_run_on_the_structural_evaluator():
 
 
 def test_extended_evaluator_matches_double():
-    # product_sum on mpc object arrays against the complex path, d = 3
+    # the model evaluator on mpc object arrays against the complex path, d = 3
     # with a double pole and a polynomial part
     spec = dict(poles=[0.0, 1.0, 1.0j], orders=[1, 2, 1],
                 coeffs=[[1.0], [0.5, 2.0], [1.0 + 1j]], polynomial_part=[0.3, -1.0])

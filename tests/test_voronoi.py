@@ -81,6 +81,20 @@ def test_psi_frozen_value_and_symmetry():
         voronoi.cell_branch(sites, 1, 0.4))
 
 
+def test_psi_is_finite_and_continuous_at_the_sites():
+    # Psi is harmonic off the skeleton, sites included: at a site it is
+    # that site's cell branch, and 1e-9 away it reads the same to 1e-8
+    rng = np.random.default_rng(5)
+    ring = 1e-9 * np.exp(2j * math.pi * np.arange(8) / 8)
+    for d in range(2, 9):
+        sites = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for i, z in enumerate(sites):
+            value = psi(sites, z)
+            assert math.isfinite(value)
+            assert value == voronoi.cell_branch(sites, i, z)
+            assert np.abs(psi(sites, z + ring) - value).max() <= 1e-8
+
+
 def test_psi_continuous_across_equilateral_edges():
     sites = cube_roots()
     d = build(sites)
