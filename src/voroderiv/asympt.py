@@ -64,7 +64,7 @@ class EmpiricalMeasure:
 
 def empirical(rootset, n):
     """Equal-weight measure on the converged roots; exclusions counted."""
-    pts = np.asarray([complex(z) for z in rootset.roots])[rootset.converged]
+    pts = np.asarray(rootset.roots).astype(complex)[rootset.converged]
     if len(pts) == 0:
         raise EmptyRootSet("no converged roots")
     return EmpiricalMeasure(points=pts, n=n,

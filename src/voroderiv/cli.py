@@ -9,6 +9,7 @@ non-convergence).
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -239,7 +240,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="voroderiv",
         description="derivative zero asymptotics on Voronoi diagrams",

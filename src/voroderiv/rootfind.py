@@ -13,16 +13,18 @@ Newton passes, O(m) each, and freezes the points whose inclusion disks
 each holds a zero of its own.  Jacobi sweeps then correct the rest from
 the positions at the start of each sweep and freeze a root once its
 correction falls below the tolerance.  A sweep evaluates only the
-active roots and forms their Cauchy sums against all m roots in row
-blocks of at most CHUNK_ELEMENTS entries: O(active * m) time, bounded
-memory.  Each row is summed over all m columns in index order, so with
+active roots and forms their Cauchy sums against all m roots in
+cache-sized row blocks of at most CHUNK_ELEMENTS entries: O(active * m)
+time, bounded memory.  Each row is summed over all m columns in index order, so with
 a pointwise evaluator the roots do not depend on the block size or on
 which other roots are still active.
 
 SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
-evaluator that forms its products of powers in log space.  Like _aberth
-both run on complex arrays or on object arrays of mpmath.mpc.
+evaluator that forms its products of powers in log space, each row as a
+sum shared by all rows minus a sparse complement where that is shorter:
+O(d) per point for the d-pole numerator.  Like _aberth both run on
+complex arrays or on object arrays of mpmath.mpc.
 """
 
 import contextlib
@@ -48,8 +50,10 @@ NEWTON_PASSES = 6
 # guards |p'| and the Aberth denominator against division by zero
 TINY = 1e-300
 
-# complex entries in one block of the active-row Cauchy sums (4 MB)
-CHUNK_ELEMENTS = 1 << 18
+# complex entries in one block of the active-row Cauchy sums: 256 KB in
+# double precision, the smallest block that is not slower (README.md has
+# the measured sizes); a 4 MB block also set the solve's memory peak
+CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -162,9 +166,16 @@ class SumOfProducts:
         derivative 1; any other factor and every weight by Horner.  The
         products are formed in log space and scaled by the largest
         modulus per point, so degrees in the thousands neither overflow
-        nor underflow; only N/N' and |N|/|N'| are meaningful.  Works on
-        complex arrays, or on object arrays of mpmath.mpc (call it at
-        _poly.workprec()): then every step runs in mpmath.
+        nor underflow; only N/N' and |N|/|N'| are meaningful.  When the
+        complements t_k - e_ik to the column maxima t_k have fewer
+        non-zero entries than the rows, each row's sum of e_ik log f_k
+        (and of e_ik f_k'/f_k) is the shared sum over t_k minus its
+        complement's, one entry per row for rational._model.  Every step
+        is elementwise, never a matrix product, whose blocking could
+        differ with the batch size: each output depends on its own point
+        only.  Works on complex arrays, or on object arrays of
+        mpmath.mpc (call it at _poly.workprec()): then every step runs
+        in mpmath.
         """
         precision = _poly.precision_of(self.factors[0])
         dtype = complex if precision == DOUBLE else object
@@ -177,6 +188,27 @@ class SumOfProducts:
         dfactors = [1.0 if lin else _poly.polyder(f) for f, lin in zip(self.factors, linear)]
         dweights = [_poly.polyder(w) for w in self.weights]
         centres = _poly.asarray(self.centres, precision)
+        # row i is sum_k top_k x_k + sum_k rows_ik x_k: top the column
+        # maxima and rows minus the complements when those are sparser
+        # (one entry each for rational._model), else top zero and rows
+        # the exponents
+        top = [max(col) for col in zip(*self.exponents)]
+        rows = [[e - t for t, e in zip(top, row)] for row in self.exponents]
+        if np.count_nonzero(rows) >= np.count_nonzero(self.exponents):
+            top, rows = [0] * len(top), self.exponents
+
+        def combine(parts):
+            # each row's sum_k e_ik parts_k, from the shared sum if any
+            base = np.zeros_like(parts[0])
+            for k, t in enumerate(top):
+                if t:
+                    base += t * parts[k]
+            for row in rows:
+                acc = base.copy()
+                for k, e in enumerate(row):
+                    if e:
+                        acc += e * parts[k]
+                yield acc
 
         def eval_pd(z):
             z = np.atleast_1d(np.asarray(z, dtype=dtype))
@@ -188,27 +220,17 @@ class SumOfProducts:
             ws = [horner(w, u) for w, u in zip(self.weights, shifted)]
             dws = [horner(dw, u) for dw, u in zip(dweights, shifted)]
             with np.errstate(divide="ignore", invalid="ignore"):
-                logs = log(vals)
-            terms = []
-            for row in self.exponents:
-                acc = np.zeros(z.shape, dtype=dtype)
-                for j, e in enumerate(row):
-                    if e:
-                        acc += e * logs[j]
-                terms.append(acc)
-            terms = np.array(terms)
+                terms = np.array(list(combine(log(vals))))
+                # f_k'/f_k, the logarithmic derivative of each factor,
+                # once the logs are freed
+                ratios = [d / v for d, v in zip(dvals, vals)]
             scale = real(terms).max(axis=0)
             pv = np.zeros(z.shape, dtype=dtype)
             dv = np.zeros(z.shape, dtype=dtype)
-            for i, row in enumerate(self.exponents):
-                b = exp(terms[i] - scale)
-                # logarithmic derivative of the product
-                s = np.zeros(z.shape, dtype=dtype)
-                for j, e in enumerate(row):
-                    if e:
-                        s += e * dvals[j] / vals[j]
-                pv += b * ws[i]
-                dv += b * (s * ws[i] + dws[i])
+            for term, s, w, dw in zip(terms, combine(ratios), ws, dws):
+                b = exp(term - scale)
+                pv += b * w
+                dv += b * (s * w + dw)
             return pv, dv
 
         return eval_pd
@@ -232,7 +254,7 @@ def _cauchy_sums(roots, idx):
     sums = np.empty(len(idx), dtype=roots.dtype)
     for rows, diag, diff in _row_blocks(roots, idx):
         diff[diag] = 1.0
-        inv = 1.0 / diff
+        inv = np.divide(1.0, diff, out=diff)  # in place: one block in memory
         inv[diag] = 0.0
         sums[rows] = inv.sum(axis=1)
     return sums

@@ -1,12 +1,13 @@
 """Simultaneous root finding and bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from voroderiv import _poly, measure, rational, rootfind, voronoi
+from voroderiv import _poly, lemniscate, measure, rational, rootfind, voronoi
 from voroderiv.rootfind import (NoConvergence, ZeroPolynomial, fujiwara_bound,
                                 solve)
 
@@ -165,41 +166,82 @@ def test_evaluator_takes_no_coefficients_and_needs_starts():
 def test_sum_of_products_expansion_and_evaluator_agree(precision, rel):
     # a degree-2 factor, a monic linear one (evaluated as z - a) and a
     # non-monic linear one (by Horner); rows with zero exponents; weights
-    # of degree >= 1 about non-zero centres
+    # of degree >= 1 about non-zero centres.  The first rows are formed
+    # directly; the second ones differ from the column maxima (3, 4, 2)
+    # in one entry each, so the evaluator forms them from a shared sum
     factors = [[0.7 - 0.2j, -0.4 + 0.1j, 1.0], [-0.3 - 0.8j, 1.0], [0.5, 2.0j]]
-    rows = ((3, 0, 1), (0, 4, 2), (2, 1, 0))
     weights = [[1.0, 0.5j, -0.25], [2.0 - 1.0j], [0.3, 1.0]]
     centres = (0.4 - 0.6j, 0.0, -1.1 + 0.2j)
-    model = rootfind.SumOfProducts(
-        tuple(_poly.asarray(f, precision) for f in factors), rows,
-        tuple(_poly.asarray(w, precision) for w in weights),
-        tuple(_poly.scalar(c, precision) for c in centres))
     points = [0.3 + 0.2j, -0.7 + 0.5j, 1.1 - 0.4j, -0.2 - 0.9j, 0.6 + 1.0j]
-    with _poly.workprec():
-        z = _poly.asarray(points, precision)
-        coeffs = model.expand(10)
-        dcoeffs = _poly.polyder(coeffs)
-        evaluate = model.evaluator()
-        pv, dv = evaluate(z)
-        pv2, dv2 = evaluate(z[[0, 2]])
-        for k, x in enumerate(z):
-            direct = 0
-            for row, w, c in zip(model.exponents, model.weights, model.centres):
-                term = _poly.polyval(w, x - c)
-                for f, e in zip(model.factors, row):
-                    term = term * _poly.polyval(f, x) ** e
-                direct = direct + term
-            horner = _poly.polyval(coeffs, x)
-            assert abs(horner - direct) <= rel * abs(direct)
-            ratio = _poly.polyval(dcoeffs, x) / horner
-            assert abs(dv[k] / pv[k] - ratio) <= 1e-10 * abs(ratio)
-    # each output depends only on its own point, bit for bit; the pair
-    # leaves out point 3, whose term logs are the largest, so a scale
-    # shared across points would show
-    assert list(pv2) == list(pv[[0, 2]]) and list(dv2) == list(dv[[0, 2]])
-    if precision == _poly.DOUBLE:
-        assert pv2.tobytes() == pv[[0, 2]].tobytes()
-        assert dv2.tobytes() == dv[[0, 2]].tobytes()
+    for rows in (((3, 0, 1), (0, 4, 2), (2, 1, 0)), ((0, 4, 2), (3, 0, 2), (3, 4, 0))):
+        model = rootfind.SumOfProducts(
+            tuple(_poly.asarray(f, precision) for f in factors), rows,
+            tuple(_poly.asarray(w, precision) for w in weights),
+            tuple(_poly.scalar(c, precision) for c in centres))
+        with _poly.workprec():
+            z = _poly.asarray(points, precision)
+            coeffs = model.expand(12)
+            dcoeffs = _poly.polyder(coeffs)
+            evaluate = model.evaluator()
+            pv, dv = evaluate(z)
+            pv2, dv2 = evaluate(z[[0, 2]])
+            for k, x in enumerate(z):
+                direct = 0
+                for row, w, c in zip(model.exponents, model.weights, model.centres):
+                    term = _poly.polyval(w, x - c)
+                    for f, e in zip(model.factors, row):
+                        term = term * _poly.polyval(f, x) ** e
+                    direct = direct + term
+                horner = _poly.polyval(coeffs, x)
+                assert abs(horner - direct) <= rel * abs(direct)
+                ratio = _poly.polyval(dcoeffs, x) / horner
+                assert abs(dv[k] / pv[k] - ratio) <= 1e-10 * abs(ratio)
+        # each output depends only on its own point, bit for bit; the
+        # pair leaves out point 3, whose term logs are the largest under
+        # either row set, so a scale shared across points would show
+        assert list(pv2) == list(pv[[0, 2]]) and list(dv2) == list(dv[[0, 2]])
+        if precision == _poly.DOUBLE:
+            assert pv2.tobytes() == pv[[0, 2]].tobytes()
+            assert dv2.tobytes() == dv[[0, 2]].tobytes()
+
+
+def batched(eval_pd, z, size):
+    """eval_pd on consecutive sub-batches of z of the given size, joined."""
+    parts = [eval_pd(z[s:s + size]) for s in range(0, len(z), size)]
+    return np.concatenate([p for p, _ in parts]), np.concatenate([d for _, d in parts])
+
+
+def test_evaluator_is_pointwise_at_scale():
+    # both structural evaluators at a size the solver meets: criterion
+    # 13's eight poles at n = 300 (the shared-sum rows) and the figure
+    # lemniscate at n = 8 (the direct rows); a matrix product over the
+    # rows gave other bytes on some sub-batches
+    diagram, state, degree = eight_poles(300)
+    problem = lemniscate.LemniscateProblem(
+        ((-1.0, 1.0), (1.0, 1.0), (-1.0j, 1.0), (1.0j, 1.0)), (12, 8, 7, 21))
+    cases = [(rational.newton_evaluator(state), rational.balance_starts(state, diagram, degree)),
+             (lemniscate.rn_evaluator(problem, 8),
+              lemniscate.balance_starts(problem, 8, lemniscate.leading_term(problem, 8)[0]))]
+    for eval_pd, z in cases:
+        pv, dv = eval_pd(z)
+        assert np.isfinite(pv).all() and np.isfinite(dv).all()
+        for size in (1, 2, 3, 5, 8, 33):
+            pb, db = batched(eval_pd, z, size)
+            assert pb.tobytes() == pv.tobytes() and db.tobytes() == dv.tobytes()
+
+
+def test_zeros_peak_memory():
+    # the Cauchy-sum blocks and the evaluator's rows bound the traced
+    # peak of the d = 8, n = 300 solve (7.9 MB with 4 MB blocks)
+    _, state, _ = eight_poles(300)
+    tracemalloc.start()
+    try:
+        rs = rational.zeros(state.base, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rs.all_converged and len(rs) == 2100
+    assert peak <= 4 * 2**20
 
 
 def test_residuals_reported():
