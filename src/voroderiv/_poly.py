@@ -77,8 +77,8 @@ def all_finite(p):
     return all(mpmath.isfinite(c) for c in p)
 
 
-def is_zero(p, abs_floor=0.0):
-    return all(abs(c) <= abs_floor for c in p)
+def is_zero(p):
+    return all(abs(c) == 0 for c in p)
 
 
 def degree(p):

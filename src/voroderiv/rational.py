@@ -330,12 +330,8 @@ def newton_evaluator(state):
     return _model(state).evaluator()
 
 
-# Newton steps that polish each two-term zero when the pole orders differ
-BALANCE_NEWTON_STEPS = 8
-
-
 def _edge_balance_zeros(state, i, j):
-    """Zeros of the two leading terms of poles i and j in Q^(n)/n!.
+    """Starts at the zeros of the two leading terms of poles i and j in Q^(n)/n!.
 
     c_i (z-z_i)^(-n-r_i) + c_j (z-z_j)^(-n-r_j) = 0 with c = the top
     scaled coefficient of each pole.  In u = (z-z_j)/(z-z_i) = e^w,
@@ -343,9 +339,9 @@ def _edge_balance_zeros(state, i, j):
         F(w) = N w - delta Log(1-u) - (Log(-c_j/c_i) - delta Log g) - 2 pi i k = 0,
     N = n + r_j, delta = r_j - r_i, and z = z_i + g/(1-u).  On |u| = 1,
     Im F rises by n + (r_i+r_j)/2 per unit of Im w, so branch k has one
-    zero.  Each starts there and is polished by Newton in w; for equal
-    orders the start is the closed form u^N = -c_j/c_i of
-    asympt.twopole_zeros and Newton leaves it in place.
+    zero, started there with Re w from Re F = 0 at |1-u| = 2 sin(Im w / 2):
+    for equal orders the closed form u^N = -c_j/c_i of asympt.twopole_zeros.
+    rootfind's Newton passes polish the starts on the whole R_n.
     """
     base = state.base
     zi, g = complex(base.poles[i]), complex(base.poles[j]) - complex(base.poles[i])
@@ -359,21 +355,9 @@ def _edge_balance_zeros(state, i, j):
     k = np.arange(math.floor(-phase / (2.0 * math.pi)) + 1,
                   math.ceil(slope - phase / (2.0 * math.pi)))
     theta = (phase + 2.0 * math.pi * k) / slope
-    inside = (theta > 1e-12) & (theta < 2.0 * math.pi - 1e-12)
-    k, theta = k[inside], theta[inside]
+    theta = theta[(theta > 1e-12) & (theta < 2.0 * math.pi - 1e-12)]
     w = (rhs.real + delta * np.log(2.0 * np.sin(0.5 * theta))) / big + 1j * theta
-    target = rhs + 2j * math.pi * k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(BALANCE_NEWTON_STEPS):
-            u = np.exp(w)
-            step = ((big * w - delta * np.log(1.0 - u) - target)
-                    / (big + delta * u / (1.0 - u)))
-            w = w - step
-            if not np.abs(step).max(initial=0.0) > 1e-15:
-                break
-        z = zi + g / (1.0 - np.exp(w))
-    ok = np.isfinite(z) & (w.imag > 0.0) & (w.imag < 2.0 * math.pi)
-    return z[ok]
+    return zi + g / (1.0 - np.exp(w))
 
 
 def balance_starts(state, diagram, degree):

@@ -8,16 +8,18 @@ start points, whose number is the degree.
 One routine, _aberth, serves both precisions, as Bini (1996) states the
 iteration for any arithmetic that can evaluate p/p': complex arrays, or
 object arrays of mpmath.mpc at extended precision.  It first runs plain
-Newton passes, O(m) each, and freezes the points whose inclusion disks
-|z - x| <= m|p(x)/p'(x)| (Henrici 1974) meet no other such disk, so
-each holds a zero of its own.  Jacobi sweeps then correct the rest from
-the positions at the start of each sweep and freeze a root once its
-correction falls below the tolerance.  A sweep evaluates only the
+Newton passes, O(m) each, while they converge (from a circle the second
+pass halves no step and ends them), and freezes the points whose
+inclusion disks |z - x| <= m|p(x)/p'(x)| (Henrici 1974) meet no other
+such disk, so each holds a zero of its own.  These passes are the only
+Newton polish of the start points.  Jacobi sweeps then correct the rest
+from the positions at the start of each sweep and freeze a root once
+its correction falls below the tolerance.  A sweep evaluates only the
 active roots and forms their Cauchy sums against all m roots in
 cache-sized row blocks of at most CHUNK_ELEMENTS entries: O(active * m)
-time, bounded memory.  Each row is summed over all m columns in index order, so with
-a pointwise evaluator the roots do not depend on the block size or on
-which other roots are still active.
+time, bounded memory.  Each row is summed over all m columns in index
+order, so with a pointwise evaluator the roots do not depend on the
+block size or on which other roots are still active.
 
 SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
@@ -274,23 +276,25 @@ def _newton_passes(eval_pd, tolerance, start):
 
     Each pass moves by z <- z - N/N' (0 if not finite) the points whose
     step has not yet passed the sweep's test |s| < tolerance * (1 + |z|),
-    until all have, a pass adds none, or NEWTON_PASSES.  A zero lies
-    within m|s| of the point where s was taken (Henrici), so within
-    (m + 1)|s| + 4 eps |z| of z; a point that passed is frozen if that
-    disk meets no other such disk, and the rest go back to their starts.
+    until all have, a pass neither passes a point nor halves a step
+    (steps start at inf), or NEWTON_PASSES.  A zero lies within m|s| of
+    the point where s was taken (Henrici), so within (m + 1)|s| +
+    4 eps |z| of z; a point that passed is frozen if that disk meets no
+    other such disk, and the rest go back to their starts.
     """
-    roots, step = start.copy(), np.zeros_like(start)
+    roots, step = start.copy(), np.full_like(start, np.inf)
     small = np.zeros(len(start), dtype=bool)
     for _ in range(NEWTON_PASSES):
         idx = np.flatnonzero(~small)
         pv, dv = eval_pd(roots[idx])
         s = pv / np.where(np.abs(dv) < TINY, TINY, dv)
         finite = np.abs(s) < np.inf
+        halved = np.abs(s) <= 0.5 * np.abs(step[idx])
         step[idx] = s
         roots[idx] -= np.where(finite, s, 0.0)
         passed = finite & (np.abs(s) < tolerance * (1.0 + np.abs(roots[idx])))
         small[idx[passed]] = True
-        if small.all() or not passed.any():
+        if small.all() or not (passed.any() or halved.any()):
             break
     radius = (len(start) + 1) * np.abs(step) + 4.0 * np.finfo(float).eps * np.abs(roots)
     frozen = small.copy()
@@ -357,8 +361,7 @@ def _start_points(m, radius, precision):
     return _poly.asarray(radius * np.exp(1j * angles), precision)
 
 
-def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
-          start=None, retry_start=None):
+def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None, retry_start=None):
     """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
 
     The polynomial is given either by its coefficients p or, with p None,
@@ -416,8 +419,6 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
             start = _start_points(m, 0.5 * bound, precision)
         if retry_start is None:
             retry_start = lambda: _start_points(m, bound, precision)
-    if max_sweeps is None:
-        max_sweeps = MAX_SWEEPS[precision]
 
     def given(pts):
         if len(pts) != m:
@@ -426,9 +427,9 @@ def solve(p, tolerance=1e-12, precision=None, max_sweeps=None, evaluator=None,
 
     arithmetic = _poly.workprec() if precision == EXTENDED else contextlib.nullcontext()
     with arithmetic:
-        result = _aberth(evaluator, tolerance, given(start), max_sweeps)
+        result = _aberth(evaluator, tolerance, given(start), MAX_SWEEPS[precision])
         if not result.all_converged and retry_start is not None:
-            retry = _aberth(evaluator, tolerance, given(retry_start()), max_sweeps)
+            retry = _aberth(evaluator, tolerance, given(retry_start()), MAX_SWEEPS[precision])
             if retry.converged.sum() > result.converged.sum():
                 result = retry
     if not result.all_converged:

@@ -77,7 +77,7 @@ def test_polydivmod():
     den = _poly.asarray([-1.0, 1.0], DOUBLE)
     q, r = _poly.polydivmod(num, den)
     assert np.allclose(np.asarray(q, dtype=complex), [1.0, 1.0])
-    assert _poly.is_zero(r, abs_floor=1e-14)
+    assert np.abs(r).max() <= 1e-14
 
 
 def test_monic():

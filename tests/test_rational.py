@@ -567,12 +567,16 @@ def test_zeros_retry_from_the_skeleton(monkeypatch):
 
 
 def test_zeros_mixed_orders_start_near_their_zeros():
-    # the unequal-exponent branches after their Newton polish: the
-    # skeleton starts needed 8.6 root-sweeps per root here
-    state, _, degree = cube_problem(100, **MIXED)
-    rs = rational.zeros(state.base, 100)
-    assert rs.all_converged
-    assert sum(rs.active_trace) <= 4 * degree
+    # the unequal-exponent starts are off their zeros by O(1/n); the
+    # Newton passes on the whole R_n certify most of them, so the sweeps
+    # run on the rest (the skeleton starts needed 8.6 root-sweeps per
+    # root at n = 100)
+    for n in (100, 400):
+        state, _, degree = cube_problem(n, **MIXED)
+        rs = rational.zeros(state.base, n)
+        assert rs.all_converged
+        assert rs.certified >= 0.8 * degree
+        assert sum(rs.active_trace) <= degree
 
 
 def test_seeded_random_problems_converge():

@@ -27,7 +27,7 @@ def test_cube_roots_of_unity():
     assert multiset_distance(rs.roots, expected) < 1e-12
 
 
-def test_retry_start_is_called_only_after_a_stall():
+def test_retry_start_is_called_only_after_a_stall(monkeypatch):
     p = [-1.0, 0.0, 0.0, 1.0]
     calls = []
 
@@ -38,8 +38,9 @@ def test_retry_start_is_called_only_after_a_stall():
     assert solve(p, retry_start=retry).all_converged
     assert calls == []
     # coincident starts stall the first attempt
+    monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 20)
     with np.errstate(all="ignore"):
-        rs = solve(p, start=[0.5, 0.5, 0.5], retry_start=retry, max_sweeps=20)
+        rs = solve(p, start=[0.5, 0.5, 0.5], retry_start=retry)
     assert calls == [1]
     assert multiset_distance(rs.roots, [np.exp(2j * math.pi * k / 3)
                                         for k in range(3)]) < 1e-12
@@ -106,11 +107,12 @@ def test_cotangent_expansion_roots():
     assert multiset_distance(rs.roots, expected) < 5e-13
 
 
-def test_no_convergence_carries_partial_rootset():
+def test_no_convergence_carries_partial_rootset(monkeypatch):
     rng = np.random.default_rng(3)
     p = list(rng.normal(size=40))
+    monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 1)
     with pytest.raises(NoConvergence) as e:
-        solve(p, tolerance=1e-15, max_sweeps=1)
+        solve(p, tolerance=1e-15)
     rs = e.value.rootset
     assert len(rs.roots) == 39
     assert not rs.converged.all()
@@ -379,12 +381,13 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
 
 
 def test_circle_starts_certify_nothing():
-    # no start on a circle is near a root, so one Newton pass finds no
-    # small step and ends the passes; the sweeps run on every root
+    # no start on a circle is near a root, so the second Newton pass
+    # passes no point and halves no step, which ends the passes; the
+    # sweeps run on every root
     p, eval_pd, start = horner_case()
     calls = []
     roots, frozen = rootfind._newton_passes(counted(eval_pd, calls), 1e-12, start)
-    assert calls == [60] and not frozen.any()
+    assert calls == [60, 60] and not frozen.any()
     assert roots.tobytes() == start.tobytes()
     rs = solve(p)
     assert rs.certified == 0 and rs.active_trace[0] == 60
@@ -473,9 +476,11 @@ def test_extended_residual_falls_back_to_nearest_neighbour():
 
 
 def test_sweep_trace_on_every_path():
+    # from the extended Fujiwara circle the Newton passes certify one
+    # root of z^3 - 1, and the sweeps run on the other two
     rs = solve([-1.0, 0.0, 0.0, 1.0], tolerance=1e-20, precision="extended")
     assert rs.sweeps == len(rs.active_trace) >= 1
-    assert rs.active_trace[0] == 3
+    assert rs.certified == 1 and rs.active_trace[0] == 2
     assert list(rs.active_trace) == sorted(rs.active_trace, reverse=True)
     # z^3 has Fujiwara bound 0 and returns without sweeping
     rs = solve([0.0, 0.0, 0.0, 1.0])
