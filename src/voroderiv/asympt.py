@@ -88,8 +88,9 @@ class ComparisonReport:
     mean_distance: float
     assignments: tuple = field(repr=False, default=())
 
-    def to_json(self):
-        doc = {
+    def as_dict(self):
+        """The report without its assignments, as to_json writes it."""
+        return {
             "n": self.n,
             "m_n": self.m_n,
             "edges": [
@@ -104,7 +105,9 @@ class ComparisonReport:
             "off_skeleton_fraction": self.off_skeleton_fraction,
             "mean_distance_to_skeleton": self.mean_distance,
         }
-        return json.dumps(doc, sort_keys=True)
+
+    def to_json(self):
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _ks_statistic(ts, edge, d):

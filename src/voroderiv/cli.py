@@ -8,7 +8,6 @@ non-convergence).
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -65,9 +64,19 @@ def _diagram(form):
     return voronoi.build([complex(z) for z in form.poles])
 
 
-def _write_csv(path, header, rows):
+# rows per write of _write_csv; one string for a whole file would raise
+# the peak memory
+CSV_BLOCK = 1024
+
+
+def _write_csv(path, header, columns):
+    """Write header and the rows of columns, lists of Python scalars, in
+    csv.writer's bytes: str() of fields that need no quoting, \\r\\n ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header, *rows])
+        fh.write(",".join(header) + "\r\n")
+        for s in range(0, len(columns[0]) if columns else 0, CSV_BLOCK):
+            cells = zip(*[map(str, col[s:s + CSV_BLOCK]) for col in columns])
+            fh.write("\r\n".join(map(",".join, cells)) + "\r\n")
 
 
 def _n_list(args):
@@ -82,10 +91,9 @@ def _window(args):
 def cmd_derive(args, out):
     form = _form(args)
     n = _n_list(args)[0]
-    res = rational.numerator(rational.derivative_state(form, n))
-    rows = [(k, complex(c).real, complex(c).imag)
-            for k, c in enumerate(res.r_n)]
-    _write_csv(out / f"rn_{n}.csv", ["k", "re", "im"], rows)
+    r_n = rational.numerator(rational.derivative_state(form, n)).r_n.astype(complex)
+    _write_csv(out / f"rn_{n}.csv", ["k", "re", "im"],
+               [list(range(len(r_n))), r_n.real.tolist(), r_n.imag.tolist()])
     return 0
 
 
@@ -93,11 +101,10 @@ def cmd_roots(args, out):
     form = _form(args)
     n = _n_list(args)[0]
     rs = rational.zeros(form, n)
-    rows = [
-        (complex(z).real, complex(z).imag, float(r), int(c))
-        for z, r, c in zip(rs.roots, rs.residuals, rs.converged)
-    ]
-    _write_csv(out / f"roots_{n}.csv", ["re", "im", "residual", "converged"], rows)
+    roots = rs.roots.astype(complex)
+    _write_csv(out / f"roots_{n}.csv", ["re", "im", "residual", "converged"],
+               [roots.real.tolist(), roots.imag.tolist(), rs.residuals.tolist(),
+                rs.converged.astype(int).tolist()])
     return 0
 
 
@@ -112,17 +119,13 @@ def cmd_measure(args, out):
     masses = [measure.edge_mass(e, diagram.d) for e in diagram.edges]
     rows = [(e.pair[0], e.pair[1], float(e.t_lo), float(e.t_hi), mass)
             for e, mass in zip(diagram.edges, masses)]
-    _write_csv(out / "measure.csv", ["i", "j", "t_lo", "t_hi", "mass"], rows)
+    _write_csv(out / "measure.csv", ["i", "j", "t_lo", "t_hi", "mass"], list(zip(*rows)))
     k = args.grid
-    cdf_rows = []
-    for e, mass in zip(diagram.edges, masses):
-        for q in range(k + 1):
-            frac = q / k
-            cdf_rows.append((e.pair[0], e.pair[1], frac,
-                             measure.edge_quantile(e, frac * mass, diagram.d) if 0 < frac < 1
-                             else (float(e.t_lo) if frac == 0 else float(e.t_hi)),
-                             frac * mass))
-    _write_csv(out / "measure_cdf.csv", ["i", "j", "u", "t", "cdf"], cdf_rows)
+    cdf_rows = [(e.pair[0], e.pair[1], q / k,
+                 measure.edge_quantile(e, q / k * mass, diagram.d) if 0 < q < k
+                 else float(e.t_lo if q == 0 else e.t_hi), q / k * mass)
+                for e, mass in zip(diagram.edges, masses) for q in range(k + 1)]
+    _write_csv(out / "measure_cdf.csv", ["i", "j", "u", "t", "cdf"], list(zip(*cdf_rows)))
     return 0
 
 
@@ -131,15 +134,13 @@ def cmd_compare(args, out):
     diagram = _diagram(form)
     reports = []
     for n in _n_list(args):
-        rs = rational.zeros(form, n)
-        emp = asympt.empirical(rs, n)
-        rep = asympt.project_and_bin(emp, diagram)
-        reports.append(json.loads(rep.to_json()))
-        atoms = [(z.real, z.imag,
-                  "" if pair is None else f"{pair[0]}-{pair[1]}", t, dist)
-                 for z, pair, t, dist in rep.assignments]
-        _write_csv(out / f"atoms_{n}.csv",
-                   ["re", "im", "edge", "t", "distance"], atoms)
+        rep = asympt.project_and_bin(asympt.empirical(rational.zeros(form, n), n), diagram)
+        reports.append(rep.as_dict())
+        z, pairs, t, dist = zip(*rep.assignments)
+        z = np.array(z)
+        edges = ["" if pair is None else f"{pair[0]}-{pair[1]}" for pair in pairs]
+        _write_csv(out / f"atoms_{n}.csv", ["re", "im", "edge", "t", "distance"],
+                   [z.real.tolist(), z.imag.tolist(), edges, t, dist])
     (out / "compare.json").write_text(
         json.dumps(reports, sort_keys=True, indent=1) + "\n")
     return 0
@@ -148,15 +149,11 @@ def cmd_compare(args, out):
 def cmd_potential(args, out):
     form = _form(args)
     diagram = _diagram(form)
-    center, half = _window(args)
-    rows = []
-    for n in _n_list(args):
-        rs = rational.zeros(form, n)
-        value = asympt.potential_l1(rs.converged_roots(), diagram,
-                                    (center, half), grid=args.grid,
-                                    seed=args.seed)
-        rows.append((n, value))
-    _write_csv(out / "potential_l1.csv", ["n", "l1_discrepancy"], rows)
+    n_list = _n_list(args)
+    l1 = [asympt.potential_l1(rational.zeros(form, n).converged_roots(), diagram,
+                              _window(args), grid=args.grid, seed=args.seed)
+          for n in n_list]
+    _write_csv(out / "potential_l1.csv", ["n", "l1_discrepancy"], [n_list, l1])
     return 0
 
 
@@ -174,19 +171,16 @@ def cmd_odecheck(args, out):
     weights = [cs[-1] for cs in coeffs]
     f = odecheck.PowerSumFunction(s=s, poles=tuple(poles), weights=tuple(weights))
     rng = np.random.default_rng(args.seed)
+    n_list = _n_list(args)
     rows = []
-    sampled = 0
-    for n in _n_list(args):
+    for n in n_list:
         for _ in range(10):
             z = complex(rng.normal(), rng.normal()) * 2.0
-            sampled += 1
-            if min(abs(z - p) for p in poles) < 1e-3:
-                continue
-            r = odecheck.powersum_residual(f, n, z)
-            rows.append((n, z.real, z.imag, abs(r)))
-    _write_csv(out / "odecheck.csv", ["n", "z_re", "z_im", "residual"], rows)
+            if min(abs(z - p) for p in poles) >= 1e-3:
+                rows.append((n, z.real, z.imag, abs(odecheck.powersum_residual(f, n, z))))
+    _write_csv(out / "odecheck.csv", ["n", "z_re", "z_im", "residual"], list(zip(*rows)))
     # points within 1e-3 of a pole are dropped; say how many
-    summary = {"sampled": sampled, "dropped": sampled - len(rows)}
+    summary = {"sampled": 10 * len(n_list), "dropped": 10 * len(n_list) - len(rows)}
     (out / "odecheck_summary.json").write_text(
         json.dumps(summary, sort_keys=True) + "\n")
     return 0
@@ -211,7 +205,7 @@ def cmd_lemniscate(args, out):
                    roots=report.roots[-1], window=(center, half))
     rows = [(n, z.real, z.imag) for n, roots in zip(report.n_list, report.roots)
             for z in roots]
-    _write_csv(out / "lemniscate_roots.csv", ["n", "re", "im"], rows)
+    _write_csv(out / "lemniscate_roots.csv", ["n", "re", "im"], list(zip(*rows)))
     return 0
 
 

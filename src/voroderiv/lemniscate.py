@@ -118,14 +118,9 @@ def leading_term(problem, n):
 
 
 def rn_evaluator(problem, n):
-    """Point evaluator (R_n, R_n') up to a common per-point scale.
-
-    The model's evaluator (rootfind.SumOfProducts.evaluator) works from
-    the sum of products in log space rather than the dense expansion,
-    which keeps root iterations well conditioned when the expanded
-    coefficients span many orders of magnitude.  Only the ratio
-    R_n/R_n' and the residual are meaningful.
-    """
+    """Point evaluator z -> (R_n, R_n') up to a per-point scale: _model's
+    rootfind.SumOfProducts.evaluator, well conditioned where the expanded
+    coefficients span many orders of magnitude."""
     return _model(problem, n).evaluator()
 
 

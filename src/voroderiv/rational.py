@@ -314,18 +314,11 @@ def numerator(state):
 
 
 def newton_evaluator(state):
-    """Point evaluator (value, derivative) of the unexpanded numerator.
-
-    Returns a callable mapping an array of points to (N, N') up to a
-    common per-point scale: _model's evaluator
-    (rootfind.SumOfProducts.evaluator), computed from the sum of products
-    in log space rather than from expanded coefficients.  At large n the
-    expanded coefficients span hundreds of orders of magnitude and
-    coefficient Horner loses the roots to cancellation; the product form
-    stays well conditioned, so root iterations can use this callable in
-    place of Horner.  Only the ratio N/N' and the residual |N|/|N'| are
-    meaningful.  It works in the form's precision: on complex arrays, or
-    on object arrays of mpmath.mpc (call it at _poly.workprec()).
+    """Point evaluator z -> (N, N') of the unexpanded numerator, up to a
+    per-point scale: _model's rootfind.SumOfProducts.evaluator, in the
+    form's precision.  At large n the expanded coefficients span hundreds
+    of orders of magnitude and coefficient Horner loses the roots to
+    cancellation; the product form, in log space, stays well conditioned.
     """
     return _model(state).evaluator()
 

@@ -25,8 +25,12 @@ SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
 evaluator that forms its products of powers in log space, each row as a
 sum shared by all rows minus a sparse complement where that is shorter:
-O(d) per point for the d-pole numerator.  Like _aberth both run on
-complex arrays or on object arrays of mpmath.mpc.
+O(d) per point for the d-pole numerator.  The evaluator is row-stacked:
+a fixed number of numpy calls on (rows, points) arrays per block.  It
+sums over rows only on two or more points, as numpy sums one column
+pairwise, and keeps each complex product's operand order, which sets
+its last bit.  Like _aberth both run on complex arrays or on object
+arrays of mpmath.mpc.
 """
 
 import contextlib
@@ -56,6 +60,11 @@ TINY = 1e-300
 # double precision, the smallest block that is not slower (README.md has
 # the measured sizes); a 4 MB block also set the solve's memory peak
 CHUNK_ELEMENTS = 1 << 14
+
+# points per block of SumOfProducts.evaluator's (rows, points) arrays:
+# blocks are no slower than whole batches, which at thousands of points
+# ran slower and would raise the solve's memory peak
+EVAL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,20 @@ def _horner_scaled(coeffs, z):
     return p, dp
 
 
+def _stack(polys, dtype):
+    """The polynomials as the rows of one array, zero-padded to the longest."""
+    width = max(map(len, polys))
+    return np.array([list(p) + [0] * (width - len(p)) for p in polys], dtype=dtype)
+
+
+def _horner(coeffs, u):
+    """Each row of coeffs (ascending powers) at u, all rows at once."""
+    p = coeffs[:, -1:]
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        p = p * u + coeffs[:, j:j + 1]
+    return p
+
+
 # elementwise log, exp and real part on object arrays of mpmath.mpc,
 # since numpy's ufuncs do not dispatch to mpmath
 _MPMATH_FUNCS = (np.frompyfunc(mpmath.log, 1, 1), np.frompyfunc(mpmath.exp, 1, 1),
@@ -164,32 +187,25 @@ class SumOfProducts:
     def evaluator(self):
         """Point evaluator z -> (N, N') up to a common per-point scale.
 
-        A monic linear factor z - a is evaluated as such, with the
-        derivative 1; any other factor and every weight by Horner.  The
-        products are formed in log space and scaled by the largest
-        modulus per point, so degrees in the thousands neither overflow
-        nor underflow; only N/N' and |N|/|N'| are meaningful.  When the
-        complements t_k - e_ik to the column maxima t_k have fewer
-        non-zero entries than the rows, each row's sum of e_ik log f_k
-        (and of e_ik f_k'/f_k) is the shared sum over t_k minus its
-        complement's, one entry per row for rational._model.  Every step
-        is elementwise, never a matrix product, whose blocking could
-        differ with the batch size: each output depends on its own point
-        only.  Works on complex arrays, or on object arrays of
-        mpmath.mpc (call it at _poly.workprec()): then every step runs
-        in mpmath.
+        Products of powers are formed in log space and scaled by the
+        largest modulus per point, so degrees in the thousands neither
+        overflow nor underflow; only N/N' and |N|/|N'| are meaningful.
+        Each row's sums of e_ik log f_k and e_ik f_k'/f_k are the shared
+        sums over the column maxima t_k minus the complement's when the
+        complements t_k - e_ik are sparser.  A term vanishing at an exact
+        zero of a factor, to order sum_k e_ik [f_k = 0], adds nothing to
+        N, and to N' only at order 1.  Each output depends on its own
+        point only.  Works on complex arrays, or on object arrays of
+        mpmath.mpc (call it at _poly.workprec()).
         """
         precision = _poly.precision_of(self.factors[0])
         dtype = complex if precision == DOUBLE else object
         log, exp, real = (np.log, np.exp, np.real) if precision == DOUBLE else _MPMATH_FUNCS
-        # extended Horner starts from the array side: an mpc times an
-        # ndarray first makes mpmath try to convert the whole array
-        horner = _poly.polyval if precision == DOUBLE else lambda p, u: (
-            np.polyval(p[::-1], u) if len(p) > 1 else p[0])
-        linear = [len(f) == 2 and f[1] == 1 for f in self.factors]
-        dfactors = [1.0 if lin else _poly.polyder(f) for f, lin in zip(self.factors, linear)]
-        dweights = [_poly.polyder(w) for w in self.weights]
-        centres = _poly.asarray(self.centres, precision)
+        # each polynomial, then its derivative: a linear factor's is a column
+        factors, dfactors, weights, dweights = (
+            _stack(ps, dtype) for fs in (self.factors, self.weights)
+            for ps in (fs, [_poly.polyder(f) for f in fs]))
+        centres = _poly.asarray(self.centres, precision)[:, None]
         # row i is sum_k top_k x_k + sum_k rows_ik x_k: top the column
         # maxima and rows minus the complements when those are sparser
         # (one entry each for rational._model), else top zero and rows
@@ -198,42 +214,48 @@ class SumOfProducts:
         rows = [[e - t for t, e in zip(top, row)] for row in self.exponents]
         if np.count_nonzero(rows) >= np.count_nonzero(self.exponents):
             top, rows = [0] * len(top), self.exponents
+        top = np.array(top, dtype=dtype)[:, None] if any(top) else None
+        # slot j holds each row's j-th non-zero entry, or exponent 0 on
+        # factor 0 where the row has fewer
+        entries = [[(k, e) for k, e in enumerate(row) if e] for row in rows]
+        slots = [(np.array([r[j][0] if j < len(r) else 0 for r in entries]),
+                  np.array([[r[j][1] if j < len(r) else 0] for r in entries], dtype=dtype))
+                 for j in range(max(1, *map(len, entries)))]
 
-        def combine(parts):
-            # each row's sum_k e_ik parts_k, from the shared sum if any
-            base = np.zeros_like(parts[0])
-            for k, t in enumerate(top):
-                if t:
-                    base += t * parts[k]
-            for row in rows:
-                acc = base.copy()
-                for k, e in enumerate(row):
-                    if e:
-                        acc += e * parts[k]
-                yield acc
+        def row_sums(x):
+            # sum_k e_ik x_k for each row i and each layer of the finite
+            # (layers, factors, points) array x: the shared sum, then slots
+            shared = 0 if top is None else (x * top).sum(axis=1, keepdims=True)
+            return sum((x[:, idx] * e for idx, e in slots), shared)
+
+        def block(z):
+            if len(z) == 1:  # numpy sums one column pairwise: pair a single point
+                return tuple(a[:1] for a in block(np.repeat(z, 2)))
+            p, dp = _horner(factors, z), _horner(dfactors, z)
+            zero = None if p.all() else p == 0
+            safe = p if zero is None else np.where(zero, 1, p)
+            x = np.empty((2,) + p.shape, dtype=dtype)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                log(safe, out=x[0])
+                np.divide(dp, safe, out=x[1])
+                logs, ratios = row_sums(x)
+            u = z - centres if weights.shape[1] > 1 else None  # constant weights need none
+            w = _horner(weights, u)
+            g = ratios * w if u is None else ratios * w + _horner(dweights, u)
+            if zero is not None:
+                order, dzero = row_sums(np.stack([zero, np.where(zero, dp, 0)]))
+                logs = np.where((order == 0) | (order == 1), logs, -np.inf)
+                g = np.where(order == 0, g, dzero * w)
+                w = np.where(order == 0, w, 0)
+            b = exp(logs - real(logs).max(axis=0))
+            return (b * w).sum(axis=0), (b * g).sum(axis=0)
 
         def eval_pd(z):
             z = np.atleast_1d(np.asarray(z, dtype=dtype))
-            # z + f_0 is z - a for the factor z - a
-            vals = np.asarray([z + f[0] if lin else horner(f, z)
-                               for f, lin in zip(self.factors, linear)])
-            dvals = [df if lin else horner(df, z) for df, lin in zip(dfactors, linear)]
-            shifted = z[None, :] - centres[:, None]
-            ws = [horner(w, u) for w, u in zip(self.weights, shifted)]
-            dws = [horner(dw, u) for dw, u in zip(dweights, shifted)]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.array(list(combine(log(vals))))
-                # f_k'/f_k, the logarithmic derivative of each factor,
-                # once the logs are freed
-                ratios = [d / v for d, v in zip(dvals, vals)]
-            scale = real(terms).max(axis=0)
-            pv = np.zeros(z.shape, dtype=dtype)
-            dv = np.zeros(z.shape, dtype=dtype)
-            for term, s, w, dw in zip(terms, combine(ratios), ws, dws):
-                b = exp(term - scale)
-                pv += b * w
-                dv += b * (s * w + dw)
-            return pv, dv
+            if len(z) <= EVAL_BLOCK:
+                return block(z)
+            parts = [block(z[s:s + EVAL_BLOCK]) for s in range(0, max(len(z), 1), EVAL_BLOCK)]
+            return tuple(np.concatenate(a) for a in zip(*parts))
 
         return eval_pd
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from voroderiv import asympt, cli
+from voroderiv import asympt, cli, rational, voronoi
 
 TWO_POLE = {
     "poles": [
@@ -144,6 +145,44 @@ def test_compare_report(problem, tmp_path):
     assert len(rows) == 6
     for row in rows:  # plain float literals, not numpy reprs
         float(row["t"]), float(row["distance"])
+
+
+def csv_module_bytes(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path.read_bytes()
+
+
+def test_csv_writer_bytes_match_the_csv_module(tmp_path):
+    # no rows, one row, and more rows than one block, over the cells the
+    # commands write: signed zero, infinities, nan, the least subnormal,
+    # exponent and short reprs, ints, empty edges and i-j labels
+    header = ["re", "im", "edge", "n"]
+    cells = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1, 2.5, -1.25e-300]
+    for count in (0, 1, cli.CSV_BLOCK + 3):
+        columns = [[cells[k % len(cells)] for k in range(count)],
+                   [cells[(k + 4) % len(cells)] for k in range(count)],
+                   ["" if k % 3 else f"{k % 5}-{k % 7}" for k in range(count)],
+                   list(range(count))]
+        cli._write_csv(tmp_path / "atoms.csv", header, columns)
+        assert (tmp_path / "atoms.csv").read_bytes() == csv_module_bytes(
+            tmp_path / "reference.csv", header, zip(*columns))
+
+
+def test_compare_atoms_match_the_csv_module(problem, tmp_path):
+    # atoms_8.csv holds project_and_bin's assignments as csv.writer writes
+    # them from Python floats; a numpy scalar would show as np.float64(...)
+    assert cli.main(["compare", "--problem", str(problem), "--n", "8",
+                     "--out", str(tmp_path)]) == 0
+    form = rational.polar_form(*cli.load_problem(problem))
+    rep = asympt.project_and_bin(asympt.empirical(rational.zeros(form, 8), 8),
+                                 voronoi.build([complex(z) for z in form.poles]))
+    rows = [(z.real, z.imag, "" if pair is None else f"{pair[0]}-{pair[1]}", t, dist)
+            for z, pair, t, dist in rep.assignments]
+    written = (tmp_path / "atoms_8.csv").read_bytes()
+    assert written == csv_module_bytes(
+        tmp_path / "reference.csv", ["re", "im", "edge", "t", "distance"], rows)
+    assert b"np." not in written and len(rows) == 8
 
 
 def test_potential_csv(problem, tmp_path):

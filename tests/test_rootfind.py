@@ -166,16 +166,23 @@ def test_evaluator_takes_no_coefficients_and_needs_starts():
 
 @pytest.mark.parametrize("precision, rel", [(_poly.DOUBLE, 1e-12), (_poly.EXTENDED, 1e-30)])
 def test_sum_of_products_expansion_and_evaluator_agree(precision, rel):
-    # a degree-2 factor, a monic linear one (evaluated as z - a) and a
-    # non-monic linear one (by Horner); rows with zero exponents; weights
-    # of degree >= 1 about non-zero centres.  The first rows are formed
-    # directly; the second ones differ from the column maxima (3, 4, 2)
-    # in one entry each, so the evaluator forms them from a shared sum
+    # a degree-2 factor, a monic linear one and a non-monic linear one;
+    # rows with zero exponents; weights of degree >= 1 about non-zero
+    # centres.  The first rows are formed directly; the second ones
+    # differ from the column maxima (3, 4, 2) in one entry each, so the
+    # evaluator forms them from a shared sum.  Point 5 is an exact zero
+    # of the non-monic factor, where terms vanish to order 1 or 2 and one
+    # has exponent 0 on it; so are c12's z = 0 and z = 3 for its
+    # R_3 = z^6 + (z - 3)^3, where one term vanishes to order 3
     factors = [[0.7 - 0.2j, -0.4 + 0.1j, 1.0], [-0.3 - 0.8j, 1.0], [0.5, 2.0j]]
     weights = [[1.0, 0.5j, -0.25], [2.0 - 1.0j], [0.3, 1.0]]
     centres = (0.4 - 0.6j, 0.0, -1.1 + 0.2j)
-    points = [0.3 + 0.2j, -0.7 + 0.5j, 1.1 - 0.4j, -0.2 - 0.9j, 0.6 + 1.0j]
-    for rows in (((3, 0, 1), (0, 4, 2), (2, 1, 0)), ((0, 4, 2), (3, 0, 2), (3, 4, 0))):
+    points = [0.3 + 0.2j, -0.7 + 0.5j, 1.1 - 0.4j, -0.2 - 0.9j, 0.6 + 1.0j, 0.25j]
+    cases = [(factors, rows, weights, centres, points)
+             for rows in (((3, 0, 1), (0, 4, 2), (2, 1, 0)), ((0, 4, 2), (3, 0, 2), (3, 4, 0)))]
+    cases.append(([[0.0, 0.0, 1.0], [-3.0, 1.0]], ((3, 0), (0, 3)), [[1.0]] * 2, (0.0, 0.0),
+                  [0.0, 1.0 + 1.0j, 3.0]))
+    for factors, rows, weights, centres, points in cases:
         model = rootfind.SumOfProducts(
             tuple(_poly.asarray(f, precision) for f in factors), rows,
             tuple(_poly.asarray(w, precision) for w in weights),
