@@ -4,6 +4,9 @@ Polynomials are 1-d arrays of coefficients in ascending degree order.
 The "double" backend uses complex128 ndarrays; the "extended" backend
 uses object ndarrays of mpmath.mpc with ~133 bits of precision, enough
 headroom for the exact cancellations that double cannot resolve.
+np.convolve multiplies polynomials in either backend; polyval evaluates
+along the first axis: scalars, point arrays, or stacked rows of shape
+(powers, rows, 1) at (points,) or (rows, points).
 """
 
 import numpy as np
@@ -60,15 +63,10 @@ def precision_of(p):
     return DOUBLE if p.dtype == complex else EXTENDED
 
 
-def trim(p, floor=0.0):
-    """Drop leading coefficients of magnitude <= floor * max |coeff|."""
-    mags = np.array([abs(c) for c in p], dtype=float)
-    top = mags.max() if mags.size else 0.0
-    cut = floor * top
-    k = len(p) - 1
-    while k > 0 and mags[k] <= cut:
-        k -= 1
-    return p[: k + 1]
+def trim(p):
+    """Drop exact-zero leading coefficients, keeping at least the constant."""
+    nonzero = np.flatnonzero(p != 0)
+    return p[: nonzero[-1] + 1 if len(nonzero) else 1]
 
 
 def all_finite(p):
@@ -86,25 +84,11 @@ def degree(p):
 
 
 def polyval(p, z):
-    """Horner evaluation; works for scalars of either backend."""
+    """Horner along p's first axis, acc * z + p[k] per power, either backend."""
     acc = p[-1]
-    for c in p[-2::-1]:
-        acc = acc * z + c
+    for k in range(len(p) - 2, -1, -1):
+        acc = acc * z + p[k]
     return acc
-
-
-def polyadd(a, b):
-    n = max(len(a), len(b))
-    precision = precision_of(a)
-    out = zeros(n, precision)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
-
-
-def polymul(a, b):
-    """Product of two polynomials; np.convolve also convolves mpc objects."""
-    return np.convolve(a, b)
 
 
 def polypow(p, k):
@@ -115,10 +99,10 @@ def polypow(p, k):
     base = p
     while k:
         if k & 1:
-            result = base if result is None else polymul(result, base)
+            result = base if result is None else np.convolve(result, base)
         k >>= 1
         if k:
-            base = polymul(base, base)
+            base = np.convolve(base, base)
     return result
 
 
@@ -127,7 +111,7 @@ def product(factors, exponents):
     out = asarray([1.0], precision_of(factors[0]))
     for f, e in zip(factors, exponents):
         if e:
-            out = polymul(out, polypow(f, e))
+            out = np.convolve(out, polypow(f, e))
     return out
 
 
@@ -168,10 +152,6 @@ def series_inverse(p, order):
             acc = acc + p[j] * inv[k - j]
         inv[k] = -acc / p[0]
     return inv
-
-
-def monic(p):
-    return p / p[-1]
 
 
 def polydivmod(a, b):

@@ -93,7 +93,7 @@ def build_rn(problem, n):
     if not _poly.all_finite(total):
         raise CoefficientOverflow(
             f"order n={n} overflowed: R_n has non-finite coefficients")
-    return _poly.trim(total, 1e-300)
+    return total
 
 
 def _term_exponents(problem, n):

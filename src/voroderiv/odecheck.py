@@ -96,7 +96,7 @@ def d2_numerator_residual(z1, z2, n, z, printed=False, relative=True):
     z1, z2, z = complex(z1), complex(z2), complex(z)
     lin1 = _poly.asarray([-z1, 1.0])
     lin2 = _poly.asarray([-z2, 1.0])
-    r = _poly.polyadd(_poly.polypow(lin1, n + 1), _poly.polypow(lin2, n + 1))
+    r = _poly.polypow(lin1, n + 1) + _poly.polypow(lin2, n + 1)
     r = r / r[-1]
     dr = _poly.polyder(r)
     ddr = _poly.polyder(dr)

@@ -185,7 +185,7 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE):
         den = _poly.product([_poly.asarray([zi - zl, 1.0], precision) for zl in poles],
                             [0 if l == i else rl for l, rl in enumerate(orders)])
         inv = _poly.series_inverse(den, ri)
-        tay = _poly.polymul(num_shift[: ri + 1] if len(num_shift) > ri else num_shift, inv)
+        tay = np.convolve(num_shift[: ri + 1], inv)
         # a_{i, r_i - k} = k-th Taylor coefficient; the top one is
         # rem(z_i)/den(z_i), nonzero by the gcd check
         coeffs.append(tuple(tay[ri - 1::-1]))

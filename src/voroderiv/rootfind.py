@@ -34,6 +34,7 @@ arrays of mpmath.mpc.
 """
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,17 +132,8 @@ def _horner_scaled(coeffs, z):
 
 
 def _stack(polys, dtype):
-    """The polynomials as the rows of one array, zero-padded to the longest."""
-    width = max(map(len, polys))
-    return np.array([list(p) + [0] * (width - len(p)) for p in polys], dtype=dtype)
-
-
-def _horner(coeffs, u):
-    """Each row of coeffs (ascending powers) at u, all rows at once."""
-    p = coeffs[:, -1:]
-    for j in range(coeffs.shape[1] - 2, -1, -1):
-        p = p * u + coeffs[:, j:j + 1]
-    return p
+    """The polynomials zero-padded as one (powers, rows, 1) array for _poly.polyval."""
+    return np.array(list(itertools.zip_longest(*polys, fillvalue=0)), dtype=dtype)[:, :, None]
 
 
 # elementwise log, exp and real part on object arrays of mpmath.mpc,
@@ -169,7 +161,7 @@ class SumOfProducts:
         """Each term expanded in powers of z, cut to length slots (None: whole)."""
         for row, w, c in zip(self.exponents, self.weights, self.centres):
             # w(z - c) in powers of z
-            yield _poly.polymul(_poly.product(self.factors, row), _poly.taylor_shift(w, -c))[:length]
+            yield np.convolve(_poly.product(self.factors, row), _poly.taylor_shift(w, -c))[:length]
 
     def expand(self, length):
         """The first length coefficients of N, the terms added by Kahan's
@@ -201,7 +193,7 @@ class SumOfProducts:
         precision = _poly.precision_of(self.factors[0])
         dtype = complex if precision == DOUBLE else object
         log, exp, real = (np.log, np.exp, np.real) if precision == DOUBLE else _MPMATH_FUNCS
-        # each polynomial, then its derivative: a linear factor's is a column
+        # each polynomial, then its derivative: a linear factor's has one power
         factors, dfactors, weights, dweights = (
             _stack(ps, dtype) for fs in (self.factors, self.weights)
             for ps in (fs, [_poly.polyder(f) for f in fs]))
@@ -231,7 +223,7 @@ class SumOfProducts:
         def block(z):
             if len(z) == 1:  # numpy sums one column pairwise: pair a single point
                 return tuple(a[:1] for a in block(np.repeat(z, 2)))
-            p, dp = _horner(factors, z), _horner(dfactors, z)
+            p, dp = _poly.polyval(factors, z), _poly.polyval(dfactors, z)
             zero = None if p.all() else p == 0
             safe = p if zero is None else np.where(zero, 1, p)
             x = np.empty((2,) + p.shape, dtype=dtype)
@@ -239,9 +231,9 @@ class SumOfProducts:
                 log(safe, out=x[0])
                 np.divide(dp, safe, out=x[1])
                 logs, ratios = row_sums(x)
-            u = z - centres if weights.shape[1] > 1 else None  # constant weights need none
-            w = _horner(weights, u)
-            g = ratios * w if u is None else ratios * w + _horner(dweights, u)
+            u = z - centres if len(weights) > 1 else None  # constant weights need none
+            w = _poly.polyval(weights, u)
+            g = ratios * w if u is None else ratios * w + _poly.polyval(dweights, u)
             if zero is not None:
                 order, dzero = row_sums(np.stack([zero, np.where(zero, dp, 0)]))
                 logs = np.where((order == 0) | (order == 1), logs, -np.inf)
@@ -398,8 +390,8 @@ def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None, retry_
 
     Coefficients must be finite (ValueError).  p is made monic and
     evaluated by scaled Horner (_horner_scaled) or, in extended
-    precision, by Horner on mpc values.  start and retry_start default
-    to jittered circles of radius 0.5 and 1 times fujiwara_bound.
+    precision, by _poly.polyval on mpc values.  start and retry_start
+    default to jittered circles of radius 0.5 and 1 times fujiwara_bound.
 
     An evaluator maps an array of points to (p, p') up to a common
     per-point scale (rational.newton_evaluator for numerators whose
@@ -425,7 +417,7 @@ def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None, retry_
         raise ZeroPolynomial("need degree >= 1")
     if p is not None:
         with _poly.workprec():
-            p = _poly.monic(p)
+            p = p / p[-1]
             bound = fujiwara_bound(p)
             dp = _poly.polyder(p) if precision == EXTENDED else None
         if bound == 0.0:
@@ -434,9 +426,9 @@ def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None, retry_
         if dp is None:
             evaluator = lambda z: _horner_scaled(p, z)
         else:
-            # np.polyval starts from an array; an mpc times an ndarray would
-            # first format the whole array into mpmath's conversion error
-            evaluator = lambda z: (np.polyval(p[::-1], z), np.polyval(dp[::-1], z))
+            # as columns, Horner starts from an array: an mpc times an ndarray
+            # would first format the whole array into mpmath's conversion error
+            evaluator = lambda z: (_poly.polyval(p[:, None], z), _poly.polyval(dp[:, None], z))
         if start is None:
             start = _start_points(m, 0.5 * bound, precision)
         if retry_start is None:

@@ -320,6 +320,26 @@ def test_duplicate_pole_exits_2(tmp_path):
     assert r.returncode == 2
 
 
+MIXED_ORDERS = {"poles": [dict(TWO_POLE["poles"][0], order=2, coeffs=[0.0, [0.0, -0.5]]),
+                          TWO_POLE["poles"][1]]}
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    (TWO_POLE, ["potential", "--grid", "8"], "grid resolution must be >= 16"),
+    (TWO_POLE, ["roots", "--out", "{tmp}/problem.json/out"], "cannot create output directory"),
+    (MIXED_ORDERS, ["odecheck"], "odecheck requires a common pole order"),
+], ids=["grid-8", "out-under-a-file", "odecheck-mixed-orders"])
+def test_rejected_arguments_exit_1_and_write_nothing(tmp_path, capsys, data, argv, message):
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps(data))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--problem", str(p)]) == 1
+    assert message in capsys.readouterr().err
+    assert [f for f in tmp_path.rglob("*") if f.is_file()] == [p]
+
+
 def test_unknown_flag_exits_1(problem, tmp_path):
     r = run_cli("roots", "--problem", str(problem), "--no-extended-retry",
                 "--out", str(tmp_path))

@@ -190,10 +190,13 @@ def test_psi_max_from_roots_matches_horner_away_from_the_roots():
 
 
 def test_build_rn_overflow_is_named():
-    # criterion 12's problem: 198 of 1101 coefficients overflow at n = 550
+    # criterion 12's problem: n = 515 is the first order with a
+    # non-finite coefficient (198 of 1101 overflow at n = 550); n = 514
+    # still comes back whole, all 1029 coefficients finite
     p = LemniscateProblem(((0.0, 0.0, 1.0), (-3.0, 1.0)), (1, 1))
-    assert np.isfinite(build_rn(p, 500)).all()
-    for n in (550, 600):
+    r = build_rn(p, 514)
+    assert len(r) == 1029 and np.isfinite(r).all()
+    for n in (515, 550, 600):
         with pytest.raises(CoefficientOverflow, match=f"order n={n} overflowed"):
             build_rn(p, n)
 
@@ -276,6 +279,11 @@ def test_leading_term_matches_expansion():
         for n in range(1, 41):
             r = build_rn(p, n)
             assert leading_term(p, n) == (_poly.degree(r), r[-1])
+    # past 1e300 coefficients the lead 1 is still returned, up to the
+    # last order before the overflow
+    for n in (501, 514):
+        r = build_rn(c12_problem(), n)
+        assert leading_term(c12_problem(), n) == (_poly.degree(r), r[-1]) == (2 * n, 1)
 
 
 def test_balance_starts_are_exact_and_deterministic():
@@ -296,7 +304,8 @@ def np_roots_balance_starts(problem, n, degree):
         f = rows[i] - rows[j]
         a = _poly.product(problem.polynomials, np.maximum(f, 0))
         b = _poly.product(problem.polynomials, np.maximum(-f, 0))
-        z = np.concatenate([np.roots(_poly.polyadd(a, -w * b)[::-1]) for w in omega])
+        z = np.concatenate([np.roots(np.polynomial.polynomial.polyadd(a, -w * b)[::-1])
+                            for w in omega])
         logs = voronoi.branch_logs(problem.branches, z)
         rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
         pts.append(z)

@@ -1,16 +1,19 @@
 """Polynomial helper routines, double and extended backends."""
 
 import numpy as np
+import pytest
 
 from voroderiv import _poly
 from voroderiv._poly import DOUBLE, EXTENDED
 
 
-def test_trim_strips_leading_noise():
-    p = _poly.asarray([1.0, 2.0, 1e-15], DOUBLE)
-    t = _poly.trim(p, 1e-12)
-    assert _poly.degree(t) == 1
-    assert t[1] == 2.0
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+def test_trim_drops_only_exact_zeros(precision):
+    # a top coefficient 1e-300 times the largest is kept, not cut as noise
+    t = _poly.trim(_poly.asarray([1.0, 2.0, 1e-300, 0.0, 0.0], precision))
+    assert _poly.degree(t) == 2
+    assert t[2] == _poly.scalar(1e-300, precision)
+    assert _poly.degree(_poly.trim(_poly.asarray([0.0, 1.0, 0.0], precision))) == 1
 
 
 def test_trim_keeps_exact_zero_polynomial_as_length_one():
@@ -21,7 +24,7 @@ def test_trim_keeps_exact_zero_polynomial_as_length_one():
 def test_polymul_small_case():
     a = _poly.asarray([1.0, 1.0], DOUBLE)       # 1 + z
     b = _poly.asarray([-1.0, 1.0], DOUBLE)      # -1 + z
-    c = _poly.polymul(a, b)
+    c = np.convolve(a, b)
     assert np.allclose(np.asarray(c, dtype=complex), [-1.0, 0.0, 1.0])
 
 
@@ -29,7 +32,7 @@ def test_polypow_matches_repeated_mul():
     base = _poly.asarray([2.0, -1.0, 1.0], DOUBLE)
     direct = _poly.asarray([1.0], DOUBLE)
     for _ in range(5):
-        direct = _poly.polymul(direct, base)
+        direct = np.convolve(direct, base)
     fast = _poly.polypow(base, 5)
     assert np.allclose(np.asarray(fast, dtype=complex),
                        np.asarray(direct, dtype=complex))
@@ -40,6 +43,9 @@ def test_polyval_horner_on_array():
     z = np.array([1.0 + 0j, 2j])
     v = _poly.polyval(p, z)
     assert np.allclose(v, [2.0, -3.0])
+    # rows 1 + z^2 and 2 - z stacked as (powers, rows, 1): one row per output row
+    rows = np.array([[1.0, 2.0], [0.0, -1.0], [1.0, 0.0]], dtype=complex)[:, :, None]
+    assert np.allclose(_poly.polyval(rows, z), [[2.0, -3.0], [1.0, 2.0 - 2j]])
 
 
 def test_polyder():
@@ -80,12 +86,6 @@ def test_polydivmod():
     assert np.abs(r).max() <= 1e-14
 
 
-def test_monic():
-    p = _poly.asarray([2.0, 0.0, 4.0], DOUBLE)
-    m = _poly.monic(p)
-    assert np.allclose(np.asarray(m, dtype=complex), [0.5, 0.0, 1.0])
-
-
 def test_extended_backend_roundtrip():
     import mpmath
     p = _poly.asarray([1.0, 2.0], EXTENDED)
@@ -97,8 +97,8 @@ def test_extended_backend_roundtrip():
 def test_extended_polymul_matches_double():
     a = [1.0 + 1j, -0.5, 2.0]
     b = [0.25, 1.0 - 1j]
-    cd = _poly.polymul(_poly.asarray(a, DOUBLE), _poly.asarray(b, DOUBLE))
-    ce = _poly.polymul(_poly.asarray(a, EXTENDED), _poly.asarray(b, EXTENDED))
+    cd = np.convolve(_poly.asarray(a, DOUBLE), _poly.asarray(b, DOUBLE))
+    ce = np.convolve(_poly.asarray(a, EXTENDED), _poly.asarray(b, EXTENDED))
     assert np.allclose(np.asarray(cd, dtype=complex),
                        np.array([complex(c) for c in ce]))
 

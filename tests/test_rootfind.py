@@ -326,8 +326,8 @@ def horner_case():
 def extended_case():
     rng = np.random.default_rng(5)
     with _poly.workprec():
-        p = _poly.monic(_poly.asarray(
-            list(rng.normal(size=21) + 1j * rng.normal(size=21)), _poly.EXTENDED))
+        p = _poly.asarray(list(rng.normal(size=21) + 1j * rng.normal(size=21)), _poly.EXTENDED)
+        p = p / p[-1]
         dp = _poly.polyder(p)
     start = rootfind._start_points(20, 0.5 * fujiwara_bound(p), _poly.EXTENDED)
     return p, (lambda z: (np.polyval(p[::-1], z), np.polyval(dp[::-1], z))), start
