@@ -258,14 +258,14 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
+    if args.grid < 16:
+        print("grid resolution must be >= 16", file=sys.stderr)
+        return 1
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return 1
-    if args.grid < 16:
-        print("grid resolution must be >= 16", file=sys.stderr)
         return 1
     try:
         return COMMANDS[args.command](args, out)

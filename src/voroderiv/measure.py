@@ -96,8 +96,7 @@ def skeleton_starts(diagram, count, jitter=0.01, seed=0):
     of the diagram scale.  The zeros of a finite-order numerator lie off
     the skeleton, so rational.zeros starts from the two-term zeros of
     rational.balance_starts instead; these points fill only the
-    shortfall a polynomial part leaves at n <= deg pp, and seed the
-    retry when the first attempt stalls.
+    shortfall a polynomial part leaves at n <= deg pp.
     """
     rng = np.random.default_rng(seed)
     masses = np.array([edge_mass(e, diagram.d) for e in diagram.edges])

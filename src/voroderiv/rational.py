@@ -192,14 +192,15 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE):
 
     form = PolarForm(tuple(poles), tuple(orders), tuple(coeffs), poly_part, precision)
 
-    # recombination check at random points
+    # recombination check at random points, against the denominator as
+    # its product: expanded, it rounds past 1e-10 near a high-order pole
     rng = np.random.default_rng(0)
     for _ in range(20):
         z = _poly.scalar(complex(rng.normal(), rng.normal()) * 2.0 * scale, precision)
         if min(abs(z - zi) for zi in poles) < 0.1 * scale:
             continue
         lhs = form.evaluate(z)
-        rhs = _poly.polyval(numer, z) / _poly.polyval(denom, z)
+        rhs = _poly.polyval(numer, z) / math.prod((z - zi) ** ri for zi, ri in zip(poles, orders))
         if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
             raise ArithmeticError("partial fraction recombination check failed")
     return form
@@ -385,12 +386,12 @@ def zeros(form, n):
     precision.  With two or more poles the Aberth iteration runs on
     newton_evaluator, in the form's precision, and never expands R_n: it
     starts from balance_starts, the best balanced zeros of the two
-    leading terms edge by edge, as many as leading_term's degree, and
-    retries, if that attempt stalls, from measure.skeleton_starts.  With
+    leading terms edge by edge, as many as leading_term's degree.  With
     one pole R_n has degree at most r + deg pp, so its expansion
     (numerator) is short and finite, and the iteration runs on its
-    coefficients.  Raises ZeroPolynomial when R_n is a constant, and
-    NoConvergence with the best-effort RootSet attached.
+    coefficients.  Either way there is one attempt.  Raises
+    ZeroPolynomial when R_n is a constant, and NoConvergence with that
+    attempt's RootSet attached.
     """
     state = derivative_state(form, n)
     if form.d == 1:
@@ -399,8 +400,7 @@ def zeros(form, n):
     diagram = voronoi.build([complex(z) for z in form.poles])
     return rootfind.solve(None, 1e-12, precision=form.precision,
                           evaluator=newton_evaluator(state),
-                          start=balance_starts(state, diagram, degree),
-                          retry_start=lambda: measure.skeleton_starts(diagram, degree))
+                          start=balance_starts(state, diagram, degree))
 
 
 def degree_diagnostics(results):

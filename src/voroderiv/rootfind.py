@@ -375,7 +375,7 @@ def _start_points(m, radius, precision):
     return _poly.asarray(radius * np.exp(1j * angles), precision)
 
 
-def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None, retry_start=None):
+def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None):
     """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
 
     The polynomial is given either by its coefficients p or, with p None,
@@ -384,22 +384,22 @@ def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None, retry_
     defaults to extended for an object array p (or start), else double.
     Newton passes freeze the roots they certify (RootSet.certified), and
     active-set Jacobi sweeps run on the rest (RootSet.sweeps counts these).
-    If the first attempt stalls, one retry runs from retry_start() and
-    the attempt with more converged roots is kept; NoConvergence is
-    raised, with that RootSet attached, if it has unconverged roots.
+    One attempt: NoConvergence is raised, with its RootSet attached, if
+    it leaves unconverged roots; near the zeros a stall is the rounding
+    floor of the evaluation, which a restart does not lift.
 
     Coefficients must be finite (ValueError).  p is made monic and
     evaluated by scaled Horner (_horner_scaled) or, in extended
-    precision, by _poly.polyval on mpc values.  start and retry_start
-    default to jittered circles of radius 0.5 and 1 times fujiwara_bound.
+    precision, by _poly.polyval on mpc values.  start defaults to a
+    jittered circle of radius 0.5 times fujiwara_bound.
 
     An evaluator maps an array of points to (p, p') up to a common
     per-point scale (rational.newton_evaluator for numerators whose
     expanded coefficients are too ill-scaled to evaluate).  No
-    coefficient is read: start is required, its length is the degree,
-    and there is no retry without retry_start.  Each output must depend
-    only on its own input point: a Newton pass and the final call for
-    the residuals pass all m roots, a sweep only the roots still active.
+    coefficient is read: start is required, and its length is the
+    degree.  Each output must depend only on its own input point: a
+    Newton pass and the final call for the residuals pass all m roots, a
+    sweep only the roots still active.
     """
     if (p is None) == (evaluator is None):
         raise ValueError("pass exactly one of coefficients and an evaluator")
@@ -431,21 +431,12 @@ def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None, retry_
             evaluator = lambda z: (_poly.polyval(p[:, None], z), _poly.polyval(dp[:, None], z))
         if start is None:
             start = _start_points(m, 0.5 * bound, precision)
-        if retry_start is None:
-            retry_start = lambda: _start_points(m, bound, precision)
-
-    def given(pts):
-        if len(pts) != m:
-            raise ValueError("start must supply one point per root")
-        return _poly.asarray(pts, precision)
-
+    if len(start) != m:
+        raise ValueError("start must supply one point per root")
+    start = _poly.asarray(start, precision)
     arithmetic = _poly.workprec() if precision == EXTENDED else contextlib.nullcontext()
     with arithmetic:
-        result = _aberth(evaluator, tolerance, given(start), MAX_SWEEPS[precision])
-        if not result.all_converged and retry_start is not None:
-            retry = _aberth(evaluator, tolerance, given(retry_start()), MAX_SWEEPS[precision])
-            if retry.converged.sum() > result.converged.sum():
-                result = retry
+        result = _aberth(evaluator, tolerance, start, MAX_SWEEPS[precision])
     if not result.all_converged:
         raise NoConvergence(
             f"{int((~result.converged).sum())} of {m} roots unconverged, "

@@ -338,6 +338,8 @@ def test_rejected_arguments_exit_1_and_write_nothing(tmp_path, capsys, data, arg
     assert cli.main(argv + ["--problem", str(p)]) == 1
     assert message in capsys.readouterr().err
     assert [f for f in tmp_path.rglob("*") if f.is_file()] == [p]
+    if "--grid" in argv:  # rejected before --out is made
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_flag_exits_1(problem, tmp_path):

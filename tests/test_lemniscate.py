@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voroderiv import _poly, asympt, lemniscate, rootfind, voronoi
-from voroderiv.errors import CoefficientOverflow
+from voroderiv.errors import CoefficientOverflow, NoConvergence
 from voroderiv.lemniscate import (LemniscateProblem, NoDominantDegree,
                                   balance_starts, build_rn,
                                   compactness_and_compare, dominance_radius,
@@ -359,6 +359,19 @@ def test_c12_high_orders_converge_from_balance_starts(sweeps):
     assert [len(r) for r in rep.roots] == [320, 1000]
     assert max(rep.max_root_modulus) <= rep.dominance_radius
     assert max(sweeps) <= 2
+
+
+def test_a_stalled_solve_is_not_restarted(monkeypatch):
+    # at n = 4 the Newton passes certify 82 of 84 roots and the sweeps
+    # need 3; one sweep leaves a stall, raised without a restart from
+    # the dominance circle
+    def no_circle(*args):
+        raise AssertionError("_start_points called")
+
+    monkeypatch.setattr(rootfind, "_start_points", no_circle)
+    monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 1)
+    with pytest.raises(NoConvergence, match="of 84 roots unconverged, 82 certified"):
+        compactness_and_compare(fig_problem(), [4], window=(0.0, 2.0), grid=16)
 
 
 def test_figure_n16_converges():

@@ -57,6 +57,15 @@ def test_polar_decompose_extended_runs_at_extended_precision():
         assert abs(form.coeffs[0][0] - exact) <= 1e-35 * abs(exact)
 
 
+@pytest.mark.parametrize("precision, order", [("double", 11), ("extended", 50)])
+def test_polar_decompose_accepts_a_high_order_pole(precision, order):
+    # 1/(z - z0)^r is its own decomposition; the recombination check
+    # once evaluated (z - z0)^r expanded, whose rounding near z0 failed it
+    form = polar_decompose([1.0], [(0.8 + 0.1j, order)], precision=precision)
+    assert [complex(c) for c in form.coeffs[0]] == [0.0] * (order - 1) + [1.0]
+    assert not any(complex(c) for c in form.polynomial_part)
+
+
 def test_derivative_matches_finite_differences():
     form = polar_form([1.0, -1.0 + 0.5j], [1, 2],
                       [[2.0], [1.0 - 1.0j, 0.5]], polynomial_part=[0.25])
@@ -552,18 +561,24 @@ def test_a_duplicated_start_is_never_certified_twice():
     assert multiset_distance(rs.roots, undisturbed.roots) < 1e-10
 
 
-def test_zeros_retry_from_the_skeleton(monkeypatch):
-    # coincident starts stall the first attempt; the retry must start
-    # from measure.skeleton_starts, not from the Fujiwara circle
-    state, diagram, degree = cube_problem(12)
-    monkeypatch.setattr(rational, "balance_starts",
-                        lambda state, diagram, degree: np.zeros(degree, dtype=complex))
+def test_zeros_makes_one_attempt(monkeypatch):
+    # coincident starts stall; zeros raises with that attempt's roots
+    # and never restarts from measure.skeleton_starts
+    state, _, degree = cube_problem(12)
+    start = np.zeros(degree, dtype=complex)
+    monkeypatch.setattr(rational, "balance_starts", lambda state, diagram, degree: start)
+
+    def no_skeleton(*args, **kwargs):
+        raise AssertionError("skeleton_starts called")
+
+    monkeypatch.setattr(measure, "skeleton_starts", no_skeleton)
     with np.errstate(all="ignore"):
-        rs = rational.zeros(state.base, 12)
-    direct = rootfind.solve(None, 1e-12, evaluator=newton_evaluator(state),
-                           start=measure.skeleton_starts(diagram, degree))
-    assert rs.all_converged
-    assert rs.roots.tobytes() == direct.roots.tobytes()
+        with pytest.raises(NoConvergence) as info:
+            rational.zeros(state.base, 12)
+        direct = rootfind._aberth(newton_evaluator(state), 1e-12, start,
+                                  rootfind.MAX_SWEEPS["double"])
+    assert not direct.all_converged
+    assert info.value.rootset.roots.tobytes() == direct.roots.tobytes()
 
 
 def test_zeros_mixed_orders_start_near_their_zeros():

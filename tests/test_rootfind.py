@@ -27,23 +27,20 @@ def test_cube_roots_of_unity():
     assert multiset_distance(rs.roots, expected) < 1e-12
 
 
-def test_retry_start_is_called_only_after_a_stall(monkeypatch):
-    p = [-1.0, 0.0, 0.0, 1.0]
+def test_solve_makes_one_attempt(monkeypatch):
+    # coincident starts stall; the stall is reported, not restarted
     calls = []
+    aberth = rootfind._aberth
 
-    def retry():
+    def spy(*args):
         calls.append(1)
-        return [1.1, -0.4 + 0.9j, -0.4 - 0.9j]
+        return aberth(*args)
 
-    assert solve(p, retry_start=retry).all_converged
-    assert calls == []
-    # coincident starts stall the first attempt
+    monkeypatch.setattr(rootfind, "_aberth", spy)
     monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 20)
-    with np.errstate(all="ignore"):
-        rs = solve(p, start=[0.5, 0.5, 0.5], retry_start=retry)
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence):
+        solve([-1.0, 0.0, 0.0, 1.0], start=[0.5, 0.5, 0.5])
     assert calls == [1]
-    assert multiset_distance(rs.roots, [np.exp(2j * math.pi * k / 3)
-                                        for k in range(3)]) < 1e-12
 
 
 def test_repeated_root_bound():
@@ -303,7 +300,8 @@ def eight_poles(n):
 
 
 def eight_pole_case(n=50):
-    """rational.zeros' retry inputs at criterion 13's eight poles."""
+    """An evaluator solve at criterion 13's eight poles from the skeleton
+    starts, which leave more roots to the sweeps than balance_starts."""
     diagram, state, degree = eight_poles(n)
     return None, rational.newton_evaluator(state), measure.skeleton_starts(diagram, degree)
 
