@@ -90,7 +90,7 @@ def _window(args):
 
 def cmd_derive(args, out):
     form = _form(args)
-    n = _n_list(args)[0]
+    n = int(args.n)
     r_n = rational.numerator(rational.derivative_state(form, n)).r_n.astype(complex)
     _write_csv(out / f"rn_{n}.csv", ["k", "re", "im"],
                [list(range(len(r_n))), r_n.real.tolist(), r_n.imag.tolist()])
@@ -99,7 +99,7 @@ def cmd_derive(args, out):
 
 def cmd_roots(args, out):
     form = _form(args)
-    n = _n_list(args)[0]
+    n = int(args.n)
     rs = rational.zeros(form, n)
     roots = rs.roots.astype(complex)
     _write_csv(out / f"roots_{n}.csv", ["re", "im", "residual", "converged"],
@@ -212,7 +212,7 @@ def cmd_lemniscate(args, out):
 def cmd_render(args, out):
     form = _form(args)
     diagram = _diagram(form)
-    n = _n_list(args)[0]
+    n = int(args.n)
     rs = rational.zeros(form, n)
     center, half = _window(args)
     svg.render_svg(out / f"render_{n}.svg", diagram,
@@ -260,6 +260,10 @@ def main(argv=None):
         return 1 if exc.code else 0
     if args.grid < 16:
         print("grid resolution must be >= 16", file=sys.stderr)
+        return 1
+    # these commands write the output of one derivative order
+    if args.command in ("derive", "roots", "render") and "," in args.n:
+        print(f"--n takes one order for {args.command}, not a list", file=sys.stderr)
         return 1
     out = Path(args.out)
     try:

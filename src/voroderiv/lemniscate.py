@@ -233,11 +233,11 @@ class LemniscateReport:
 def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
     """Solve R_n for each n and measure convergence toward psi_max.
 
-    Aberth runs once per n on rn_evaluator from balance_starts, and a
-    stall raises NoConvergence.  Without a strictly dominant degree the
-    radius is NaN and only the pointwise comparison is meaningful.  The
-    L1 gap to psi_max comes from asympt.grid_l1, which skips the grid
-    points near a root (at most 1% of them, else ExclusionTooLarge).
+    Aberth runs once per n on rn_evaluator from balance_starts, at solve's
+    step tolerance; a stall raises NoConvergence.  Without a strictly
+    dominant degree the radius is NaN and only the pointwise comparison is
+    meaningful.  The L1 gap to psi_max comes from asympt.grid_l1, which skips
+    the grid points near a root (at most 1% of them, else ExclusionTooLarge).
     """
     try:
         radius = dominance_radius(problem)
@@ -251,7 +251,7 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
     all_roots = []
     for n in n_list:
         degree, lead = leading_term(problem, n)
-        rs = rootfind.solve(None, 1e-10, evaluator=rn_evaluator(problem, n),
+        rs = rootfind.solve(None, evaluator=rn_evaluator(problem, n),
                             start=balance_starts(problem, n, degree))
         all_roots.append(tuple(rs.roots))
         max_mod.append(float(np.abs(rs.roots).max()))

@@ -384,23 +384,22 @@ def zeros(form, n):
 
     The one path from a PolarForm to derivative zeros, in either
     precision.  With two or more poles the Aberth iteration runs on
-    newton_evaluator, in the form's precision, and never expands R_n: it
-    starts from balance_starts, the best balanced zeros of the two
-    leading terms edge by edge, as many as leading_term's degree.  With
-    one pole R_n has degree at most r + deg pp, so its expansion
+    newton_evaluator, in the precision of the balance_starts it starts
+    from (the form's), and never expands R_n: the best balanced zeros of
+    the two leading terms edge by edge, as many as leading_term's degree.
+    With one pole R_n has degree at most r + deg pp, so its expansion
     (numerator) is short and finite, and the iteration runs on its
-    coefficients.  Either way there is one attempt.  Raises
-    ZeroPolynomial when R_n is a constant, and NoConvergence with that
-    attempt's RootSet attached.
+    coefficients.  Either way there is one attempt, at rootfind.solve's
+    tolerance.  Raises ZeroPolynomial when R_n is a constant, and
+    NoConvergence with that attempt's RootSet attached.
     """
     state = derivative_state(form, n)
     if form.d == 1:
-        return rootfind.solve(numerator(state).r_n, 1e-12)
+        return rootfind.solve(numerator(state).r_n)
     degree, _ = leading_term(state)
     diagram = voronoi.build([complex(z) for z in form.poles])
-    return rootfind.solve(None, 1e-12, precision=form.precision,
-                          evaluator=newton_evaluator(state),
-                          start=balance_starts(state, diagram, degree))
+    starts = _poly.asarray(balance_starts(state, diagram, degree), form.precision)
+    return rootfind.solve(None, evaluator=newton_evaluator(state), start=starts)
 
 
 def degree_diagnostics(results):

@@ -23,9 +23,10 @@ block size or on which other roots are still active.
 
 SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
-evaluator that forms its products of powers in log space, each row as a
-sum shared by all rows minus a sparse complement where that is shorter:
-O(d) per point for the d-pole numerator.  The evaluator is row-stacked:
+evaluator that forms its products of powers in log space, each row by a
+sparse complement where that is shorter (its logarithmic derivative as a
+sum shared by all rows minus the complement): O(d) per point for the
+d-pole numerator.  The evaluator is row-stacked:
 a fixed number of numpy calls on (rows, points) arrays per block.  It
 sums over rows only on two or more points, as numpy sums one column
 pairwise, and keeps each complex product's operand order, which sets
@@ -182,13 +183,15 @@ class SumOfProducts:
         Products of powers are formed in log space and scaled by the
         largest modulus per point, so degrees in the thousands neither
         overflow nor underflow; only N/N' and |N|/|N'| are meaningful.
-        Each row's sums of e_ik log f_k and e_ik f_k'/f_k are the shared
-        sums over the column maxima t_k minus the complement's when the
-        complements t_k - e_ik are sparser.  A term vanishing at an exact
-        zero of a factor, to order sum_k e_ik [f_k = 0], adds nothing to
-        N, and to N' only at order 1.  Each output depends on its own
-        point only.  Works on complex arrays, or on object arrays of
-        mpmath.mpc (call it at _poly.workprec()).
+        Where the complements t_k - e_ik (t_k the column maxima) are
+        sparser, a row's sum of e_ik f_k'/f_k is the shared sum over t_k
+        minus the complement's, and its log sum is minus the complement's
+        alone: the shared sum of t_k log f_k is a per-point scale, and only
+        its rounding would remain.  A term vanishing at an exact zero of a
+        factor, to order sum_k e_ik [f_k = 0], adds nothing to N, and to
+        N' only at order 1.  Each output depends on its own point only.
+        Works on complex arrays, or on object arrays of mpmath.mpc (call
+        it at _poly.workprec()).
         """
         precision = _poly.precision_of(self.factors[0])
         dtype = complex if precision == DOUBLE else object
@@ -214,11 +217,14 @@ class SumOfProducts:
                   np.array([[r[j][1] if j < len(r) else 0] for r in entries], dtype=dtype))
                  for j in range(max(1, *map(len, entries)))]
 
-        def row_sums(x):
+        def row_sums(x, shared):
             # sum_k e_ik x_k for each row i and each layer of the finite
-            # (layers, factors, points) array x: the shared sum, then slots
-            shared = 0 if top is None else (x * top).sum(axis=1, keepdims=True)
-            return sum((x[:, idx] * e for idx, e in slots), shared)
+            # (layers, factors, points) array x: the slots, plus the
+            # shared sum on the layers shared selects
+            sums = sum(x[:, idx] * e for idx, e in slots)
+            if top is not None:
+                sums[shared] += (x[shared] * top).sum(axis=1, keepdims=True)
+            return sums
 
         def block(z):
             if len(z) == 1:  # numpy sums one column pairwise: pair a single point
@@ -230,12 +236,14 @@ class SumOfProducts:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 log(safe, out=x[0])
                 np.divide(dp, safe, out=x[1])
-                logs, ratios = row_sums(x)
+                # the shared sum of the logs is a per-point scale, which
+                # logs - max cancels: only its rounding would remain
+                logs, ratios = row_sums(x, slice(1, 2))
             u = z - centres if len(weights) > 1 else None  # constant weights need none
             w = _poly.polyval(weights, u)
             g = ratios * w if u is None else ratios * w + _poly.polyval(dweights, u)
             if zero is not None:
-                order, dzero = row_sums(np.stack([zero, np.where(zero, dp, 0)]))
+                order, dzero = row_sums(np.stack([zero, np.where(zero, dp, 0)]), slice(None))
                 logs = np.where((order == 0) | (order == 1), logs, -np.inf)
                 g = np.where(order == 0, g, dzero * w)
                 w = np.where(order == 0, w, 0)
@@ -375,18 +383,19 @@ def _start_points(m, radius, precision):
     return _poly.asarray(radius * np.exp(1j * angles), precision)
 
 
-def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None):
+def solve(p, tolerance=1e-12, evaluator=None, start=None):
     """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
 
     The polynomial is given either by its coefficients p or, with p None,
-    by an evaluator, never both.  Both run _aberth, on complex arrays or
-    on object arrays of mpmath.mpc at _poly.EXTENDED_DPS digits: precision
-    defaults to extended for an object array p (or start), else double.
+    by an evaluator, never both.  Both run _aberth, on object arrays of
+    mpmath.mpc at _poly.EXTENDED_DPS digits exactly when p, or start with
+    an evaluator, is one (_poly.asarray(x, "extended")), else on complex.
     Newton passes freeze the roots they certify (RootSet.certified), and
-    active-set Jacobi sweeps run on the rest (RootSet.sweeps counts these).
-    One attempt: NoConvergence is raised, with its RootSet attached, if
-    it leaves unconverged roots; near the zeros a stall is the rounding
-    floor of the evaluation, which a restart does not lift.
+    active-set Jacobi sweeps run on the rest (RootSet.sweeps counts these)
+    until each step is below tolerance * (1 + |z|): 1e-12 in every solve
+    of the package.  One attempt: NoConvergence is raised, with its
+    RootSet attached, if it leaves unconverged roots; near the zeros a
+    stall is the evaluation's rounding floor, which a restart does not lift.
 
     Coefficients must be finite (ValueError).  p is made monic and
     evaluated by scaled Horner (_horner_scaled) or, in extended
@@ -405,8 +414,7 @@ def solve(p, tolerance=1e-12, precision=None, evaluator=None, start=None):
         raise ValueError("pass exactly one of coefficients and an evaluator")
     if p is None and start is None:
         raise ValueError("an evaluator needs start points")
-    if precision is None:
-        precision = EXTENDED if np.asarray(start if p is None else p).dtype == object else DOUBLE
+    precision = EXTENDED if np.asarray(start if p is None else p).dtype == object else DOUBLE
     if p is not None:
         p = _poly.asarray(p, precision)
         if not _poly.all_finite(p):

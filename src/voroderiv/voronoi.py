@@ -207,17 +207,18 @@ def balanced(pairs, points, branches, degree):
     """The degree points whose branches pairs[g] = (i, j) balance best.
 
     A point of points[g] ranks by min(b_i, b_j) - max_{k != i, j} b_k
-    over branch_logs(branches, .), non-finite last; kept in order found.
+    over one branch_logs(branches, .) call on all the points, non-finite
+    last; kept in order found.
     """
-    margin = []
-    for (i, j), z in zip(pairs, points):
-        logs = branch_logs(branches, z)
-        rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
-        with np.errstate(invalid="ignore"):
-            m = np.minimum(logs[i], logs[j]) - rest
-        margin.append(np.where(np.isfinite(m), m, -np.inf))
-    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
-    return np.concatenate(points)[np.sort(keep)]
+    z = np.concatenate(points)
+    i, j = np.repeat(np.reshape(pairs, (-1, 2)), [len(p) for p in points], axis=0).T
+    logs, col = branch_logs(branches, z), np.arange(len(z))
+    with np.errstate(invalid="ignore"):
+        low = np.minimum(logs[i, col], logs[j, col])
+        logs[i, col] = logs[j, col] = -np.inf
+        margin = low - logs.max(axis=0)
+    keep = np.argsort(-np.where(np.isfinite(margin), margin, -np.inf), kind="stable")[:degree]
+    return z[np.sort(keep)]
 
 
 def _cell_branches(sites):

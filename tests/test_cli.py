@@ -328,7 +328,10 @@ MIXED_ORDERS = {"poles": [dict(TWO_POLE["poles"][0], order=2, coeffs=[0.0, [0.0,
     (TWO_POLE, ["potential", "--grid", "8"], "grid resolution must be >= 16"),
     (TWO_POLE, ["roots", "--out", "{tmp}/problem.json/out"], "cannot create output directory"),
     (MIXED_ORDERS, ["odecheck"], "odecheck requires a common pole order"),
-], ids=["grid-8", "out-under-a-file", "odecheck-mixed-orders"])
+    *[(TWO_POLE, [cmd, "--n", "3,4"], f"--n takes one order for {cmd}")
+      for cmd in ("roots", "derive", "render")],
+], ids=["grid-8", "out-under-a-file", "odecheck-mixed-orders",
+        "n-list-roots", "n-list-derive", "n-list-render"])
 def test_rejected_arguments_exit_1_and_write_nothing(tmp_path, capsys, data, argv, message):
     p = tmp_path / "problem.json"
     p.write_text(json.dumps(data))
@@ -338,7 +341,7 @@ def test_rejected_arguments_exit_1_and_write_nothing(tmp_path, capsys, data, arg
     assert cli.main(argv + ["--problem", str(p)]) == 1
     assert message in capsys.readouterr().err
     assert [f for f in tmp_path.rglob("*") if f.is_file()] == [p]
-    if "--grid" in argv:  # rejected before --out is made
+    if "--grid" in argv or "--n" in argv:  # rejected before --out is made
         assert not (tmp_path / "out").exists()
 
 

@@ -594,6 +594,17 @@ def test_zeros_mixed_orders_start_near_their_zeros():
         assert sum(rs.active_trace) <= degree
 
 
+def test_zeros_converge_on_a_far_out_balance():
+    # eight poles from generator seed 1 at n = 5000 (degree 35000): a log
+    # sum shared by all rows would round by about n u log|z| at the
+    # far-out zeros (|z| = 218 and 601) and stall two of them
+    rng = np.random.default_rng(1)
+    poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
+    rs = rational.zeros(polar_decompose([1.0], [(p, 1) for p in poles]), 5000)
+    assert len(rs) == 35000
+    assert rs.all_converged
+
+
 def test_seeded_random_problems_converge():
     # from the nearest-pole filter, the ratio trim and the skeleton fill
     # these took 897 sweeps in all, 25 at worst

@@ -116,7 +116,7 @@ def test_no_convergence_carries_partial_rootset(monkeypatch):
 
 
 def test_extended_precision_path():
-    rs = solve([-1.0, 0.0, 0.0, 1.0], tolerance=1e-20, precision="extended")
+    rs = solve(_poly.asarray([-1.0, 0.0, 0.0, 1.0], "extended"), tolerance=1e-20)
     r = sorted(rs.roots, key=lambda w: (round(float(w.real), 6),
                                         float(w.imag)))
     assert abs(complex(r[-1]) - 1.0) < 1e-20
@@ -483,7 +483,7 @@ def test_extended_residual_falls_back_to_nearest_neighbour():
 def test_sweep_trace_on_every_path():
     # from the extended Fujiwara circle the Newton passes certify one
     # root of z^3 - 1, and the sweeps run on the other two
-    rs = solve([-1.0, 0.0, 0.0, 1.0], tolerance=1e-20, precision="extended")
+    rs = solve(_poly.asarray([-1.0, 0.0, 0.0, 1.0], "extended"), tolerance=1e-20)
     assert rs.sweeps == len(rs.active_trace) >= 1
     assert rs.certified == 1 and rs.active_trace[0] == 2
     assert list(rs.active_trace) == sorted(rs.active_trace, reverse=True)

@@ -203,6 +203,57 @@ def test_balanced_keeps_the_largest_margins_in_order_found():
     # < 0, and 0 -inf
     assert np.array_equal(kept, [1.0, 1.0 + 3j, -1.0])
     assert np.array_equal(voronoi.balanced([(0, 1), (0, 2)], points, branches, 1), [1.0 + 3j])
+    # two branches only: no third branch, so every margin is -inf and
+    # the points are kept in the order found
+    kept = voronoi.balanced([(0, 1)], [np.array([1.0, 3j, -1.0])], branches[:2], 2)
+    assert np.array_equal(kept, [1.0, 3j])
+    # at z = -2 the third branch is +inf: the pair (0, 1) ranks last
+    # there, and the pair (0, 2) by log 2 - log 4
+    points = [np.array([1.0, -2.0]), np.array([-2.0])]
+    kept = voronoi.balanced([(0, 1), (0, 2)], points, branches, 2)
+    assert np.array_equal(kept, [1.0, -2.0])
+
+
+def per_pair_balanced(pairs, points, branches, degree):
+    """voronoi.balanced's ranking, one branch_logs call per pair."""
+    margin = []
+    for (i, j), z in zip(pairs, points):
+        logs = voronoi.branch_logs(branches, z)
+        rest = np.delete(logs, [i, j], axis=0).max(axis=0, initial=-np.inf)
+        with np.errstate(invalid="ignore"):
+            m = np.minimum(logs[i], logs[j]) - rest
+        margin.append(np.where(np.isfinite(m), m, -np.inf))
+    keep = np.argsort(-np.concatenate(margin), kind="stable")[:degree]
+    return np.concatenate(points)[np.sort(keep)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_balanced_matches_a_per_pair_ranking(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 5
+    centres = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
+    # weights of both signs, one or two centres per branch
+    branches = [(rng.normal(), float(rng.choice([-1, 1]) * rng.integers(1, 4)),
+                 list(centres[k:k + 1 + k % 2])) for k in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    points = []
+    for _ in pairs:
+        m = int(rng.integers(0, 12))
+        z = rng.normal(size=m) + 1j * rng.normal(size=m)
+        if m > 2:
+            z[0] = centres[rng.integers(0, 2 * d)]  # a branch at +-inf
+            z[1] = z[2]  # a tie
+        points.append(z)
+    calls = []
+    branch_logs = voronoi.branch_logs
+    monkeypatch.setattr(voronoi, "branch_logs",
+                        lambda *args: calls.append(1) or branch_logs(*args))
+    total = sum(len(z) for z in points)
+    for degree in (0, total // 3, total // 2, total + 1):
+        calls.clear()
+        kept = voronoi.balanced(pairs, points, branches, degree)
+        assert len(calls) == 1
+        assert kept.tobytes() == per_pair_balanced(pairs, points, branches, degree).tobytes()
 
 
 def test_phi_is_min_distance():
