@@ -130,12 +130,12 @@ def project_and_bin(measure, diagram, off_skeleton_cutoff=0.5):
     z = np.asarray(measure.points, dtype=complex)[:, None]
     mid = np.array([e.midpoint for e in edges])
     w = np.array([e.direction for e in edges])
-    # EdgeSegment.project on every (atom, edge) pair, in real arithmetic
+    # EdgeSegment.project on every (atom, edge) pair: t in real arithmetic,
+    # the distance by numpy's complex abs (np.hypot runs one element at a time)
     dx, dy = z.real - mid.real, z.imag - mid.imag
     t = (dx * w.real + dy * w.imag) / np.array([abs(v) ** 2 for v in w])
     t = np.clip(t, [e.t_lo for e in edges], [e.t_hi for e in edges])
-    dist = np.hypot(z.real - (mid.real + t * w.real),
-                    z.imag - (mid.imag + t * w.imag))
+    dist = np.abs(z - (mid + t * w))
     best = np.argmin(dist, axis=1)
     rows = np.arange(len(z))
     t, dist = t[rows, best], dist[rows, best]
@@ -150,7 +150,9 @@ def project_and_bin(measure, diagram, off_skeleton_cutoff=0.5):
             pair=e.pair, theoretical_mass=edge_mass(e, diagram.d),
             empirical_fraction=len(ts) / m,
             ks=_ks_statistic(ts, e, diagram.d) if len(ts) else 1.0))
-    pairs = [edges[k].pair if a else None for k, a in zip(best.tolist(), on.tolist())]
+    # an off-skeleton atom indexes the None past the last edge
+    labels = [e.pair for e in edges] + [None]
+    pairs = [labels[k] for k in np.where(on, best, len(edges)).tolist()]
     return ComparisonReport(
         n=measure.n,
         m_n=m,

@@ -132,13 +132,15 @@ def cmd_measure(args, out):
 def cmd_compare(args, out):
     form = _form(args)
     diagram = _diagram(form)
+    labels = {e.pair: f"{e.pair[0]}-{e.pair[1]}" for e in diagram.edges}
+    labels[None] = ""
     reports = []
     for n in _n_list(args):
         rep = asympt.project_and_bin(asympt.empirical(rational.zeros(form, n), n), diagram)
         reports.append(rep.as_dict())
         z, pairs, t, dist = zip(*rep.assignments)
         z = np.array(z)
-        edges = ["" if pair is None else f"{pair[0]}-{pair[1]}" for pair in pairs]
+        edges = [labels[pair] for pair in pairs]
         _write_csv(out / f"atoms_{n}.csv", ["re", "im", "edge", "t", "distance"],
                    [z.real.tolist(), z.imag.tolist(), edges, t, dist])
     (out / "compare.json").write_text(

@@ -14,6 +14,7 @@ The summand logs m_i log|P_i| are sums over the roots of P_i
 (LemniscateProblem.branches, read by voronoi.branch_logs and balanced).
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,9 +66,11 @@ class LemniscateProblem:
         """Degree growth rate of each summand per unit n."""
         return tuple(m * d for m, d in zip(self.multipliers, self.degrees))
 
-    @property
+    @functools.cached_property
     def branches(self):
-        """(0, m_i, roots of P_i) per summand: m_i log|P_i| for voronoi.branch_logs."""
+        """(0, m_i, roots of P_i) per summand: m_i log|P_i| for voronoi.branch_logs.
+
+        np.roots runs once per problem, not on every read."""
         return tuple((0.0, m, np.roots(p[::-1]))
                      for p, m in zip(self.polynomials, self.multipliers))
 

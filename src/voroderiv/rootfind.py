@@ -17,16 +17,20 @@ from the positions at the start of each sweep and freeze a root once
 its correction falls below the tolerance.  A sweep evaluates only the
 active roots and forms their Cauchy sums against all m roots in
 cache-sized row blocks of at most CHUNK_ELEMENTS entries: O(active * m)
-time, bounded memory.  Each row is summed over all m columns in index
-order, so with a pointwise evaluator the roots do not depend on the
-block size or on which other roots are still active.
+time, bounded memory.  Each row is summed over all m columns in one
+fixed order, so with a pointwise evaluator the roots do not depend on
+the block size or on which other roots are still active.  On complex roots
+the sums are sum conj(d)/|d|^2 in real arithmetic, as numpy's complex
+reciprocal runs one element at a time; mpc roots keep their division.
 
 SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
 evaluator that forms its products of powers in log space, each row by a
 sparse complement where that is shorter (its logarithmic derivative as a
 sum shared by all rows minus the complement): O(d) per point for the
-d-pole numerator.  The evaluator is row-stacked:
+d-pole numerator.  Its elementwise functions are chosen per precision:
+in double a log is log|p| + i arg p (_log), since numpy's complex log
+also runs one element at a time.  The evaluator is row-stacked:
 a fixed number of numpy calls on (rows, points) arrays per block.  It
 sums over rows only on two or more points, as numpy sums one column
 pairwise, and keeps each complex product's operand order, which sets
@@ -58,9 +62,16 @@ NEWTON_PASSES = 6
 # guards |p'| and the Aberth denominator against division by zero
 TINY = 1e-300
 
-# complex entries in one block of the active-row Cauchy sums: 256 KB in
-# double precision, the smallest block that is not slower (README.md has
-# the measured sizes); a 4 MB block also set the solve's memory peak
+# the smallest normal double: below it 1/q loses bits or overflows
+_NORMAL_MIN = np.finfo(float).tiny
+# roots spread wider than this could overflow |z_k - z_j|^2 (sqrt of the
+# largest double is 1.34e154)
+_SPREAD_MAX = 1e154
+
+# entries in one block of the active-row Cauchy sums: four 128 KB
+# buffers in double precision, within 10% of the fastest block size at
+# half the memory of the next (README.md has the measured sizes); a 4 MB
+# block also set the solve's memory peak
 CHUNK_ELEMENTS = 1 << 14
 
 # points per block of SumOfProducts.evaluator's (rows, points) arrays:
@@ -137,6 +148,25 @@ def _stack(polys, dtype):
     return np.array(list(itertools.zip_longest(*polys, fillvalue=0)), dtype=dtype)[:, :, None]
 
 
+def _log(p, out):
+    """np.log(p) into out, as log|p| + i arctan2(Im p, Re p) in real arithmetic.
+
+    numpy's complex log runs one element at a time.  This form has the
+    same branch cut (arctan2(-0.0, -1) = -pi) and differs from it by at
+    most 2 ulp of max(1, |log p|) per part: |p| carries one rounding,
+    which the log turns into an absolute error.  Where |p| is not a
+    normal double (it overflows past 1.8e308, where the complex log
+    does not, or is subnormal and has lost bits) it is np.log(p).
+    """
+    mod = np.abs(p)
+    np.log(mod, out=out.real)
+    np.arctan2(p.imag, p.real, out=out.imag)
+    if not (mod.min(initial=np.inf) >= _NORMAL_MIN and mod.max(initial=0.0) < np.inf):
+        odd = ~((mod >= _NORMAL_MIN) & (mod < np.inf))
+        out[odd] = np.log(p[odd])
+    return out
+
+
 # elementwise log, exp and real part on object arrays of mpmath.mpc,
 # since numpy's ufuncs do not dispatch to mpmath
 _MPMATH_FUNCS = (np.frompyfunc(mpmath.log, 1, 1), np.frompyfunc(mpmath.exp, 1, 1),
@@ -195,7 +225,7 @@ class SumOfProducts:
         """
         precision = _poly.precision_of(self.factors[0])
         dtype = complex if precision == DOUBLE else object
-        log, exp, real = (np.log, np.exp, np.real) if precision == DOUBLE else _MPMATH_FUNCS
+        log, exp, real = (_log, np.exp, np.real) if precision == DOUBLE else _MPMATH_FUNCS
         # each polynomial, then its derivative: a linear factor's has one power
         factors, dfactors, weights, dweights = (
             _stack(ps, dtype) for fs in (self.factors, self.weights)
@@ -260,34 +290,80 @@ class SumOfProducts:
         return eval_pd
 
 
-def _row_blocks(roots, idx):
-    """Blocks of z_k - z_j for k in idx against all j, CHUNK_ELEMENTS at most.
+def _row_blocks(m, idx):
+    """Row blocks of the pairs (k in idx, j < m), CHUNK_ELEMENTS at most each.
 
-    Yields (rows, diag, diff): diff[r, j] = roots[idx[rows][r]] - roots[j],
-    and diag indexes the entries with j == k.
+    Yields (rows, diag): idx[rows] are the block's roots k, and diag
+    indexes the entries of their (len(k), m) block with j == k.
     """
-    step = max(1, CHUNK_ELEMENTS // len(roots))
+    step = max(1, CHUNK_ELEMENTS // m)
     for s in range(0, len(idx), step):
         k = idx[s:s + step]
-        yield (slice(s, s + len(k)), (np.arange(len(k)), k),
-               roots[k, None] - roots[None, :])
+        yield slice(s, s + len(k)), (np.arange(len(k)), k)
+
+
+def _reciprocal_sums(roots):
+    """Block function of _cauchy_sums: complex or mpc division, in place."""
+    def block(k, diag):
+        diff = roots[k, None] - roots
+        diff[diag] = 1.0
+        inv = np.divide(1.0, diff, out=diff)
+        inv[diag] = 0.0
+        return inv.sum(axis=1)
+    return block
+
+
+def _conjugate_sums(roots):
+    """Block function of _cauchy_sums on complex roots: sum_j conj(d)/|d|^2.
+
+    Each row takes dx and dy by one subtraction each (numpy 2.4's
+    broadcast over a block's rows costs about 2 us per row),
+    q = dx^2 + dy^2 one real reciprocal (q = inf on the diagonal) and
+    two np.einsum row sums, in buffers shared by the blocks.  Where some
+    q is subnormal or zero the block takes the complex reciprocal, which
+    scales, and so does every block when the roots spread past
+    _SPREAD_MAX.
+    """
+    x, y = roots.real.copy(), roots.imag.copy()
+    exact = _reciprocal_sums(roots)
+    if not math.hypot(np.ptp(x), np.ptp(y)) < _SPREAD_MAX:
+        return exact
+    m = len(roots)
+    buffers = np.empty((4, min(max(1, CHUNK_ELEMENTS // m), m), m))
+
+    def block(k, diag):
+        dx, dy, q, tmp = buffers[:, :len(k)]
+        for row, j in enumerate(k.tolist()):
+            np.subtract(x[j], x, out=dx[row])
+            np.subtract(y[j], y, out=dy[row])
+        np.multiply(dx, dx, out=q)
+        q += np.multiply(dy, dy, out=tmp)
+        q[diag] = np.inf
+        if not q.min() >= _NORMAL_MIN:
+            return exact(k, diag)
+        r = np.divide(1.0, q, out=q)
+        sums = np.empty(len(k), dtype=complex)
+        sums.real = np.einsum("ij,ij->i", dx, r)
+        sums.imag = -np.einsum("ij,ij->i", dy, r)
+        return sums
+    return block
 
 
 def _cauchy_sums(roots, idx):
-    """sum_{j != k} 1/(z_k - z_j) for each k in idx."""
+    """sum_{j != k} 1/(z_k - z_j) for each k in idx: in real arithmetic
+    on complex roots, by division on mpc ones."""
     sums = np.empty(len(idx), dtype=roots.dtype)
-    for rows, diag, diff in _row_blocks(roots, idx):
-        diff[diag] = 1.0
-        inv = np.divide(1.0, diff, out=diff)  # in place: one block in memory
-        inv[diag] = 0.0
-        sums[rows] = inv.sum(axis=1)
+    block = (_reciprocal_sums if roots.dtype == object else _conjugate_sums)(roots)
+    for rows, diag in _row_blocks(len(roots), idx):
+        sums[rows] = block(idx[rows], diag)
     return sums
 
 
 def _nearest_distance(roots, idx):
     """min_{j != k} |z_k - z_j| for each k in idx."""
     near = np.empty(len(idx))
-    for rows, diag, diff in _row_blocks(roots, idx):
+    for rows, diag in _row_blocks(len(roots), idx):
+        diff = roots[idx[rows], None] - roots
         diff[diag] = np.inf
         near[rows] = np.abs(diff).min(axis=1)
     return near

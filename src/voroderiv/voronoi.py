@@ -187,15 +187,15 @@ def branch_logs(branches, z):
     """offset + weight sum_c log|z - c| per branch (offset, weight, centres).
 
     Rows stack along a new first axis over z, a scalar or an array.  A
-    distance is np.hypot of the coordinate differences (as abs(complex)
-    rounds), logged once per distinct centre; at a centre a branch is
-    -inf for a positive weight and +inf for a negative one.
+    distance is numpy's complex abs of z - c (np.hypot of the coordinate
+    differences runs one element at a time), logged once per distinct
+    centre; at a centre a branch is -inf for a positive weight and +inf
+    for a negative one.
     """
     z = np.asarray(z, dtype=complex)
-    x, y = z.real, z.imag
     out = np.empty((len(branches),) + z.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = {c: np.log(np.hypot(x - c.real, y - c.imag))
+        logs = {c: np.log(np.abs(z - c))
                 for c in {complex(c) for _, _, cs in branches for c in cs}}
         for k, (offset, weight, cs) in enumerate(branches):
             # out[k, ...] is a view of row k even when z is a scalar

@@ -249,6 +249,22 @@ def test_compactness_and_compare_fig_configuration():
     assert len(rep.roots) == 2
 
 
+def test_branches_take_np_roots_once_per_polynomial(monkeypatch):
+    # dominance_radius, balance_starts and every psi_max call read
+    # problem.branches, which finds each P_i's roots once
+    degrees = []
+    roots = np.roots
+
+    def spy(p):
+        degrees.append(len(p) - 1)
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", spy)
+    problem = fig_problem()
+    compactness_and_compare(problem, [4, 8], window=(0.0, 2.0), grid=40)
+    assert degrees == [1, 1, 1, 1]
+
+
 def test_reported_roots_are_true_zeros():
     # verify in high precision that the reported points annihilate the
     # sum of powers, independently of the solver's own residuals

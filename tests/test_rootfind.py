@@ -256,6 +256,74 @@ def test_residuals_reported():
     assert len(rs.converged_roots()) == 2
 
 
+def reciprocal_sums(roots, idx):
+    """sum_{j != k} 1/(z_k - z_j) by numpy's complex reciprocal."""
+    diag = (np.arange(len(idx)), idx)
+    diff = roots[idx, None] - roots[None, :]
+    diff[diag] = 1.0
+    inv = 1.0 / diff
+    inv[diag] = 0.0
+    return inv.sum(axis=1)
+
+
+@pytest.mark.parametrize("scale, centre", [(1.0, 0.0), (1e-9, 1.0 - 2.0j)])
+def test_cauchy_sums_match_the_complex_reciprocal(monkeypatch, scale, centre):
+    # random roots, and a cluster 1e-9 wide, in blocks of 7 rows
+    rng = np.random.default_rng(4)
+    roots = centre + scale * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    idx = np.sort(rng.choice(300, 50, replace=False))
+    monkeypatch.setattr(rootfind, "CHUNK_ELEMENTS", 7 * 300)
+    got, want = rootfind._cauchy_sums(roots, idx), reciprocal_sums(roots, idx)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("gap", [1e-160, 1e160])
+def test_cauchy_sums_fall_back_to_the_complex_reciprocal(monkeypatch, gap):
+    # at these gaps |d|^2 is subnormal or overflows: the blocks that hold
+    # such a pair (all of them for an overflow) take the complex
+    # reciprocal, bit for bit, and the rest stay within rounding
+    rng = np.random.default_rng(5)
+    roots = rng.normal(size=40) + 1j * rng.normal(size=40)
+    roots[2], roots[6] = gap * (0.3 + 0.1j), gap * (0.9 - 0.7j)
+    idx = np.arange(0, 40, 2)
+    monkeypatch.setattr(rootfind, "CHUNK_ELEMENTS", 3 * 40)
+    got, want = rootfind._cauchy_sums(roots, idx), reciprocal_sums(roots, idx)
+    assert np.all(np.isfinite(got))
+    # roots 2 and 6 are rows 1 and 3, in the first two blocks of 3 rows
+    exact = slice(0, 6) if gap < 1.0 else slice(None)
+    assert got[exact].tobytes() == want[exact].tobytes()
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_double_log_matches_numpy():
+    # the evaluator's log|p| + i arg p against numpy's complex log: a
+    # modulus carries one rounding, which the log turns into an absolute
+    # error, so the bound is 2 ulp of max(1, |log p|) per part
+    rng = np.random.default_rng(6)
+    scale = 10.0 ** rng.uniform(-300, 300, 3000)
+    wide = (rng.normal(size=3000) + 1j * rng.normal(size=3000)) * scale
+    near_one = np.exp(1j * rng.uniform(-4.0, 4.0, 3000)) * (1.0 + rng.normal(size=3000) * 1e-9)
+    inf, nan = math.inf, math.nan
+    # the branch cut, a finite modulus near the top, then moduli that are
+    # not normal doubles (a subnormal one has lost bits), which take np.log
+    special = [-1.0 + 0j, complex(-1.0, -0.0), 1e300 * (1 + 1j), 5e-324,
+               complex(-2.02e-321, 2.717e-321), complex(inf, 0.0), complex(-inf, 0.0),
+               complex(0.0, inf), complex(nan, 0.0)]
+    p = np.concatenate([wide, near_one, special])
+    with np.errstate(all="ignore"):
+        want = np.log(p)
+        got = rootfind._log(p, np.empty_like(p))
+        for a, b in ((got.real, want.real), (got.imag, want.imag)):
+            same = (a == b) | (np.isnan(a) & np.isnan(b))
+            assert np.all(same | (np.abs(a - b) <= 2 * np.spacing(np.maximum(np.abs(b), 1.0))))
+        # one call per value, so no other value decides its fallback
+        alone = np.array([rootfind._log(np.array([v], complex), np.empty(1, complex))[0]
+                          for v in special])
+    s = len(p) - len(special)
+    assert alone[0] == math.pi * 1j and alone[1] == -math.pi * 1j
+    assert alone[3:].tobytes() == want[s + 3:].tobytes()
+
+
 def dense_aberth(eval_pd, start, tolerance, max_sweeps, frozen):
     """The dense m x m sweep that the active-set sweep must reproduce,
     with the roots in frozen held fixed from the start."""
@@ -271,10 +339,20 @@ def dense_aberth(eval_pd, start, tolerance, max_sweeps, frozen):
         pv, dv = eval_pd(roots)
         newton = pv / np.where(np.abs(dv) < tiny, tiny, dv)
         diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        denom = 1.0 - newton * inv.sum(axis=1)
+        if diff.dtype == object:
+            np.fill_diagonal(diff, 1.0)
+            inv = 1.0 / diff
+            np.fill_diagonal(inv, 0.0)
+            cauchy = inv.sum(axis=1)
+        else:
+            # sum_j conj(d)/|d|^2 with one real reciprocal and the
+            # row sums of its products, as the double sweep forms it
+            dx, dy = diff.real.copy(), diff.imag.copy()
+            q = dx * dx + dy * dy
+            np.fill_diagonal(q, np.inf)
+            r = 1.0 / q
+            cauchy = np.einsum("ij,ij->i", dx, r) - 1j * np.einsum("ij,ij->i", dy, r)
+        denom = 1.0 - newton * cauchy
         denom = np.where(np.abs(denom) < tiny, tiny, denom)
         corr = newton / denom
         roots = roots - np.where(active, corr, 0.0)
