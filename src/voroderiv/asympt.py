@@ -150,9 +150,7 @@ def project_and_bin(measure, diagram, off_skeleton_cutoff=0.5):
             pair=e.pair, theoretical_mass=edge_mass(e, diagram.d),
             empirical_fraction=len(ts) / m,
             ks=_ks_statistic(ts, e, diagram.d) if len(ts) else 1.0))
-    # an off-skeleton atom indexes the None past the last edge
-    labels = [e.pair for e in edges] + [None]
-    pairs = [labels[k] for k in np.where(on, best, len(edges)).tolist()]
+    pairs = [edges[k].pair if a else None for k, a in zip(best.tolist(), on.tolist())]
     return ComparisonReport(
         n=measure.n,
         m_n=m,

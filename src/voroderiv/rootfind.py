@@ -17,11 +17,9 @@ from the positions at the start of each sweep and freeze a root once
 its correction falls below the tolerance.  A sweep evaluates only the
 active roots and forms their Cauchy sums against all m roots in
 cache-sized row blocks of at most CHUNK_ELEMENTS entries: O(active * m)
-time, bounded memory.  Each row is summed over all m columns in one
-fixed order, so with a pointwise evaluator the roots do not depend on
-the block size or on which other roots are still active.  On complex roots
-the sums are sum conj(d)/|d|^2 in real arithmetic, as numpy's complex
-reciprocal runs one element at a time; mpc roots keep their division.
+time, bounded memory.  Each row is summed over all m columns in index
+order, so with a pointwise evaluator the roots do not depend on the
+block size or on which other roots are still active.
 
 SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
@@ -62,16 +60,12 @@ NEWTON_PASSES = 6
 # guards |p'| and the Aberth denominator against division by zero
 TINY = 1e-300
 
-# the smallest normal double: below it 1/q loses bits or overflows
+# the smallest normal double: below it a modulus has lost bits
 _NORMAL_MIN = np.finfo(float).tiny
-# roots spread wider than this could overflow |z_k - z_j|^2 (sqrt of the
-# largest double is 1.34e154)
-_SPREAD_MAX = 1e154
 
-# entries in one block of the active-row Cauchy sums: four 128 KB
-# buffers in double precision, within 10% of the fastest block size at
-# half the memory of the next (README.md has the measured sizes); a 4 MB
-# block also set the solve's memory peak
+# complex entries in one block of the active-row Cauchy sums: 256 KB in
+# double precision, the smallest block that is not slower (README.md has
+# the measured sizes); a 4 MB block also set the solve's memory peak
 CHUNK_ELEMENTS = 1 << 14
 
 # points per block of SumOfProducts.evaluator's (rows, points) arrays:
@@ -290,80 +284,34 @@ class SumOfProducts:
         return eval_pd
 
 
-def _row_blocks(m, idx):
-    """Row blocks of the pairs (k in idx, j < m), CHUNK_ELEMENTS at most each.
+def _row_blocks(roots, idx):
+    """Blocks of z_k - z_j for k in idx against all j, CHUNK_ELEMENTS at most.
 
-    Yields (rows, diag): idx[rows] are the block's roots k, and diag
-    indexes the entries of their (len(k), m) block with j == k.
+    Yields (rows, diag, diff): diff[r, j] = roots[idx[rows][r]] - roots[j],
+    and diag indexes the entries with j == k.
     """
-    step = max(1, CHUNK_ELEMENTS // m)
+    step = max(1, CHUNK_ELEMENTS // len(roots))
     for s in range(0, len(idx), step):
         k = idx[s:s + step]
-        yield slice(s, s + len(k)), (np.arange(len(k)), k)
-
-
-def _reciprocal_sums(roots):
-    """Block function of _cauchy_sums: complex or mpc division, in place."""
-    def block(k, diag):
-        diff = roots[k, None] - roots
-        diff[diag] = 1.0
-        inv = np.divide(1.0, diff, out=diff)
-        inv[diag] = 0.0
-        return inv.sum(axis=1)
-    return block
-
-
-def _conjugate_sums(roots):
-    """Block function of _cauchy_sums on complex roots: sum_j conj(d)/|d|^2.
-
-    Each row takes dx and dy by one subtraction each (numpy 2.4's
-    broadcast over a block's rows costs about 2 us per row),
-    q = dx^2 + dy^2 one real reciprocal (q = inf on the diagonal) and
-    two np.einsum row sums, in buffers shared by the blocks.  Where some
-    q is subnormal or zero the block takes the complex reciprocal, which
-    scales, and so does every block when the roots spread past
-    _SPREAD_MAX.
-    """
-    x, y = roots.real.copy(), roots.imag.copy()
-    exact = _reciprocal_sums(roots)
-    if not math.hypot(np.ptp(x), np.ptp(y)) < _SPREAD_MAX:
-        return exact
-    m = len(roots)
-    buffers = np.empty((4, min(max(1, CHUNK_ELEMENTS // m), m), m))
-
-    def block(k, diag):
-        dx, dy, q, tmp = buffers[:, :len(k)]
-        for row, j in enumerate(k.tolist()):
-            np.subtract(x[j], x, out=dx[row])
-            np.subtract(y[j], y, out=dy[row])
-        np.multiply(dx, dx, out=q)
-        q += np.multiply(dy, dy, out=tmp)
-        q[diag] = np.inf
-        if not q.min() >= _NORMAL_MIN:
-            return exact(k, diag)
-        r = np.divide(1.0, q, out=q)
-        sums = np.empty(len(k), dtype=complex)
-        sums.real = np.einsum("ij,ij->i", dx, r)
-        sums.imag = -np.einsum("ij,ij->i", dy, r)
-        return sums
-    return block
+        yield (slice(s, s + len(k)), (np.arange(len(k)), k),
+               roots[k, None] - roots[None, :])
 
 
 def _cauchy_sums(roots, idx):
-    """sum_{j != k} 1/(z_k - z_j) for each k in idx: in real arithmetic
-    on complex roots, by division on mpc ones."""
+    """sum_{j != k} 1/(z_k - z_j) for each k in idx."""
     sums = np.empty(len(idx), dtype=roots.dtype)
-    block = (_reciprocal_sums if roots.dtype == object else _conjugate_sums)(roots)
-    for rows, diag in _row_blocks(len(roots), idx):
-        sums[rows] = block(idx[rows], diag)
+    for rows, diag, diff in _row_blocks(roots, idx):
+        diff[diag] = 1.0
+        inv = np.divide(1.0, diff, out=diff)  # in place: one block in memory
+        inv[diag] = 0.0
+        sums[rows] = inv.sum(axis=1)
     return sums
 
 
 def _nearest_distance(roots, idx):
     """min_{j != k} |z_k - z_j| for each k in idx."""
     near = np.empty(len(idx))
-    for rows, diag in _row_blocks(len(roots), idx):
-        diff = roots[idx[rows], None] - roots
+    for rows, diag, diff in _row_blocks(roots, idx):
         diff[diag] = np.inf
         near[rows] = np.abs(diff).min(axis=1)
     return near

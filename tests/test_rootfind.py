@@ -256,45 +256,6 @@ def test_residuals_reported():
     assert len(rs.converged_roots()) == 2
 
 
-def reciprocal_sums(roots, idx):
-    """sum_{j != k} 1/(z_k - z_j) by numpy's complex reciprocal."""
-    diag = (np.arange(len(idx)), idx)
-    diff = roots[idx, None] - roots[None, :]
-    diff[diag] = 1.0
-    inv = 1.0 / diff
-    inv[diag] = 0.0
-    return inv.sum(axis=1)
-
-
-@pytest.mark.parametrize("scale, centre", [(1.0, 0.0), (1e-9, 1.0 - 2.0j)])
-def test_cauchy_sums_match_the_complex_reciprocal(monkeypatch, scale, centre):
-    # random roots, and a cluster 1e-9 wide, in blocks of 7 rows
-    rng = np.random.default_rng(4)
-    roots = centre + scale * (rng.normal(size=300) + 1j * rng.normal(size=300))
-    idx = np.sort(rng.choice(300, 50, replace=False))
-    monkeypatch.setattr(rootfind, "CHUNK_ELEMENTS", 7 * 300)
-    got, want = rootfind._cauchy_sums(roots, idx), reciprocal_sums(roots, idx)
-    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-
-
-@pytest.mark.parametrize("gap", [1e-160, 1e160])
-def test_cauchy_sums_fall_back_to_the_complex_reciprocal(monkeypatch, gap):
-    # at these gaps |d|^2 is subnormal or overflows: the blocks that hold
-    # such a pair (all of them for an overflow) take the complex
-    # reciprocal, bit for bit, and the rest stay within rounding
-    rng = np.random.default_rng(5)
-    roots = rng.normal(size=40) + 1j * rng.normal(size=40)
-    roots[2], roots[6] = gap * (0.3 + 0.1j), gap * (0.9 - 0.7j)
-    idx = np.arange(0, 40, 2)
-    monkeypatch.setattr(rootfind, "CHUNK_ELEMENTS", 3 * 40)
-    got, want = rootfind._cauchy_sums(roots, idx), reciprocal_sums(roots, idx)
-    assert np.all(np.isfinite(got))
-    # roots 2 and 6 are rows 1 and 3, in the first two blocks of 3 rows
-    exact = slice(0, 6) if gap < 1.0 else slice(None)
-    assert got[exact].tobytes() == want[exact].tobytes()
-    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-
-
 def test_double_log_matches_numpy():
     # the evaluator's log|p| + i arg p against numpy's complex log: a
     # modulus carries one rounding, which the log turns into an absolute
@@ -339,20 +300,10 @@ def dense_aberth(eval_pd, start, tolerance, max_sweeps, frozen):
         pv, dv = eval_pd(roots)
         newton = pv / np.where(np.abs(dv) < tiny, tiny, dv)
         diff = roots[:, None] - roots[None, :]
-        if diff.dtype == object:
-            np.fill_diagonal(diff, 1.0)
-            inv = 1.0 / diff
-            np.fill_diagonal(inv, 0.0)
-            cauchy = inv.sum(axis=1)
-        else:
-            # sum_j conj(d)/|d|^2 with one real reciprocal and the
-            # row sums of its products, as the double sweep forms it
-            dx, dy = diff.real.copy(), diff.imag.copy()
-            q = dx * dx + dy * dy
-            np.fill_diagonal(q, np.inf)
-            r = 1.0 / q
-            cauchy = np.einsum("ij,ij->i", dx, r) - 1j * np.einsum("ij,ij->i", dy, r)
-        denom = 1.0 - newton * cauchy
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        denom = 1.0 - newton * inv.sum(axis=1)
         denom = np.where(np.abs(denom) < tiny, tiny, denom)
         corr = newton / denom
         roots = roots - np.where(active, corr, 0.0)
