@@ -37,9 +37,15 @@ __all__ = [
     "single_pole_escape",
 ]
 
-# grid points per block of whole rows of grid_discrepancy, which keeps
-# about eight arrays of this length (4 MB) whatever the number of atoms
-GRID_BLOCK_POINTS = 1 << 16
+# grid points per row tile of grid_discrepancy, at least one whole row:
+# a tile keeps about six arrays of this length (3 MB), and fixes the
+# shape of every matmul from the grid alone
+GRID_TILE_POINTS = 1 << 16
+# bound on atoms x (tile height + row length) per atom batch of
+# grid_discrepancy, whose axis squares and group factors take about
+# four arrays of this length (0.5 MB) whatever the number of atoms;
+# larger batches ran slower on the 200 x 200 grid, from page faults
+GRID_BLOCK_POINTS = 1 << 14
 # largest |log2| of a product of scaled squared distances in
 # grid_discrepancy: products stay normal doubles, 2^-1022 to 2^1024,
 # with a margin for the rounding of the range itself
@@ -218,12 +224,41 @@ def _exclude(keep, rows, cols, r2):
     """Clear keep[i, j] where rows[k, i] + cols[k, j] <= r2 for some k.
 
     Both terms are squares, so such a crossing has rows[k, i] <= r2 and
-    cols[k, j] <= r2: only those rows and columns of atom k are added.
+    cols[k, j] <= r2: each near row of atom k is paired with each near
+    column of the same atom, all atoms at once, and only those are added.
     """
-    near_rows, near_cols = rows <= r2, cols <= r2
-    for k in np.flatnonzero(near_rows.any(axis=1) & near_cols.any(axis=1)):
-        i, j = np.flatnonzero(near_rows[k]), np.flatnonzero(near_cols[k])
-        keep[np.ix_(i, j)] &= rows[k, i, None] + cols[k, j] > r2
+    ka, i = np.nonzero(rows <= r2)
+    kb, j = np.nonzero(cols <= r2)
+    per_atom = np.bincount(kb, minlength=len(cols))
+    # pair p of near row e takes near column first[ka[e]] + p of j
+    first, count = np.cumsum(per_atom) - per_atom, per_atom[ka]
+    at = np.repeat(first[ka] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    k, i, j = np.repeat(ka, count), np.repeat(i, count), j[at]
+    near = rows[k, i] + cols[k, j] <= r2
+    keep[i[near], j[near]] = False
+
+
+def _group_factors(rows, cols, size):
+    """(left, right) with left[g].T @ right[g] = prod_k (rows[k, i] + cols[k, j])
+    over the atoms k of group g, the size atoms from size * g on.
+
+    left[g] and right[g] are the Kronecker products of the [rows[k]; 1]
+    and of the [1; cols[k]], last atom first, so each of the 2^size terms
+    is a product of squares and none cancels.  A short last group takes
+    row term 1 and column term 0, a factor of exactly 1, for each atom it
+    lacks.
+    """
+    groups = -(-len(rows) // size)
+    left = np.empty((groups, 1 << size, rows.shape[1]))
+    right = np.empty((groups, 1 << size, cols.shape[1]))
+    left[:, 0] = right[:, 0] = 1.0
+    for k in range(size):
+        w, n = 1 << k, len(rows[k::size])
+        left[:, w:2 * w] = left[:, :w]
+        left[:n, :w] *= rows[k::size, None]
+        np.multiply(right[:n, :w], cols[k::size, None], out=right[:n, w:2 * w])
+        right[n:, w:2 * w] = 0.0
+    return left, right
 
 
 def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
@@ -236,22 +271,28 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
     each once.  Returns (mean, skipped count); the mean is NaN if all
     are skipped.  Raises EmptyRootSet without atoms.
 
-    The kernel runs over blocks of as many whole rows as fit in
-    GRID_BLOCK_POINTS points, at least one, in real arithmetic scaled by
+    The kernel runs over row tiles of as many whole rows as fit in
+    GRID_TILE_POINTS points, at least one, in real arithmetic scaled by
     1/s.  A squared distance is a row term plus a column term,
     (y_i - a_y)^2 + (x_j - a_x)^2, so per atom it squares the two axes,
-    forms their outer sum on the block (one matmul) and multiplies it
-    into a running product; per chunk of atoms it adds up the log of the
-    product's mantissa and its binary exponent apart.  The exponents meet
-    log 2 once, as _LN2_HI + _LN2_LO, so no rounded log 2 shifts every
-    point's L alike.  A point is skipped when such a sum is at most
-    (r/s)^2; only the crossings of an atom's rows and columns within r
-    are tested, so no per-point running minimum is kept.  s = 2^t and
-    chunk come from the axes and atoms (_log_product_range), so the
-    result does not depend on the block size, and a range doubles cannot
-    hold raises ValueError rather than giving an inf or NaN mean.  The axis terms are formed for
-    a batch of at most GRID_BLOCK_POINTS / (block height + row length)
-    atoms at a time, so memory does not grow with the number of atoms.
+    and per group of three atoms one matmul of Kronecker factors
+    (_group_factors) forms the product of their outer sums on the tile,
+    which it multiplies into a running product; per chunk of atoms it
+    adds up the log of the product's mantissa and its binary exponent
+    apart.  The exponents meet log 2 once, as _LN2_HI + _LN2_LO, so no
+    rounded log 2 shifts every point's L alike.  A point is skipped when
+    such a sum is at most (r/s)^2; only the crossings of an atom's rows
+    and columns within r are tested, so no per-point running minimum is
+    kept.  s = 2^t and chunk come from the axes and atoms
+    (_log_product_range), and a range doubles cannot hold raises
+    ValueError rather than giving an inf or NaN mean.  The groups start
+    at multiples of three atoms in each chunk, chunk rounded down to a
+    multiple of three (or one group when below three), and the tiles at
+    row 0, so the result follows the atoms and the grid alone: BLAS may
+    round a sum of eight terms differently in a matmul of another shape.
+    GRID_BLOCK_POINTS only bounds the atoms, in whole groups, whose axis
+    squares and group factors are formed at a time, so memory does not
+    grow with the number of atoms.
     """
     xs, ys = (np.asarray(v, dtype=float) for v in axes)
     atoms = np.asarray(atoms, dtype=complex)
@@ -263,12 +304,14 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
     if scaling is None:
         return math.nan, len(xs) * len(ys)
     t, chunk = scaling
+    size = min(3, chunk)  # atoms per matmul
+    chunk -= chunk % size
     inv = math.ldexp(1.0, -t)
     sx, sy = xs * inv, ys * inv
     ax, ay = atoms.real[:, None] * inv, atoms.imag[:, None] * inv
     r2 = (float(exclusion_radius) * inv) ** 2
-    height = max(1, GRID_BLOCK_POINTS // len(xs))
-    batch = max(1, GRID_BLOCK_POINTS // (len(xs) + height))
+    height = min(len(ys), max(1, GRID_TILE_POINTS // len(xs)))
+    batch = size * max(1, GRID_BLOCK_POINTS // (size * (len(xs) + height)))
     gaps = [np.empty(0)]
     for top in range(0, len(ys), height):
         y = sy[top:top + height]
@@ -282,19 +325,17 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
                 rows = np.square(y - ay[lo:lo + batch])
                 cols = np.square(sx - ax[lo:lo + batch])
                 _exclude(keep, rows, cols, r2)
-                # the outer sum rows[k, i] + cols[k, j] as the matrix product
-                # [rows[k], 1] @ [1; cols[k]]: each entry is one rounded sum
-                # of two exact products, so the same double, and a BLAS
-                # matmul writes a 200 x 200 block in about 14 us on one x86
-                # core, a broadcast add in about 45 us
-                left = np.stack([rows, np.ones_like(rows)], axis=2)
-                right = np.stack([np.ones_like(cols), cols], axis=1)
-                for k, (row, col) in enumerate(zip(left, right), lo):
+                # a BLAS matmul of inner length 8 writes a 200 x 200 tile in
+                # about 15 us on one x86 core, as fast as one of inner length
+                # 2, and a multiply takes about 12 us: one of each per group
+                # of three atoms, where each atom took one of each
+                left, right = _group_factors(rows, cols, size)
+                for k, row, col in zip(range(lo, len(atoms), size), left, right):
                     if k % chunk == 0:
-                        prod.fill(1.0)
-                    np.matmul(row, col, out=dist)
-                    np.multiply(prod, dist, out=prod)
-                    if (k + 1) % chunk == 0 or k + 1 == len(atoms):
+                        np.matmul(row.T, col, out=prod)
+                    else:
+                        np.multiply(prod, np.matmul(row.T, col, out=dist), out=prod)
+                    if (k + size) % chunk == 0 or k + size >= len(atoms):
                         np.frexp(prod, out=(prod, power))
                         logsum += np.log(prod, out=prod)
                         twos += power

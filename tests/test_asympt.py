@@ -190,9 +190,9 @@ def test_potential_l1_independent_of_block_size(monkeypatch):
     roots = two_pole_rootset(40).roots
     value = asympt.potential_l1(roots, d, window=(0.0, 2.0), grid=25)
     for block in (1, 25, 3 * 25 + 7, 7 * 25):
-        # blocks of 1, 1, 3 and 7 of the 25 rows, the last two with a
-        # ragged last block; the smaller blocks also take the axis
-        # squares of 1 or 5 atoms at a time
+        # each size forms the axis squares and group factors of one
+        # group of three atoms at a time, the default all of them at
+        # once; the row tiles follow the grid and stay as they are
         monkeypatch.setattr(asympt, "GRID_BLOCK_POINTS", block)
         assert asympt.potential_l1(roots, d, window=(0.0, 2.0),
                                    grid=25) == value
@@ -236,6 +236,51 @@ def test_grid_discrepancy_matches_scalar_reference():
         want, want_skipped = scalar_discrepancy(pts, atoms, log_norm, reference, radius)
         assert skipped == want_skipped >= 7
         assert mean == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def axes_near(atoms, window, grid, radius):
+    """The grid_axes(window, grid) axes, seed 3, with one more row and
+    column through a point 0.5 radius from each of atoms."""
+    near = np.asarray(atoms) + 0.5 * radius * np.exp(1j * np.arange(len(atoms)))
+    xs, ys = asympt.grid_axes(window, grid, np.random.default_rng(3))
+    return np.sort(np.concatenate([xs, near.real])), np.sort(np.concatenate([ys, near.imag]))
+
+
+@pytest.mark.parametrize("count", [40, 41, 42])
+@pytest.mark.parametrize("tile_rows", [3, 7])
+def test_grid_discrepancy_on_ragged_row_tiles(monkeypatch, tile_rows, count):
+    # the 25 rows in tiles of 3 or 7 from row 0, the last one of 1 or 4
+    # rows; 40, 41 and 42 atoms end on a group of 1, 2 and 3 of them
+    sites = np.array([1j, -1j])
+    atoms = np.asarray(two_pole_rootset(count).roots)
+    radius = 4e-3
+    axes = axes_near(atoms[:3], (0.0, 2.0), 22, radius)
+    assert len(axes[1]) == 25
+    monkeypatch.setattr(asympt, "GRID_TILE_POINTS", tile_rows * len(axes[0]))
+    reference = lambda z: voronoi.psi(sites, z)
+    mean, skipped = asympt.grid_discrepancy(axes, atoms, (0.0, count), reference, radius)
+    want, want_skipped = scalar_discrepancy((axes[0] + 1j * axes[1][:, None]).ravel(), atoms,
+                                            (0.0, count), reference, radius)
+    assert skipped == want_skipped >= 3
+    assert mean == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("far, chunk", [(1e110, 2), (1e200, 1)])
+def test_grid_discrepancy_with_chunks_below_a_group(far, chunk):
+    # three atoms about 1e110 or 1e200 away and four in the window stretch
+    # the range until a product holds only 2 or 1 squared distances, and
+    # the groups shrink to that many atoms
+    atoms = np.concatenate([far * np.exp(1j * np.linspace(0.0, 1.0, 3)),
+                            1.0 + 0.3 * np.exp(1j * np.arange(4.0))])
+    radius = 1e-3
+    axes = axes_near(atoms[3:], (1.0, 0.5), 22, radius)
+    assert asympt._log_product_range(*axes, atoms, radius)[1] == chunk
+    zero = lambda z: np.zeros(np.shape(z))
+    mean, skipped = asympt.grid_discrepancy(axes, atoms, (0.0, len(atoms)), zero, radius)
+    want, want_skipped = scalar_discrepancy((axes[0] + 1j * axes[1][:, None]).ravel(), atoms,
+                                            (0.0, len(atoms)), zero, radius)
+    assert skipped == want_skipped >= 4
+    assert mean == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_grid_discrepancy_without_atoms():
@@ -315,6 +360,24 @@ def test_exclusion_counts_each_point_once():
         _, skipped = asympt.grid_discrepancy(axes, atoms, (0.0, len(atoms)),
                                              lambda z: np.zeros(np.shape(z)), radius)
         assert skipped == 1
+
+
+def test_exclude_matches_a_per_atom_loop():
+    # the batched pairing of each atom's near rows with its near columns
+    # clears the same points as one np.ix_ block per atom, on atoms with
+    # no near row, no near column, one of each and several of each
+    rng = np.random.default_rng(5)
+    rows, cols = rng.random((30, 17)) ** 4, rng.random((30, 23)) ** 4
+    rows[:5], cols[5:10] = 1.0, 1.0
+    for r2 in (0.0, 1e-4, 1e-2, 0.3):
+        want = np.ones((17, 23), dtype=bool)
+        for k in range(30):
+            i, j = np.flatnonzero(rows[k] <= r2), np.flatnonzero(cols[k] <= r2)
+            want[np.ix_(i, j)] &= rows[k, i, None] + cols[k, j] > r2
+        keep = np.ones((17, 23), dtype=bool)
+        asympt._exclude(keep, rows, cols, r2)
+        assert np.array_equal(keep, want)
+        assert r2 == 0.0 or not want.all()
 
 
 def test_single_pole_escape_example():

@@ -205,9 +205,9 @@ def test_grid_discrepancy_independent_of_block_size(monkeypatch):
     problem = fig_problem()
     rep = compactness_and_compare(problem, [4, 8], window=(0.0, 2.0), grid=25)
     for block in (1, 25, 3 * 25 + 7, 7 * 25):
-        # blocks of 1, 1, 3 and 7 of the 25 rows, the last two with a
-        # ragged last block; the smaller blocks also take the axis
-        # squares of 1 or 5 of the 84 or 168 roots at a time
+        # each size forms the axis squares and group factors of one
+        # group of three roots at a time, the default all of them at
+        # once; the row tiles follow the grid and stay as they are
         monkeypatch.setattr(asympt, "GRID_BLOCK_POINTS", block)
         again = compactness_and_compare(problem, [4, 8], window=(0.0, 2.0),
                                         grid=25)
