@@ -38,14 +38,20 @@ __all__ = [
 ]
 
 # grid points per row tile of grid_discrepancy, at least one whole row:
-# a tile keeps about six arrays of this length (3 MB), and fixes the
-# shape of every matmul from the grid alone
+# a tile takes six arrays of this length, 37 bytes a point (2.4 MB), kept
+# between calls in a workspace (_WORKSPACES), and fixes the shape of every
+# matmul from the grid alone
 GRID_TILE_POINTS = 1 << 16
 # bound on atoms x (tile height + row length) per atom batch of
-# grid_discrepancy, whose axis squares and group factors take about
-# four arrays of this length (0.5 MB) whatever the number of atoms;
-# larger batches ran slower on the 200 x 200 grid, from page faults
+# grid_discrepancy, whose axis squares and group factors (these in the
+# workspace) take about four arrays of this length (0.5 MB) whatever the
+# number of atoms; larger batches ran slower on the 200 x 200 grid
 GRID_BLOCK_POINTS = 1 << 14
+# grid points per reference call of grid_discrepancy: a complex array of
+# this length (64 KB) stays below glibc's default 128 KB mmap threshold,
+# so the temporaries of voronoi.branch_logs reuse freed heap memory
+# instead of mapping fresh pages on every call
+GRID_REFERENCE_POINTS = 1 << 12
 # largest |log2| of a product of scaled squared distances in
 # grid_discrepancy: products stay normal doubles, 2^-1022 to 2^1024,
 # with a margin for the rounding of the range itself
@@ -57,6 +63,10 @@ _LN2_LO = 1.90821492927058770002e-10
 # consecutive orders whose zeros must all lie outside the radius in
 # single_pole_escape
 ESCAPE_STREAK = 5
+# the idle grid_discrepancy workspace, if any: a dict of flat arrays by
+# name (_take), checked out for one call and put back when it returns,
+# so a nested call takes a fresh one
+_WORKSPACES = []
 
 
 @dataclass(frozen=True)
@@ -238,7 +248,16 @@ def _exclude(keep, rows, cols, r2):
     keep[i[near], j[near]] = False
 
 
-def _group_factors(rows, cols, size):
+def _take(workspace, name, shape, dtype):
+    """A view of the given shape on workspace[name], a flat array grown to
+    the largest size asked of it; it holds whatever was last written."""
+    size = math.prod(shape)
+    if len(workspace.get(name, ())) < size:
+        workspace[name] = np.empty(size, dtype)
+    return workspace[name][:size].reshape(shape)
+
+
+def _group_factors(rows, cols, size, workspace):
     """(left, right) with left[g].T @ right[g] = prod_k (rows[k, i] + cols[k, j])
     over the atoms k of group g, the size atoms from size * g on.
 
@@ -246,11 +265,11 @@ def _group_factors(rows, cols, size):
     and of the [1; cols[k]], last atom first, so each of the 2^size terms
     is a product of squares and none cancels.  A short last group takes
     row term 1 and column term 0, a factor of exactly 1, for each atom it
-    lacks.
+    lacks.  Both are written into workspace arrays (_take).
     """
     groups = -(-len(rows) // size)
-    left = np.empty((groups, 1 << size, rows.shape[1]))
-    right = np.empty((groups, 1 << size, cols.shape[1]))
+    left = _take(workspace, "left", (groups, 1 << size, rows.shape[1]), float)
+    right = _take(workspace, "right", (groups, 1 << size, cols.shape[1]), float)
     left[:, 0] = right[:, 0] = 1.0
     for k in range(size):
         w, n = 1 << k, len(rows[k::size])
@@ -266,10 +285,11 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
 
     axes = (xs, ys) as from grid_axes: the points are xs[j] + 1j ys[i].
     L(z) = (log_norm[0] + sum_k log|z - atoms[k]|) / log_norm[1], and
-    reference (voronoi.psi, lemniscate.psi_max) takes a 2-D block of
-    grid rows.  Points within exclusion_radius of an atom are skipped,
-    each once.  Returns (mean, skipped count); the mean is NaN if all
-    are skipped.  Raises EmptyRootSet without atoms.
+    reference (voronoi.psi, lemniscate.psi_max) takes a 2-D block of at
+    most GRID_REFERENCE_POINTS grid points, and sees each point once.
+    Points within exclusion_radius of an atom are skipped, each once.
+    Returns (mean, skipped count); the mean is NaN if all are skipped.
+    Raises EmptyRootSet without atoms.
 
     The kernel runs over row tiles of as many whole rows as fit in
     GRID_TILE_POINTS points, at least one, in real arithmetic scaled by
@@ -293,6 +313,20 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
     GRID_BLOCK_POINTS only bounds the atoms, in whole groups, whose axis
     squares and group factors are formed at a time, so memory does not
     grow with the number of atoms.
+
+    Every tile-sized array, and the group factors, is written in place
+    into a workspace of flat arrays (_take) that the call checks out of
+    _WORKSPACES and puts back on return, grown to the largest tile seen
+    and overwritten by each call, so repeated calls reuse their pages
+    instead of faulting in fresh ones; a nested call, as from a
+    reference, finds none idle and makes its own.  L is formed in place
+    on the tile, the reference subtracted block by block (blocks of
+    whole rows, or of row segments when a row is longer than a block):
+    GRID_REFERENCE_POINTS keeps a block's complex temporaries under
+    glibc's default 128 KB mmap threshold, so they reuse freed heap
+    memory instead of fresh mapped pages.  An excluded point's gap is
+    set to 0, and each tile adds one pairwise sum; kept points are
+    counted from the exclusion mask.
     """
     xs, ys = (np.asarray(v, dtype=float) for v in axes)
     atoms = np.asarray(atoms, dtype=complex)
@@ -312,13 +346,20 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
     r2 = (float(exclusion_radius) * inv) ** 2
     height = min(len(ys), max(1, GRID_TILE_POINTS // len(xs)))
     batch = size * max(1, GRID_BLOCK_POINTS // (size * (len(xs) + height)))
-    gaps = [np.empty(0)]
+    width = min(len(xs), GRID_REFERENCE_POINTS)
+    depth = GRID_REFERENCE_POINTS // width
+    workspace = _WORKSPACES.pop() if _WORKSPACES else {}
+    total, kept = 0.0, 0
     for top in range(0, len(ys), height):
         y = sy[top:top + height]
         shape = (len(y), len(xs))
-        keep = np.ones(shape, dtype=bool)
-        dist, prod, logsum = np.empty(shape), np.empty(shape), np.zeros(shape)
-        power, twos = np.empty(shape, dtype=np.int32), np.zeros(shape, dtype=np.int64)
+        keep, dist, prod, logsum, power, twos = (
+            _take(workspace, name, shape, dtype) for name, dtype in (
+                ("keep", bool), ("dist", float), ("prod", float), ("logsum", float),
+                ("power", np.int32), ("twos", float)))
+        keep.fill(True)
+        logsum.fill(0.0)
+        twos.fill(0.0)
         # an excluded point's product may reach 0; its log is dropped
         with np.errstate(divide="ignore"):
             for lo in range(0, len(atoms), batch):
@@ -329,7 +370,7 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
                 # about 15 us on one x86 core, as fast as one of inner length
                 # 2, and a multiply takes about 12 us: one of each per group
                 # of three atoms, where each atom took one of each
-                left, right = _group_factors(rows, cols, size)
+                left, right = _group_factors(rows, cols, size, workspace)
                 for k, row, col in zip(range(lo, len(atoms), size), left, right):
                     if k % chunk == 0:
                         np.matmul(row.T, col, out=prod)
@@ -339,13 +380,25 @@ def grid_discrepancy(axes, atoms, log_norm, reference, exclusion_radius):
                         np.frexp(prod, out=(prod, power))
                         logsum += np.log(prod, out=prod)
                         twos += power
-        # sum_k log|z - a_k| = (logsum + twos log 2) / 2 + len(atoms) t log 2
-        twos = twos[keep] + 2 * len(atoms) * t
-        ln = ((0.5 * logsum[keep] + twos * (0.5 * _LN2_LO) + log_norm[0])
-              + twos * (0.5 * _LN2_HI)) / log_norm[1]
-        gaps.append(np.abs(ln - reference(xs + 1j * ys[top:top + height, None])[keep]))
-    gaps = np.concatenate(gaps)
-    return (float(gaps.mean()) if len(gaps) else math.nan), len(xs) * len(ys) - len(gaps)
+        # sum_k log|z - a_k| = (logsum + twos log 2) / 2 + len(atoms) t log 2,
+        # L written into prod, which is free now (twos holds exact integers)
+        twos += 2 * len(atoms) * t
+        ln = np.multiply(twos, 0.5 * _LN2_LO, out=prod)
+        ln += np.multiply(logsum, 0.5, out=logsum)
+        ln += log_norm[0]
+        ln += np.multiply(twos, 0.5 * _LN2_HI, out=twos)
+        ln /= log_norm[1]
+        tile_ys = ys[top:top + height]
+        for i in range(0, len(y), depth):
+            for j in range(0, len(xs), width):
+                ln[i:i + depth, j:j + width] -= reference(
+                    xs[j:j + width] + 1j * tile_ys[i:i + depth, None])
+        np.abs(ln, out=ln)
+        ln[~keep] = 0.0
+        total += float(ln.sum())
+        kept += np.count_nonzero(keep)
+    _WORKSPACES[:] = [workspace]
+    return (total / kept if kept else math.nan), len(xs) * len(ys) - kept
 
 
 def grid_l1(atoms, log_norm, reference, window, grid, rng):

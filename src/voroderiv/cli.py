@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asympt, lemniscate, measure, odecheck, rational, svg, voronoi
+from . import asympt, lemniscate, measure, odecheck, rational, svg
 from ._poly import DOUBLE, EXTENDED
 from .errors import VoroderivError
 
@@ -58,10 +58,6 @@ def load_lemniscate_problem(path):
 
 def _form(args):
     return rational.polar_form(*load_problem(args.problem), precision=args.precision)
-
-
-def _diagram(form):
-    return voronoi.build([complex(z) for z in form.poles])
 
 
 # rows per write of _write_csv; one string for a whole file would raise
@@ -109,13 +105,13 @@ def cmd_roots(args, out):
 
 
 def cmd_voronoi(args, out):
-    (out / "voronoi.json").write_text(_diagram(_form(args)).to_json() + "\n")
+    (out / "voronoi.json").write_text(_form(args).diagram.to_json() + "\n")
     return 0
 
 
 def cmd_measure(args, out):
     form = _form(args)
-    diagram = _diagram(form)
+    diagram = form.diagram
     masses = [measure.edge_mass(e, diagram.d) for e in diagram.edges]
     rows = [(e.pair[0], e.pair[1], float(e.t_lo), float(e.t_hi), mass)
             for e, mass in zip(diagram.edges, masses)]
@@ -131,7 +127,7 @@ def cmd_measure(args, out):
 
 def cmd_compare(args, out):
     form = _form(args)
-    diagram = _diagram(form)
+    diagram = form.diagram
     labels = {e.pair: f"{e.pair[0]}-{e.pair[1]}" for e in diagram.edges}
     labels[None] = ""
     reports = []
@@ -150,7 +146,7 @@ def cmd_compare(args, out):
 
 def cmd_potential(args, out):
     form = _form(args)
-    diagram = _diagram(form)
+    diagram = form.diagram
     n_list = _n_list(args)
     l1 = [asympt.potential_l1(rational.zeros(form, n).converged_roots(), diagram,
                               _window(args), grid=args.grid, seed=args.seed)
@@ -213,7 +209,7 @@ def cmd_lemniscate(args, out):
 
 def cmd_render(args, out):
     form = _form(args)
-    diagram = _diagram(form)
+    diagram = form.diagram
     n = int(args.n)
     rs = rational.zeros(form, n)
     center, half = _window(args)

@@ -177,20 +177,24 @@ def balance_starts(problem, n, degree):
     """degree start points for the zeros of R_n, from two balancing summands.
 
     Where terms i and j lead, R_n ~ 0 means (A/B)^n = -1 for A/B =
-    prod_k P_k^{f_k}, f = row i - row j of _term_exponents(problem, 1), so
-    the zeros of A - w B for the n values w^n = -1 are candidates, as
-    np.roots finds them (_stacked_roots); voronoi.balanced ranks them over
-    problem.branches.  The top term's pairs alone give deg R_n or more.
+    prod_k P_k^{f_k}, f = row i - row j of _term_exponents(problem, 1).
+    With g = gcd(f) and A/B = (A'/B')^g, that is (A'/B')^{gn} = -1, so the
+    zeros of A' - w B' for the g n values w^{gn} = -1 are candidates, as
+    np.roots finds them (_stacked_roots): the zeros of A - w^g B, since
+    A - u B = prod_{w^g = u} (A' - w B'), on companions g times smaller.
+    voronoi.balanced ranks them over problem.branches.  The top term's
+    pairs alone give deg R_n or more.
     """
     rows = np.array(_term_exponents(problem, 1))
-    omega = np.exp(1j * math.pi * (2 * np.arange(n) + 1) / n)
     pairs = list(itertools.combinations(range(len(rows)), 2))
     pts = []
     for i, j in pairs:
         f = rows[i] - rows[j]
-        a = _poly.product(problem.polynomials, np.maximum(f, 0))
-        b = _poly.product(problem.polynomials, np.maximum(-f, 0))
-        coeffs = np.zeros((n, max(len(a), len(b))), dtype=complex)
+        g = int(np.gcd.reduce(f)) or 1
+        omega = np.exp(1j * math.pi * (2 * np.arange(g * n) + 1) / (g * n))
+        a = _poly.product(problem.polynomials, np.maximum(f // g, 0))
+        b = _poly.product(problem.polynomials, np.maximum(-f // g, 0))
+        coeffs = np.zeros((g * n, max(len(a), len(b))), dtype=complex)
         coeffs[:, :len(a)] += a
         coeffs[:, :len(b)] += -omega[:, None] * b
         pts.append(_stacked_roots(coeffs))

@@ -18,6 +18,7 @@ point evaluator (newton_evaluator) in either precision.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,11 @@ class PolarForm:
     @property
     def r(self):
         return sum(self.orders)
+
+    @functools.cached_property
+    def diagram(self):
+        """voronoi.build of the poles, built once per form on first read."""
+        return voronoi.build([complex(z) for z in self.poles])
 
     def evaluate(self, z):
         """Value of the function at z (z not a pole)."""
@@ -397,8 +403,7 @@ def zeros(form, n):
     if form.d == 1:
         return rootfind.solve(numerator(state).r_n)
     degree, _ = leading_term(state)
-    diagram = voronoi.build([complex(z) for z in form.poles])
-    starts = _poly.asarray(balance_starts(state, diagram, degree), form.precision)
+    starts = _poly.asarray(balance_starts(state, form.diagram, degree), form.precision)
     return rootfind.solve(None, evaluator=newton_evaluator(state), start=starts)
 
 

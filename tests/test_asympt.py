@@ -283,6 +283,71 @@ def test_grid_discrepancy_with_chunks_below_a_group(far, chunk):
     assert mean == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_grid_discrepancy_workspace_keeps_no_state(monkeypatch):
+    # a call, one on a larger grid, one on a smaller grid with more atoms,
+    # then the first again: the reused arrays carry nothing between calls
+    monkeypatch.setattr(asympt, "_WORKSPACES", [])
+    sites = np.array([1j, -1j])
+    reference = lambda z: voronoi.psi(sites, z)
+    atoms = np.asarray(two_pole_rootset(40).roots)
+    radius = 4e-3
+    axes = axes_near(atoms[:3], (0.0, 2.0), 22, radius)
+    first = asympt.grid_discrepancy(axes, atoms, (0.0, 40), reference, radius)
+    more = np.asarray(two_pole_rootset(90).roots)
+    asympt.grid_discrepancy(axes_near(more[:5], (0.0, 2.0), 60, radius), atoms, (0.0, 40),
+                            reference, radius)
+    workspace = asympt._WORKSPACES[0]
+    prod = workspace["prod"]
+    asympt.grid_discrepancy(axes_near(more[:5], (0.0, 2.0), 9, radius), more, (0.0, 90),
+                            reference, radius)
+    assert asympt._WORKSPACES[0] is workspace and workspace["prod"] is prod
+    assert asympt.grid_discrepancy(axes, atoms, (0.0, 40), reference, radius) == first
+    assert first[1] >= 3
+
+
+def test_grid_discrepancy_nested_in_its_reference():
+    # a reference that runs grid_discrepancy on the same grid gets its own
+    # arrays, so neither call sees the other's
+    sites = np.array([1j, -1j])
+    plain = lambda z: voronoi.psi(sites, z)
+    atoms = np.asarray(two_pole_rootset(40).roots)
+    radius = 4e-3
+    axes = axes_near(atoms[:3], (0.0, 2.0), 22, radius)
+    want = asympt.grid_discrepancy(axes, atoms, (0.0, 40), plain, radius)
+    inner = []
+
+    def nested(z):
+        inner.append(asympt.grid_discrepancy(axes, atoms, (0.0, 40), plain, radius))
+        return plain(z)
+
+    assert asympt.grid_discrepancy(axes, atoms, (0.0, 40), nested, radius) == want
+    assert inner and all(result == want for result in inner)
+
+
+@pytest.mark.parametrize("grid, tile_rows, block", [
+    (100, None, None),  # the defaults: blocks of 40 rows, the last of 20
+    (25, 7, 60),  # blocks of two rows, a tile's last of one
+    (25, 7, 7),  # blocks of a row's 7, 7, 7 and last 4 points
+])
+def test_grid_discrepancy_reference_blocks(monkeypatch, grid, tile_rows, block):
+    # the reference sees every grid point once, at most
+    # GRID_REFERENCE_POINTS of them per call
+    axes = asympt.grid_axes((0.0, 2.0), grid, np.random.default_rng(1))
+    if tile_rows:
+        monkeypatch.setattr(asympt, "GRID_TILE_POINTS", tile_rows * grid)
+        monkeypatch.setattr(asympt, "GRID_REFERENCE_POINTS", block)
+    blocks = []
+
+    def recording(z):
+        blocks.append(z)
+        return np.zeros(np.shape(z))
+
+    asympt.grid_discrepancy(axes, [3.0 + 3.0j], (0.0, 1), recording, 4e-3)
+    assert all(z.ndim == 2 and z.size <= asympt.GRID_REFERENCE_POINTS for z in blocks)
+    seen = np.sort(np.concatenate([z.ravel() for z in blocks]))
+    assert np.array_equal(seen, np.sort((axes[0] + 1j * axes[1][:, None]).ravel()))
+
+
 def test_grid_discrepancy_without_atoms():
     with pytest.raises(asympt.EmptyRootSet):
         asympt.grid_discrepancy((np.array([0.0]), np.array([0.5])), [], (0.0, 1),

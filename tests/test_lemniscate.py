@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from voroderiv import _poly, asympt, lemniscate, rootfind, voronoi
 from voroderiv.errors import CoefficientOverflow, NoConvergence
@@ -311,15 +312,18 @@ def test_balance_starts_are_exact_and_deterministic():
         assert np.array_equal(pts, balance_starts(p, n, degree))
 
 
-def np_roots_balance_starts(problem, n, degree):
-    """balance_starts with one np.roots call per w, the reference."""
+def np_roots_balance_starts(problem, n, degree, reduced=True):
+    """balance_starts with one np.roots call per w, the reference: each
+    pair's exponent difference f over its gcd g, for the g n values
+    w^{gn} = -1, or unreduced, f itself for the n values w^n = -1."""
     rows = np.array(lemniscate._term_exponents(problem, 1))
-    omega = np.exp(1j * math.pi * (2 * np.arange(n) + 1) / n)
     pts, margin = [], []
     for i, j in itertools.combinations(range(len(rows)), 2):
         f = rows[i] - rows[j]
-        a = _poly.product(problem.polynomials, np.maximum(f, 0))
-        b = _poly.product(problem.polynomials, np.maximum(-f, 0))
+        g = int(np.gcd.reduce(f)) if reduced else 1
+        omega = np.exp(1j * math.pi * (2 * np.arange(g * n) + 1) / (g * n))
+        a = _poly.product(problem.polynomials, np.maximum(f // g, 0))
+        b = _poly.product(problem.polynomials, np.maximum(-f // g, 0))
         z = np.concatenate([np.roots(np.polynomial.polynomial.polyadd(a, -w * b)[::-1])
                             for w in omega])
         logs = voronoi.branch_logs(problem.branches, z)
@@ -341,6 +345,31 @@ def test_balance_starts_match_np_roots():
         assert np.array_equal(balance_starts(p, n, degree),
                               np_roots_balance_starts(p, n, degree))
     assert (np_roots_balance_starts(common, 5, 30) == 0).sum() == 5
+
+
+def test_reduced_balance_starts_match_unreduced(monkeypatch):
+    # the figure's six exponent differences have gcds 4, 1, 3, 1, 1 and 7,
+    # so its companions shrink from sizes 12, 12, 21, 8, 21 and 21 to 3,
+    # 12, 7, 8, 21 and 3; the starts are the same zeros up to rounding
+    sizes = []
+    stacked = lemniscate._stacked_roots
+
+    def spy(coeffs):
+        sizes.append(coeffs.shape)
+        return stacked(coeffs)
+
+    monkeypatch.setattr(lemniscate, "_stacked_roots", spy)
+    for n in (3, 8):
+        sizes.clear()
+        degree, _ = leading_term(fig_problem(), n)
+        new = balance_starts(fig_problem(), n, degree)
+        assert sizes == [(g * n, m + 1) for g, m in
+                         ((4, 3), (1, 12), (3, 7), (1, 8), (1, 21), (7, 3))]
+        old = np_roots_balance_starts(fig_problem(), n, degree, reduced=False)
+        assert len(new) == len(old) == degree
+        cost = np.abs(new[:, None] - old[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert (cost[rows, cols] <= 1e-9 * (1.0 + np.abs(new[rows]))).all()
 
 
 def test_stacked_roots_match_np_roots_row_by_row():

@@ -581,6 +581,18 @@ def test_zeros_makes_one_attempt(monkeypatch):
     assert info.value.rootset.roots.tobytes() == direct.roots.tobytes()
 
 
+def test_zeros_build_the_diagram_once_per_form(monkeypatch):
+    # PolarForm.diagram is built on first read and shared by every order
+    built = []
+    build = voronoi.build
+    monkeypatch.setattr(voronoi, "build", lambda sites: built.append(sites) or build(sites))
+    form = polar_decompose([1.0], [(1j, 1), (-1j, 1), (2.0, 1)])
+    for n in (5, 10, 20):
+        rational.zeros(form, n)
+    assert form.diagram is form.diagram
+    assert built == [[1j, -1j, 2.0]]
+
+
 def test_zeros_mixed_orders_start_near_their_zeros():
     # the unequal-exponent starts are off their zeros by O(1/n); the
     # Newton passes on the whole R_n certify most of them, so the sweeps
