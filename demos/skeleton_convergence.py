@@ -11,12 +11,12 @@ log potential and the limit potential, then render the n = 100 picture.
 import cmath
 import math
 
-from voroderiv import asympt, rational, voronoi
+from voroderiv import asympt, rational
 from voroderiv.svg import render_svg
 
 poles = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
 form = rational.polar_form(poles, [1, 1, 1], [[1.0], [2.0], [1.0 + 1j]])
-diagram = voronoi.build(poles)
+diagram = form.diagram
 
 last_roots = None
 for n in (25, 50, 100):

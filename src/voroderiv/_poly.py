@@ -145,7 +145,7 @@ def series_inverse(p, order):
     """First `order` coefficients of 1/p as a power series; p[0] != 0."""
     precision = precision_of(p)
     inv = zeros(order, precision)
-    inv[0] = 1.0 / p[0] if precision == DOUBLE else scalar(1.0, EXTENDED) / p[0]
+    inv[0] = 1.0 / p[0]
     for k in range(1, order):
         acc = zeros(1, precision)[0]
         for j in range(1, min(k, len(p) - 1) + 1):

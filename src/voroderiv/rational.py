@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _poly, measure, rootfind, voronoi
-from ._poly import DOUBLE
+from ._poly import DOUBLE, EXTENDED
 from .errors import CoefficientOverflow, DegreeCollapse, DuplicatePole, SharedRoot
 
 __all__ = [
@@ -164,7 +164,9 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE):
     denominator_poles is a list of (location, order) with distinct
     locations, and the numerator must not vanish at any pole.  If the
     numerator degree reaches the denominator degree, the polynomial
-    quotient is retained as the polynomial part.
+    quotient is retained as the polynomial part.  The decomposition runs
+    at _poly.EXTENDED_DPS digits whatever the precision, and polar_form
+    rounds its coefficients once to the precision asked for.
     """
     numer = _poly.trim(_poly.asarray(numer, precision))
     poles = [_poly.scalar(z, precision) for z, _ in denominator_poles]
@@ -177,29 +179,27 @@ def polar_decompose(numer, denominator_poles, precision=DOUBLE):
         if abs(_poly.polyval(numer, zi)) <= 1e-10 * mag:
             raise SharedRoot(f"numerator vanishes at pole {complex(zi)}")
 
-    denom = _poly.product([_poly.asarray([-zi, 1.0], precision) for zi in poles], orders)
-
-    poly_part = _poly.zeros(1, precision)
-    rem = numer
-    if _poly.degree(numer) >= _poly.degree(denom):
-        poly_part, rem = _poly.polydivmod(numer, denom)
+    num, exact = _poly.asarray(numer, EXTENDED), [_poly.scalar(z, EXTENDED) for z in poles]
+    denom = _poly.product([_poly.asarray([-zi, 1.0], EXTENDED) for zi in exact], orders)
+    poly_part, rem = _poly.polydivmod(num, denom)
 
     coeffs = []
-    for i, (zi, ri) in enumerate(zip(poles, orders)):
+    for i, (zi, ri) in enumerate(zip(exact, orders)):
         # Taylor coefficients at z_i of rem / prod_{l != i} (z-z_l)^{r_l}
         num_shift = _poly.taylor_shift(rem, zi)
-        den = _poly.product([_poly.asarray([zi - zl, 1.0], precision) for zl in poles],
+        den = _poly.product([_poly.asarray([zi - zl, 1.0], EXTENDED) for zl in exact],
                             [0 if l == i else rl for l, rl in enumerate(orders)])
         inv = _poly.series_inverse(den, ri)
         tay = np.convolve(num_shift[: ri + 1], inv)
         # a_{i, r_i - k} = k-th Taylor coefficient; the top one is
         # rem(z_i)/den(z_i), nonzero by the gcd check
-        coeffs.append(tuple(tay[ri - 1::-1]))
+        coeffs.append(tay[ri - 1::-1])
 
-    form = PolarForm(tuple(poles), tuple(orders), tuple(coeffs), poly_part, precision)
+    form = polar_form(poles, orders, coeffs, poly_part, precision)
 
-    # recombination check at random points, against the denominator as
-    # its product: expanded, it rounds past 1e-10 near a high-order pole
+    # recombination check of the rounded form at random points, against
+    # the denominator as its product: expanded, it rounds past 1e-10 near
+    # a high-order pole
     rng = np.random.default_rng(0)
     for _ in range(20):
         z = _poly.scalar(complex(rng.normal(), rng.normal()) * 2.0 * scale, precision)

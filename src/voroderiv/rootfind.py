@@ -23,9 +23,9 @@ block size or on which other roots are still active.
 
 SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
-evaluator that forms its products of powers in log space, each row by a
-sparse complement where that is shorter (its logarithmic derivative as a
-sum shared by all rows minus the complement): O(d) per point for the
+evaluator that forms its products of powers in log space, each row by
+its complement against the column maxima (its logarithmic derivative as
+a sum shared by all rows minus the complement's): O(d) per point for the
 d-pole numerator.  Its elementwise functions are chosen per precision:
 in double a log is log|p| + i arg p (_log), since numpy's complex log
 also runs one element at a time.  The evaluator is row-stacked:
@@ -36,7 +36,6 @@ its last bit.  Like _aberth both run on complex arrays or on object
 arrays of mpmath.mpc.
 """
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -207,15 +206,15 @@ class SumOfProducts:
         Products of powers are formed in log space and scaled by the
         largest modulus per point, so degrees in the thousands neither
         overflow nor underflow; only N/N' and |N|/|N'| are meaningful.
-        Where the complements t_k - e_ik (t_k the column maxima) are
-        sparser, a row's sum of e_ik f_k'/f_k is the shared sum over t_k
-        minus the complement's, and its log sum is minus the complement's
-        alone: the shared sum of t_k log f_k is a per-point scale, and only
-        its rounding would remain.  A term vanishing at an exact zero of a
-        factor, to order sum_k e_ik [f_k = 0], adds nothing to N, and to
-        N' only at order 1.  Each output depends on its own point only.
-        Works on complex arrays, or on object arrays of mpmath.mpc (call
-        it at _poly.workprec()).
+        With t_k the column maxima, a row's sum of e_ik f_k'/f_k is the
+        shared sum over t_k minus its complement t_k - e_ik's, and its log
+        sum is minus the complement's alone: the shared sum of t_k log f_k
+        is a per-point scale, and only its rounding would remain.  A term
+        vanishing at an exact zero of a factor, to order
+        sum_k e_ik [f_k = 0], adds nothing to N, and to N' only at order 1.
+        Each output depends on its own point only.  Works on complex
+        arrays, or on object arrays of mpmath.mpc (call it at
+        _poly.workprec()).
         """
         precision = _poly.precision_of(self.factors[0])
         dtype = complex if precision == DOUBLE else object
@@ -226,14 +225,11 @@ class SumOfProducts:
             for ps in (fs, [_poly.polyder(f) for f in fs]))
         centres = _poly.asarray(self.centres, precision)[:, None]
         # row i is sum_k top_k x_k + sum_k rows_ik x_k: top the column
-        # maxima and rows minus the complements when those are sparser
-        # (one entry each for rational._model), else top zero and rows
-        # the exponents
+        # maxima and rows minus the complements (one entry each for
+        # rational._model)
         top = [max(col) for col in zip(*self.exponents)]
         rows = [[e - t for t, e in zip(top, row)] for row in self.exponents]
-        if np.count_nonzero(rows) >= np.count_nonzero(self.exponents):
-            top, rows = [0] * len(top), self.exponents
-        top = np.array(top, dtype=dtype)[:, None] if any(top) else None
+        top = np.array(top, dtype=dtype)[:, None]
         # slot j holds each row's j-th non-zero entry, or exponent 0 on
         # factor 0 where the row has fewer
         entries = [[(k, e) for k, e in enumerate(row) if e] for row in rows]
@@ -246,8 +242,7 @@ class SumOfProducts:
             # (layers, factors, points) array x: the slots, plus the
             # shared sum on the layers shared selects
             sums = sum(x[:, idx] * e for idx, e in slots)
-            if top is not None:
-                sums[shared] += (x[shared] * top).sum(axis=1, keepdims=True)
+            sums[shared] += (x[shared] * top).sum(axis=1, keepdims=True)
             return sums
 
         def block(z):
@@ -466,8 +461,7 @@ def solve(p, tolerance=1e-12, evaluator=None, start=None):
     if len(start) != m:
         raise ValueError("start must supply one point per root")
     start = _poly.asarray(start, precision)
-    arithmetic = _poly.workprec() if precision == EXTENDED else contextlib.nullcontext()
-    with arithmetic:
+    with _poly.workprec():
         result = _aberth(evaluator, tolerance, start, MAX_SWEEPS[precision])
     if not result.all_converged:
         raise NoConvergence(

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from voroderiv import _poly, asympt, measure, rational, rootfind, voronoi
+from families import single_pole_draws
 from voroderiv.errors import CoefficientOverflow, NoConvergence, ZeroPolynomial
 from voroderiv.rational import (DegreeCollapse, DuplicatePole, derivative_state,
                                 newton_evaluator, numerator, polar_decompose, polar_form)
@@ -64,6 +65,20 @@ def test_polar_decompose_accepts_a_high_order_pole(precision, order):
     form = polar_decompose([1.0], [(0.8 + 0.1j, order)], precision=precision)
     assert [complex(c) for c in form.coeffs[0]] == [0.0] * (order - 1) + [1.0]
     assert not any(complex(c) for c in form.polynomial_part)
+
+
+def test_polar_decompose_rounds_an_extended_decomposition():
+    # draw 137 of the single-pole family: order 6, numerator degree 12.
+    # Decomposed in double its coefficients were off by 1.2e-12 relative,
+    # and the recombination check rejected it
+    numer, poles = list(single_pole_draws())[137]
+    form = polar_decompose(numer, poles)
+    exact = polar_decompose(numer, poles, precision="extended")
+    for got, want in ((form.coeffs[0], exact.coeffs[0]),
+                      (form.polynomial_part, exact.polynomial_part)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(a - complex(b)) <= 1e-15 * abs(complex(b))
 
 
 def test_derivative_matches_finite_differences():

@@ -165,12 +165,13 @@ def test_evaluator_takes_no_coefficients_and_needs_starts():
 def test_sum_of_products_expansion_and_evaluator_agree(precision, rel):
     # a degree-2 factor, a monic linear one and a non-monic linear one;
     # rows with zero exponents; weights of degree >= 1 about non-zero
-    # centres.  The first rows are formed directly; the second ones
-    # differ from the column maxima (3, 4, 2) in one entry each, so the
-    # evaluator forms them from a shared sum.  Point 5 is an exact zero
-    # of the non-monic factor, where terms vanish to order 1 or 2 and one
-    # has exponent 0 on it; so are c12's z = 0 and z = 3 for its
-    # R_3 = z^6 + (z - 3)^3, where one term vanishes to order 3
+    # centres.  The evaluator forms every row from a shared sum over the
+    # column maxima, (3, 4, 2) for both row sets, less the row's
+    # complement: one to three entries per row for the first rows, one
+    # for the second ones.  Point 5 is an exact zero of the non-monic
+    # factor, where terms vanish to order 1 or 2 and one has exponent 0
+    # on it; so are c12's z = 0 and z = 3 for its R_3 = z^6 + (z - 3)^3,
+    # where one term vanishes to order 3
     factors = [[0.7 - 0.2j, -0.4 + 0.1j, 1.0], [-0.3 - 0.8j, 1.0], [0.5, 2.0j]]
     weights = [[1.0, 0.5j, -0.25], [2.0 - 1.0j], [0.3, 1.0]]
     centres = (0.4 - 0.6j, 0.0, -1.1 + 0.2j)
@@ -218,16 +219,24 @@ def batched(eval_pd, z, size):
 
 
 def test_evaluator_is_pointwise_at_scale():
-    # both structural evaluators at a size the solver meets: criterion
-    # 13's eight poles at n = 300 (the shared-sum rows) and the figure
-    # lemniscate at n = 8 (the direct rows); a matrix product over the
-    # rows gave other bytes on some sub-batches
-    diagram, state, degree = eight_poles(300)
-    problem = lemniscate.LemniscateProblem(
+    # both structural evaluators at sizes the solver meets, each row a
+    # complement against the column maxima: criterion 13's eight poles at
+    # n = 300 and the d = 2 pole model 1/(1 + z^2) at n = 200 (one entry
+    # per row), the figure lemniscate at n = 8 (three per row) and c12's
+    # polynomials with multipliers (2, -1) at n = 8 (rows (16, 8) and
+    # (0, 0) after clearing the denominator: none, then two); a matrix
+    # product over the rows gave other bytes on some sub-batches
+    cases = []
+    for diagram, state, degree in (eight_poles(300), two_poles(200)):
+        cases.append((rational.newton_evaluator(state),
+                      rational.balance_starts(state, diagram, degree)))
+    figure = lemniscate.LemniscateProblem(
         ((-1.0, 1.0), (1.0, 1.0), (-1.0j, 1.0), (1.0j, 1.0)), (12, 8, 7, 21))
-    cases = [(rational.newton_evaluator(state), rational.balance_starts(state, diagram, degree)),
-             (lemniscate.rn_evaluator(problem, 8),
-              lemniscate.balance_starts(problem, 8, lemniscate.leading_term(problem, 8)[0]))]
+    cleared = lemniscate.LemniscateProblem(((0.0, 0.0, 1.0), (-3.0, 1.0)), (2, -1))
+    for problem in (figure, cleared):
+        cases.append((lemniscate.rn_evaluator(problem, 8), lemniscate.balance_starts(
+            problem, 8, lemniscate.leading_term(problem, 8)[0])))
+    assert [len(z) for _, z in cases] == [2100, 200, 168, 40]
     for eval_pd, z in cases:
         pv, dv = eval_pd(z)
         assert np.isfinite(pv).all() and np.isfinite(dv).all()
@@ -326,6 +335,13 @@ def eight_poles(n):
     form = rational.polar_decompose([1.0], [(p, 1) for p in poles])
     state = rational.derivative_state(form, n)
     return voronoi.build(poles), state, rational.leading_term(state)[0]
+
+
+def two_poles(n):
+    """(diagram, state, degree of R_n) for 1/(1 + z^2)."""
+    form = rational.polar_decompose([1.0], [(1j, 1), (-1j, 1)])
+    state = rational.derivative_state(form, n)
+    return form.diagram, state, rational.leading_term(state)[0]
 
 
 def eight_pole_case(n=50):
