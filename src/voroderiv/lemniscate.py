@@ -248,10 +248,8 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
     """
     try:
         radius = dominance_radius(problem)
-        compact = True
     except NoDominantDegree:
         radius = float("nan")
-        compact = False
     rng = np.random.default_rng(seed)
     max_mod = []
     l1 = []
@@ -269,6 +267,6 @@ def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
         max_root_modulus=tuple(max_mod),
         l1_discrepancy=tuple(l1),
         dominance_radius=radius,
-        compact=compact,
+        compact=not math.isnan(radius),
         roots=tuple(all_roots),
     )

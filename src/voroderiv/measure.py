@@ -95,8 +95,8 @@ def skeleton_starts(diagram, count, jitter=0.01, seed=0):
     perpendicular to its edge by a normal jitter of the given fraction
     of the diagram scale.  The zeros of a finite-order numerator lie off
     the skeleton, so rational.zeros starts from the two-term zeros of
-    rational.balance_starts instead; these points fill only the
-    shortfall a polynomial part leaves at n <= deg pp.
+    rational.balance_starts instead; these fill only its shortfall, from
+    a polynomial part at n <= deg pp or unequal orders such as (3, 1).
     """
     rng = np.random.default_rng(seed)
     masses = np.array([edge_mass(e, diagram.d) for e in diagram.edges])

@@ -369,9 +369,10 @@ def balance_starts(state, diagram, degree):
     away from the vertices.  voronoi.balanced ranks them over the term
     logs log|c_k| - (n + r_k) log|z - z_k|, c_k the top scaled
     coefficient, and log|lc pp_n| + sum log|z - w| over the roots w of a
-    nonzero pp_n.  Only a polynomial part at n <= deg pp leaves a
-    shortfall, filled by measure.skeleton_starts (fixed seed), so the
-    result depends only on the inputs.
+    nonzero pp_n.  A polynomial part at n <= deg pp, and some unequal
+    pole orders, such as (3, 1) or (1, 4), leave fewer candidates than
+    the degree; measure.skeleton_starts (fixed seed) fills the shortfall,
+    so the result depends only on the inputs.
     """
     branches = [(np.log(abs(complex(cs[-1]))), -(state.n + r), [z])
                 for cs, r, z in zip(state.scaled_coeffs, state.base.orders, state.base.poles)]

@@ -6,8 +6,8 @@ against the half-planes closer to i than to every third site.  t is
 the canonical edge parameter used throughout the measure code; the
 ordering convention is i < j in every pair.
 
-Both limit potentials, psi and lemniscate.psi_max, are maxima of
-harmonic branches, which branch_logs evaluates with one rounding rule;
+psi sums one log per site; lemniscate.psi_max is the largest of its
+harmonic branches, which branch_logs evaluates with the same log rule;
 balanced ranks both solvers' start points by those branches.
 """
 
@@ -101,17 +101,13 @@ class VoronoiDiagram:
         return json.dumps(doc, sort_keys=True)
 
 
-def _diameter(sites):
-    return max(abs(a - b) for a in sites for b in sites)
-
-
 def build(sites):
     """Voronoi diagram of d >= 2 distinct sites."""
     sites = tuple(complex(z) for z in sites)
     d = len(sites)
     if d < 2:
         raise DuplicateSites("need at least two sites")
-    diam = _diameter(sites)
+    diam = max(abs(a - b) for a in sites for b in sites)
     if diam == 0.0:
         raise DegenerateScale("all sites coincide")
     tol = COINCIDENCE_REL_TOL * diam
@@ -188,18 +184,16 @@ def branch_logs(branches, z):
 
     Rows stack along a new first axis over z, a scalar or an array.  A
     distance is numpy's complex abs of z - c (np.hypot of the coordinate
-    differences runs one element at a time), logged once per distinct
-    centre; at a centre a branch is -inf for a positive weight and +inf
-    for a negative one.
+    differences runs one element at a time), logged once per centre of
+    each branch and summed in the order given; at a centre a branch is
+    -inf for a positive weight and +inf for a negative one.
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty((len(branches),) + z.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = {c: np.log(np.abs(z - c))
-                for c in {complex(c) for _, _, cs in branches for c in cs}}
         for k, (offset, weight, cs) in enumerate(branches):
             # out[k, ...] is a view of row k even when z is a scalar
-            out[k, ...] = offset + weight * sum((logs[complex(c)] for c in cs), 0.0)
+            out[k, ...] = offset + weight * sum((np.log(np.abs(z - complex(c))) for c in cs), 0.0)
     return out
 
 
@@ -221,19 +215,21 @@ def balanced(pairs, points, branches, degree):
     return z[np.sort(keep)]
 
 
-def _cell_branches(sites):
-    """Branch i, (d-1)^{-1} sum_{k != i} log|z - z_k|, per site i."""
-    return [(0.0, 1.0 / (len(sites) - 1), [s for k, s in enumerate(sites) if k != i])
-            for i in range(len(sites))]
-
-
 def psi(sites, z):
-    """max_i of the cell branches (d-1)^{-1} sum_{k != i} log |z - z_k|.
+    """(d-1)^{-1}(sum_k log|z - z_k| - min_k log|z - z_k|), z scalar (float out) or array.
 
-    The largest drops the nearest site, so this extends (d-1)^{-1}(log
-    prod|z - z_i| - log min|z - z_i|) to the sites; z scalar (float out) or array.
+    One pass over the site logs keeps their minimum, their total and skip,
+    the total without the first minimum: the nearest cell branch, bit for bit.
     """
-    out = branch_logs(_cell_branches(sites), z).max(axis=0)
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = (np.log(np.abs(z - complex(s))) for s in sites)
+        low = total = next(rows)
+        skip = 0.0
+        for row in rows:
+            skip = np.where(row < low, total, skip + row)
+            low, total = np.minimum(low, row), total + row
+    out = 0.0 + (1.0 / (len(sites) - 1)) * skip
     return float(out) if out.ndim == 0 else out
 
 
@@ -242,7 +238,7 @@ def cell_branch(sites, i, z):
 
     Defined at any z; psi equals it on cell i.
     """
-    return float(branch_logs(_cell_branches(sites)[i:i + 1], z)[0])
+    return float(branch_logs([(0.0, 1.0 / (len(sites) - 1), np.delete(sites, i))], z)[0])
 
 
 def distance_to_skeleton(diagram, z):

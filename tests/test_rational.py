@@ -448,6 +448,25 @@ def test_balance_starts_fill_a_polynomial_part_shortfall(n):
     assert rs.all_converged and len(rs) == degree
 
 
+@pytest.mark.parametrize("n", [5, 100])
+@pytest.mark.parametrize("poles, orders, coeffs, short", [
+    ([1, -1], [3, 1], [[0.5, 0.1, 2.0], [1 - 1j]], 1),
+    ([0.3j, 2.0], [1, 4], [[1.0], [0.2, 0.1, 0.3, 1 + 1j]], 2)])
+def test_balance_starts_fill_an_unequal_orders_shortfall(poles, orders, coeffs, short, n):
+    # two poles of unequal orders can give fewer two-term zeros than the
+    # degree, with no polynomial part: the zeros missed lie far out, at
+    # |z| of order n, and the skeleton fills their starts
+    form = polar_form(poles, orders, coeffs)
+    state = derivative_state(form, n)
+    degree, _ = rational.leading_term(state)
+    found = sum(len(rational._edge_balance_zeros(state, *e.pair)) for e in form.diagram.edges)
+    assert found == degree - short
+    starts = rational.balance_starts(state, form.diagram, degree)
+    assert len(starts) == len(np.unique(starts)) == degree
+    rs = rational.zeros(form, n)
+    assert rs.all_converged and len(rs) == degree
+
+
 def test_balance_starts_trim_a_surplus_nearest_the_vertex_first():
     state, diagram, degree = cube_problem(100)
     full = rational.balance_starts(state, diagram, degree)

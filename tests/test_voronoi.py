@@ -151,6 +151,44 @@ def test_psi_on_a_block_matches_scalar_loop():
             rtol=1e-14, atol=1e-15)
 
 
+def cell_branches_reference(sites, z):
+    """psi by its definition, the largest cell branch 0.0 + (d-1)^{-1}
+    sum_{k != i} log|z - z_k|, each sum taken from 0.0 in site order."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(divide="ignore"):
+        logs = [np.log(np.abs(z - complex(s))) for s in sites]
+    weight = 1.0 / (len(sites) - 1)
+    return np.max([0.0 + weight * sum((x for k, x in enumerate(logs) if k != i), 0.0)
+                   for i in range(len(sites))], axis=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 9, 32, 100])
+def test_psi_is_the_nearest_cell_branch_bit_for_bit(d):
+    rng = np.random.default_rng(100 + d)
+    sites = rng.normal(size=d) + 1j * rng.normal(size=d)
+    block = 2.0 * (rng.normal(size=(20, 30)) + 1j * rng.normal(size=(20, 30)))
+    got = psi(sites, block)
+    assert got.tobytes() == cell_branches_reference(sites, block).tobytes()
+    # a scalar point gives the float that its block entry holds
+    for z, value in zip(block.ravel()[::7], got.ravel()[::7]):
+        scalar = psi(sites, z)
+        assert isinstance(scalar, float) and scalar == value
+    at_sites = psi(list(sites), sites)
+    assert at_sites.tobytes() == cell_branches_reference(sites, sites).tobytes()
+    assert np.isfinite(at_sites).all()
+
+
+def test_psi_at_exact_ties_is_the_nearest_cell_branch():
+    cases = [([1.0, -1.0], [0.0, 2j, -0.5j]),  # on the bisector of +-1
+             (cube_roots(), [0.0]),  # the centre of the cube roots
+             ([1.0, -1.0, 1j, -1j], [0.0, 1.0 + 1j, 3.0])]  # the square
+    for sites, pts in cases:
+        pts = np.asarray(pts, dtype=complex)
+        got = psi(sites, pts)
+        assert got.tobytes() == cell_branches_reference(sites, pts).tobytes()
+        assert [psi(sites, z) for z in pts] == list(got)
+
+
 def branch_reference(branch, z):
     """The scalar loop that branch_logs is checked against."""
     offset, weight, centres = branch
