@@ -14,7 +14,8 @@ deg R_n and alpha_n / n! have one source, leading_term, a closed form
 from Q at infinity.  R_n itself is one rootfind.SumOfProducts (_model),
 read two ways: its dense expansion (numerator) serves only where it is
 short or is the output; zeros with two or more poles iterates on its
-point evaluator (newton_evaluator) in either precision.
+point evaluator (newton_evaluator) in either precision, and its Newton
+prelude steps on z^K Q^(n) (_far_field_evaluator).
 """
 
 import cmath
@@ -330,6 +331,36 @@ def newton_evaluator(state):
     return _model(state).evaluator()
 
 
+def _far_field_evaluator(state, degree):
+    """newton_evaluator's (N, N') and N' - h N, with N/(N' - h N) the
+    Newton step of G(z) = z^K Q^(n)(z)/n! = z^K N(z) / prod_k (z - z_k)^t_k.
+
+    t_k = n + r_k are the model's column maxima, K = sum_k t_k - degree
+    and h = sum_k t_k/(z - z_k) - K/z.  G has the zeros of R_n and tends
+    to a constant at infinity, so the poles' pull on a far-out point,
+    about m/z in N/N', cancels.  h is formed EVAL_BLOCK points at a
+    time, which bounds its temporaries, and pole by pole, so each output
+    depends on its own point only.
+    """
+    evaluate = newton_evaluator(state)
+    tops = [state.n + r for r in state.base.orders]
+    excess = sum(tops) - degree
+
+    def pull(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sum(t / (z - zk) for t, zk in zip(tops, state.base.poles)) - excess / z
+
+    def eval_pdq(z):
+        p, dp = evaluate(z)
+        z, q = np.atleast_1d(z), np.empty_like(dp)
+        for s in range(0, len(z), rootfind.EVAL_BLOCK):
+            b = slice(s, s + rootfind.EVAL_BLOCK)
+            q[b] = dp[b] - pull(z[b]) * p[b]
+        return p, dp, q
+
+    return eval_pdq
+
+
 def _edge_balance_zeros(state, i, j):
     """Starts at the zeros of the two leading terms of poles i and j in Q^(n)/n!.
 
@@ -341,7 +372,7 @@ def _edge_balance_zeros(state, i, j):
     Im F rises by n + (r_i+r_j)/2 per unit of Im w, so branch k has one
     zero, started there with Re w from Re F = 0 at |1-u| = 2 sin(Im w / 2):
     for equal orders the closed form u^N = -c_j/c_i of asympt.twopole_zeros.
-    rootfind's Newton passes polish the starts on the whole R_n.
+    rootfind's Newton passes polish the starts on all of Q^(n).
     """
     base = state.base
     zi, g = complex(base.poles[i]), complex(base.poles[j]) - complex(base.poles[i])
@@ -391,9 +422,11 @@ def zeros(form, n):
 
     The one path from a PolarForm to derivative zeros, in either
     precision.  With two or more poles the Aberth iteration runs on
-    newton_evaluator, in the precision of the balance_starts it starts
-    from (the form's), and never expands R_n: the best balanced zeros of
-    the two leading terms edge by edge, as many as leading_term's degree.
+    newton_evaluator, with the Newton prelude's steps on z^K Q^(n)
+    (_far_field_evaluator), in the precision of the balance_starts it
+    starts from (the form's), and never expands R_n: the best balanced
+    zeros of the two leading terms edge by edge, as many as
+    leading_term's degree.
     With one pole R_n has degree at most r + deg pp, so its expansion
     (numerator) is short and finite, and the iteration runs on its
     coefficients.  Either way there is one attempt, at rootfind.solve's
@@ -405,7 +438,7 @@ def zeros(form, n):
         return rootfind.solve(numerator(state).r_n)
     degree, _ = leading_term(state)
     starts = _poly.asarray(balance_starts(state, form.diagram, degree), form.precision)
-    return rootfind.solve(None, evaluator=newton_evaluator(state), start=starts)
+    return rootfind.solve(None, evaluator=_far_field_evaluator(state, degree), start=starts)
 
 
 def degree_diagnostics(results):

@@ -7,12 +7,17 @@ start points, whose number is the degree.
 
 One routine, _aberth, serves both precisions, as Bini (1996) states the
 iteration for any arithmetic that can evaluate p/p': complex arrays, or
-object arrays of mpmath.mpc at extended precision.  It first runs plain
+object arrays of mpmath.mpc at extended precision.  It first runs
 Newton passes, O(m) each, while they converge (from a circle the second
 pass halves no step and ends them), and freezes the points whose
 inclusion disks |z - x| <= m|p(x)/p'(x)| (Henrici 1974) meet no other
-such disk, so each holds a zero of its own.  These passes are the only
-Newton polish of the start points.  Jacobi sweeps then correct the rest
+such disk, so each holds a zero of its own.  An evaluator may return a
+third output q with p/q the Newton step of a function with p's zeros
+(rational.zeros steps on z^K Q^(n), whose poles cancel the pull of
+about m/z that R_n's m zeros exert far out): a point whose step p/p'
+has not passed then moves by p/q if that stays inside its disk; the
+step test and the disks stay on p/p'.  These passes are the only Newton
+polish of the start points.  Jacobi sweeps then correct the rest
 from the positions at the start of each sweep and freeze a root once
 its correction falls below the tolerance.  A sweep evaluates only the
 active roots and forms their Cauchy sums against all m roots in
@@ -53,7 +58,7 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 MAX_SWEEPS = {DOUBLE: 200, EXTENDED: 500}
 
-# plain Newton passes before the first Aberth sweep
+# Newton passes, at most, before the first Aberth sweep
 NEWTON_PASSES = 6
 
 # guards |p'| and the Aberth denominator against division by zero
@@ -312,32 +317,58 @@ def _nearest_distance(roots, idx):
     return near
 
 
-def _newton_passes(eval_pd, tolerance, start):
-    """(roots, frozen): plain Newton from start, then the disk certificate.
+def _ratio(p, dp):
+    """p/dp, with |dp| below TINY taken as TINY."""
+    return p / np.where(np.abs(dp) < TINY, TINY, dp)
 
-    Each pass moves by z <- z - N/N' (0 if not finite) the points whose
-    step has not yet passed the sweep's test |s| < tolerance * (1 + |z|),
+
+def _newton_pass(eval_pd, tolerance, roots, step, idx):
+    """One Newton pass on roots[idx], in place: (passed, halved) masks.
+
+    Each point moves by its step s = N/N' (0 if not finite), stored in
+    step[idx], or, if eval_pd returns a third output Q, by g = N/Q where
+    s has not passed the sweep's test |s| < tolerance * (1 + |z - s|) and
+    |g| <= m|s|, so that g stays inside the point's Henrici disk.  A step
+    halves when |s| is at most half the point's last one.  A function of
+    its own, so that a pass's arrays are freed before the next pass
+    evaluates: they would raise the solve's memory peak.
+    """
+    z = roots[idx]
+    pv, dv, *prelude = eval_pd(z)
+    s = _ratio(pv, dv)
+    finite = np.abs(s) < np.inf
+    halved = np.abs(s) <= 0.5 * np.abs(step[idx])
+    step[idx] = s
+    roots[idx] = z - np.where(finite, s, 0.0)
+    passed = finite & (np.abs(s) < tolerance * (1.0 + np.abs(roots[idx])))
+    if prelude:
+        g = _ratio(pv, prelude[0])
+        inside = finite & ~passed & (np.abs(g) <= len(roots) * np.abs(s))
+        roots[idx[inside]] = z[inside] - g[inside]
+    return passed, halved
+
+
+def _newton_passes(eval_pd, tolerance, start):
+    """(roots, frozen): Newton passes from start, then the disk certificate.
+
+    Each _newton_pass evaluates the points whose step has not yet passed,
     until all have, a pass neither passes a point nor halves a step
     (steps start at inf), or NEWTON_PASSES.  A zero lies within m|s| of
-    the point where s was taken (Henrici), so within (m + 1)|s| +
-    4 eps |z| of z; a point that passed is frozen if that disk meets no
-    other such disk, and the rest go back to their starts.
+    the point where s = N/N' was taken (Henrici), so within (m + 1)|s| +
+    4 eps |z| of z, which a point that passed reached by s; it is frozen
+    if that disk meets no other such disk, and the rest go back to their
+    starts.
     """
+    m = len(start)
     roots, step = start.copy(), np.full_like(start, np.inf)
-    small = np.zeros(len(start), dtype=bool)
+    small = np.zeros(m, dtype=bool)
     for _ in range(NEWTON_PASSES):
         idx = np.flatnonzero(~small)
-        pv, dv = eval_pd(roots[idx])
-        s = pv / np.where(np.abs(dv) < TINY, TINY, dv)
-        finite = np.abs(s) < np.inf
-        halved = np.abs(s) <= 0.5 * np.abs(step[idx])
-        step[idx] = s
-        roots[idx] -= np.where(finite, s, 0.0)
-        passed = finite & (np.abs(s) < tolerance * (1.0 + np.abs(roots[idx])))
+        passed, halved = _newton_pass(eval_pd, tolerance, roots, step, idx)
         small[idx[passed]] = True
         if small.all() or not (passed.any() or halved.any()):
             break
-    radius = (len(start) + 1) * np.abs(step) + 4.0 * np.finfo(float).eps * np.abs(roots)
+    radius = (m + 1) * np.abs(step) + 4.0 * np.finfo(float).eps * np.abs(roots)
     frozen = small.copy()
     frozen[small] = _disjoint(roots[small].astype(complex), radius[small].astype(float))
     roots[~frozen] = start[~frozen]
@@ -368,7 +399,7 @@ def _disjoint(centers, radii):
 
 
 def _aberth(eval_pd, tolerance, start, max_sweeps):
-    """_newton_passes, then Aberth sweeps on the rest; complex or mpmath arrays alike."""
+    """_newton_passes, then Aberth sweeps on the rest on p/p'; complex or mpmath arrays alike."""
     roots, converged = _newton_passes(eval_pd, tolerance, start)
     certified = int(converged.sum())
     trace = []
@@ -377,15 +408,13 @@ def _aberth(eval_pd, tolerance, start, max_sweeps):
         if not len(idx):
             break
         trace.append(len(idx))
-        pv, dv = eval_pd(roots[idx])
-        newton = pv / np.where(np.abs(dv) < TINY, TINY, dv)
-        denom = 1.0 - newton * _cauchy_sums(roots, idx)
-        denom = np.where(np.abs(denom) < TINY, TINY, denom)
-        corr = newton / denom
+        pv, dv = eval_pd(roots[idx])[:2]
+        newton = _ratio(pv, dv)
+        corr = _ratio(newton, 1.0 - newton * _cauchy_sums(roots, idx))
         roots[idx] -= corr
         done = np.abs(corr) < tolerance * (1.0 + np.abs(roots[idx]))
         converged[idx[done]] = True
-    pv, dv = eval_pd(roots)
+    pv, dv = eval_pd(roots)[:2]
     guard = np.abs(dv) < TINY
     resid = (np.abs(pv) / np.where(guard, TINY, np.abs(dv))).astype(float)
     if guard.any():
@@ -423,11 +452,14 @@ def solve(p, tolerance=1e-12, evaluator=None, start=None):
 
     An evaluator maps an array of points to (p, p') up to a common
     per-point scale (rational.newton_evaluator for numerators whose
-    expanded coefficients are too ill-scaled to evaluate).  No
-    coefficient is read: start is required, and its length is the
-    degree.  Each output must depend only on its own input point: a
-    Newton pass and the final call for the residuals pass all m roots, a
-    sweep only the roots still active.
+    expanded coefficients are too ill-scaled to evaluate), or to
+    (p, p', q) with q on the same scale, where p/q is the Newton step of
+    a function with the same zeros: the Newton passes then step by p/q
+    where p/p' fails the step test and |p/q| <= m|p/p'|, and everything
+    else reads p/p' alone.  No coefficient is read: start is required,
+    and its length is the degree.  Each output must depend only on its
+    own input point: a Newton pass and the final call for the residuals
+    pass all m roots, a sweep only the roots still active.
     """
     if (p is None) == (evaluator is None):
         raise ValueError("pass exactly one of coefficients and an evaluator")

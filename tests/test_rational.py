@@ -1,6 +1,7 @@
 """Polar form derivatives, numerators, and the structural evaluator."""
 
 import cmath
+import itertools
 import math
 from math import comb
 
@@ -10,7 +11,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from voroderiv import _poly, asympt, measure, rational, rootfind, voronoi
-from families import single_pole_draws
+from families import multi_pole_draws, single_pole_draws
 from voroderiv.errors import CoefficientOverflow, NoConvergence, ZeroPolynomial
 from voroderiv.rational import (DegreeCollapse, DuplicatePole, derivative_state,
                                 newton_evaluator, numerator, polar_decompose, polar_form)
@@ -571,6 +572,30 @@ def test_first_sweep_runs_on_the_uncertified_roots(problem, share):
     rs = rational.zeros(form, n)
     assert rs.all_converged
     assert rs.active_trace[0] <= share * len(rs)
+
+
+def test_far_field_prelude_certifies_the_far_out_starts():
+    # criterion 13's draw: Newton on R_n itself pulls a far-out start by
+    # about m/z, so from the same starts it certified 1979 of 2100 and
+    # left 121 roots to the first sweep
+    rng = np.random.default_rng(11)
+    poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
+    rs = rational.zeros(polar_decompose([1.0], [(p, 1) for p in poles]), 300)
+    assert rs.all_converged
+    assert rs.certified >= 2080 and rs.active_trace[0] <= 16
+    assert np.abs(rs.roots).max() == pytest.approx(58.0051170150899, rel=1e-12)
+
+
+def test_returned_roots_have_disjoint_inclusion_disks():
+    # every tenth draw of the multi-pole family from draw 6: the disks
+    # (m + 1) |N/N'| + 4 u |z| about the returned roots meet no other
+    # one, so each holds a zero of its own; a prelude that certifies a
+    # point after a step outside its Henrici disk can freeze it far out
+    # (draw 536: |z| near 1e28), where its residual is about |z|/m
+    for form, n in itertools.islice(multi_pole_draws(), 6, None, 10):
+        rs = rational.zeros(form, n)
+        radius = (len(rs) + 1) * rs.residuals + 4.0 * np.finfo(float).eps * np.abs(rs.roots)
+        assert rootfind._disjoint(rs.roots, radius).all()
 
 
 def test_a_duplicated_start_is_never_certified_twice():
