@@ -271,7 +271,7 @@ def main(argv=None):
         return 1
     try:
         return COMMANDS[args.command](args, out)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except VoroderivError as exc:

@@ -7,6 +7,7 @@ relative to the largest term, since the raw terms grow with Pochhammer
 factors; the two-pole residual also comes back raw on request.
 """
 
+import cmath
 from dataclasses import dataclass
 
 from . import _poly
@@ -60,24 +61,26 @@ def powersum_residual(f, n, z):
 
     sum_{i=0}^d e_i(z) / ((s+n)(s+n+1)...(s+n+i-1)) Q^{(n+i)}(z) with
     e_i the elementary symmetric functions of (z - z_1) .. (z - z_d),
-    relative to its largest term (raw when every term is zero).
+    relative to its largest term (raw when every term is zero).  Term i
+    is (-1)^n (s)_n e_i (-1)^i sum_j w_j (z - z_j)^(-s-n-i); the common
+    factor (-1)^n (s)_n cancels, and the powers are formed in log space
+    and scaled by their largest modulus, so no n overflows.
     """
     z = complex(z)
     for zj in f.poles:
         if z == complex(zj):
             raise AtPole("z coincides with a pole")
+    shifts = [z - complex(zj) for zj in f.poles]
     # prod_j (t + z - z_j) = sum_i e_i t^(d-i)
-    e = _poly.product([_poly.asarray([z - complex(zj), 1.0]) for zj in f.poles],
-                      [1] * f.d)[::-1]
-    acc = 0.0 + 0.0j
-    biggest = 0.0
-    denom = 1.0
-    for i in range(f.d + 1):
-        if i > 0:
-            denom *= f.s + n + i - 1
-        term = e[i] * f.derivative_at(n + i, z) / denom
-        acc += term
-        biggest = max(biggest, abs(term))
+    e = _poly.product([_poly.asarray([u, 1.0]) for u in shifts], [1] * f.d)[::-1]
+    # (z - z_j)^(-s-n) on the principal branch, over a common scale
+    logs = [(-f.s - n) * cmath.log(u) for u in shifts]
+    top = max(lg.real for lg in logs)
+    powers = [complex(w) * cmath.exp(lg - top) for w, lg in zip(f.weights, logs)]
+    terms = [e[i] * (-1) ** i * sum(p * u ** -i for p, u in zip(powers, shifts))
+             for i in range(f.d + 1)]
+    acc = sum(terms)
+    biggest = max(abs(t) for t in terms)
     return acc / biggest if biggest > 0.0 else acc
 
 

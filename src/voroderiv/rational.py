@@ -35,6 +35,7 @@ __all__ = [
     "NumeratorResult",
     "polar_decompose",
     "polar_form",
+    "derivative_state",
     "leading_term",
     "numerator",
     "newton_evaluator",
@@ -339,16 +340,19 @@ def _far_field_evaluator(state, degree):
     and h = sum_k t_k/(z - z_k) - K/z.  G has the zeros of R_n and tends
     to a constant at infinity, so the poles' pull on a far-out point,
     about m/z in N/N', cancels.  h is formed EVAL_BLOCK points at a
-    time, which bounds its temporaries, and pole by pole, so each output
-    depends on its own point only.
+    time, which bounds its temporaries, as one (poles, points) array
+    summed pole by pole, so each output depends on its own point only.
     """
     evaluate = newton_evaluator(state)
-    tops = [state.n + r for r in state.base.orders]
-    excess = sum(tops) - degree
+    tops = np.array([state.n + r for r in state.base.orders], dtype=float)[:, None]
+    poles = _poly.asarray(state.base.poles, state.base.precision)[:, None]
+    excess = tops.sum() - degree
 
     def pull(z):
+        if len(z) == 1:  # numpy sums one column pairwise: pair a single point
+            return pull(np.repeat(z, 2))[:1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return sum(t / (z - zk) for t, zk in zip(tops, state.base.poles)) - excess / z
+            return (tops / (z - poles)).sum(axis=0) - excess / z
 
     def eval_pdq(z):
         p, dp = evaluate(z)

@@ -82,19 +82,23 @@ EVAL_BLOCK = 512
 class RootSet:
     """Roots with per-root residuals |p|/|p'| and convergence flags.
 
-    certified counts the roots the Newton passes froze, sweeps the Aberth
-    sweeps after them, and active_trace the roots moving at each one's start.
+    certified counts the roots the Newton passes froze, active_trace the
+    roots moving at the start of each Aberth sweep after them, and sweeps
+    those sweeps.
     """
 
     roots: np.ndarray
     residuals: np.ndarray
     converged: np.ndarray
-    sweeps: int = 0
     active_trace: tuple = ()
     certified: int = 0
 
     def __len__(self):
         return len(self.roots)
+
+    @property
+    def sweeps(self):
+        return len(self.active_trace)
 
     @property
     def all_converged(self):
@@ -421,7 +425,7 @@ def _aberth(eval_pd, tolerance, start, max_sweeps):
         # derivative underflow: fall back to nearest-neighbour cluster radius
         resid[guard] = _nearest_distance(roots, np.flatnonzero(guard))
     return RootSet(roots=roots, residuals=resid, converged=converged,
-                   sweeps=len(trace), active_trace=tuple(trace), certified=certified)
+                   active_trace=tuple(trace), certified=certified)
 
 
 def _start_points(m, radius, precision):

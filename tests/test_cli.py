@@ -202,6 +202,17 @@ def test_odecheck_residuals_small(problem, tmp_path):
     assert max(float(row["residual"]) for row in rows) < 1e-10
 
 
+def test_odecheck_at_high_order(problem, tmp_path):
+    # Q^(1000) overflows a double; the relative residuals stay finite
+    code = cli.main(["odecheck", "--problem", str(problem), "--n", "1000",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    rows = list(csv.DictReader(open(tmp_path / "odecheck.csv")))
+    assert rows
+    assert all(math.isfinite(float(row["residual"])) for row in rows)
+    assert max(float(row["residual"]) for row in rows) < 1e-12
+
+
 @pytest.mark.parametrize("extra", [dict(polynomial_part=[0.0, 1.0]),
                                    dict(poles=[dict(TWO_POLE["poles"][0],
                                                     order=2, coeffs=[1.0, [0.0, -0.5]]),

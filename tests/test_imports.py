@@ -1,17 +1,17 @@
-"""Every top-level import, and every top-level definition of the package, is used."""
+"""Every top-level import, and every top-level definition of the package, is
+used; each module's __all__ lists its public definitions."""
 
 import ast
 import collections
+import importlib
 import pathlib
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# the package __init__ re-exports by importing, so it is not scanned
 PACKAGE = sorted((ROOT / "src" / "voroderiv").glob("*.py"))
-SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]
-           + sorted((ROOT / "tests").glob("*.py")))
-CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source):
@@ -84,3 +84,20 @@ def test_scan_sees_unused_and_used_definitions():
 def test_no_unused_definitions():
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unused_definitions([p.read_text(encoding="utf-8") for p in PACKAGE], callers) == []
+
+
+def test_all_lists_the_public_definitions():
+    # the package binds no names itself: a module's __all__ is the one
+    # list of its public top-level defs and classes
+    wrong = {}
+    for path in PACKAGE:
+        module = importlib.import_module(f"voroderiv.{path.stem}")
+        listed = getattr(module, "__all__", None)
+        if listed is None:
+            continue
+        public = sorted(node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_"))
+        if sorted(listed) != public or not all(hasattr(module, name) for name in listed):
+            wrong[path.stem] = sorted(set(public) ^ set(listed))
+    assert wrong == {}

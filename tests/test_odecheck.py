@@ -66,3 +66,13 @@ def test_at_pole_guard():
     f = PowerSumFunction(1.5, (1.0, -1.0), (1.0, 1.0))
     with pytest.raises(AtPole):
         powersum_residual(f, 2, 1.0)
+
+
+@pytest.mark.parametrize("n", [200, 1000, 10000])
+def test_powersum_residual_at_high_order(n):
+    # (s)_n and (z - z_j)^(-s-n) each overflow a double from n ~ 140 on;
+    # the relative residual must not
+    for f in (PowerSumFunction(1, (1.0, -1.0, 1.0j), (1.0, 1.0, 1.0)),
+              PowerSumFunction(1.5, (1.0, -1.0, 1.0j), (1.0, 2.0, 0.5 - 0.5j))):
+        for z in (0.3 + 0.7j, -2.0, 1.0 - 1.0j):
+            assert abs(powersum_residual(f, n, z)) < 1e-12

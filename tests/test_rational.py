@@ -586,6 +586,25 @@ def test_far_field_prelude_certifies_the_far_out_starts():
     assert np.abs(rs.roots).max() == pytest.approx(58.0051170150899, rel=1e-12)
 
 
+def test_far_field_evaluator_sums_pole_by_pole():
+    # N' - h N with h = sum_k t_k/(z - z_k) - K/z, bit for bit a pole by
+    # pole sum at every batch size: numpy sums a lone point's column of
+    # eight poles pairwise, so the evaluator pairs it
+    rng = np.random.default_rng(11)
+    poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
+    state = derivative_state(polar_decompose([1.0], [(p, 1) for p in poles]), 300)
+    degree = rational.leading_term(state)[0]
+    z = rational.balance_starts(state, state.base.diagram, degree)[:200]
+    tops = [300 + r for r in state.base.orders]
+    h = sum(t / (z - zk) for t, zk in zip(tops, state.base.poles)) - (sum(tops) - degree) / z
+    evaluate = rational._far_field_evaluator(state, degree)
+    p, dp, q = evaluate(z)
+    assert q.tobytes() == (dp - h * p).tobytes()
+    for size in (1, 2, 3):
+        parts = [evaluate(z[s:s + size])[2] for s in range(0, len(z), size)]
+        assert np.concatenate(parts).tobytes() == q.tobytes()
+
+
 def test_returned_roots_have_disjoint_inclusion_disks():
     # every tenth draw of the multi-pole family from draw 6: the disks
     # (m + 1) |N/N'| + 4 u |z| about the returned roots meet no other
