@@ -37,6 +37,9 @@ __all__ = [
     "single_pole_escape",
 ]
 
+# project_and_bin counts an atom off the skeleton beyond this fraction of
+# its projected edge point's distance to the two defining sites
+OFF_SKELETON_CUTOFF = 0.5
 # grid points per row tile of grid_discrepancy, at least one whole row:
 # a tile takes six arrays of this length, 37 bytes a point (2.4 MB), kept
 # between calls in a workspace (_WORKSPACES), and fixes the shape of every
@@ -134,12 +137,12 @@ def _ks_statistic(ts, edge, d):
     return float(max(np.abs(steps[1:] - f).max(), np.abs(steps[:-1] - f).max()))
 
 
-def project_and_bin(measure, diagram, off_skeleton_cutoff=0.5):
+def project_and_bin(measure, diagram):
     """Assign each atom to its nearest edge and compare CDFs per edge.
 
-    An atom farther from its nearest edge than cutoff * (distance from
-    the projected edge point to the defining sites) counts as
-    off-skeleton mass; on a tie the first edge wins.  Per-edge KS is
+    An atom farther from its nearest edge than OFF_SKELETON_CUTOFF *
+    (distance from the projected edge point to the defining sites) counts
+    as off-skeleton mass; on a tie the first edge wins.  Per-edge KS is
     computed in t against the exact CDF normalized by the edge mass.
     """
     edges = diagram.edges
@@ -156,7 +159,7 @@ def project_and_bin(measure, diagram, off_skeleton_cutoff=0.5):
     rows = np.arange(len(z))
     t, dist = t[rows, best], dist[rows, best]
     gap = np.array([e.gap for e in edges])[best]
-    on = dist <= off_skeleton_cutoff * (gap * np.sqrt(0.25 + t * t))
+    on = dist <= OFF_SKELETON_CUTOFF * (gap * np.sqrt(0.25 + t * t))
 
     m = len(z)
     comparisons = []
@@ -415,7 +418,7 @@ def grid_l1(atoms, log_norm, reference, window, grid, rng):
     return value
 
 
-def potential_l1(roots, diagram, window, grid=200, seed=0):
+def potential_l1(roots, diagram, window, grid, seed=0):
     """Grid-average of |L_n - Psi| over a square window, by grid_l1.
 
     window is (center, half_side), and L_n is the normalized

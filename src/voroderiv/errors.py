@@ -23,7 +23,7 @@ class DegreeCollapse(VoroderivError):
 
 
 class CoefficientOverflow(VoroderivError):
-    """An expansion at the requested order has non-finite coefficients."""
+    """An expansion's coefficients, or a derivative's value, at the requested order overflow."""
 
 
 class ZeroPolynomial(VoroderivError):

@@ -237,7 +237,7 @@ class LemniscateReport:
     roots: tuple
 
 
-def compactness_and_compare(problem, n_list, window, grid=120, seed=0):
+def compactness_and_compare(problem, n_list, window, grid, seed=0):
     """Solve R_n for each n and measure convergence toward psi_max.
 
     Aberth runs once per n on rn_evaluator from balance_starts, at solve's

@@ -28,6 +28,11 @@ __all__ = [
     "cauchy_residual",
 ]
 
+# skeleton_starts' normal offset, as a fraction of the diagram scale, and
+# the seed of its generator
+SKELETON_JITTER = 0.01
+SKELETON_SEED = 0
+
 
 def edge_density(edge, t, d):
     """Density of the limit measure with respect to dt on the edge."""
@@ -87,18 +92,18 @@ def _panels(u_lo, u_hi, u_near):
     return sorted(set(pts))
 
 
-def skeleton_starts(diagram, count, jitter=0.01, seed=0):
+def skeleton_starts(diagram, count):
     """Initial root guesses spread over the skeleton by the limit law.
 
     Allocates `count` points across the edges proportionally to edge
     mass, places them at the mass quantiles, and offsets each
-    perpendicular to its edge by a normal jitter of the given fraction
-    of the diagram scale.  The zeros of a finite-order numerator lie off
-    the skeleton, so rational.zeros starts from the two-term zeros of
-    rational.balance_starts instead; these fill only its shortfall, from
-    a polynomial part at n <= deg pp or unequal orders such as (3, 1).
+    perpendicular to its edge by a normal jitter of SKELETON_JITTER times
+    the diagram scale, seeded SKELETON_SEED.  The zeros of a finite-order
+    numerator lie off the skeleton, so rational.zeros starts from the
+    two-term zeros of rational.balance_starts; these fill its shortfall
+    only, from a polynomial part at n <= deg pp or unequal orders (3, 1).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SKELETON_SEED)
     masses = np.array([edge_mass(e, diagram.d) for e in diagram.edges])
     alloc = [int(round(count * x / masses.sum())) for x in masses]
     while sum(alloc) < count:
@@ -107,10 +112,10 @@ def skeleton_starts(diagram, count, jitter=0.01, seed=0):
         alloc[int(np.argmax(alloc))] -= 1
     pts = []
     for e, k, mass in zip(diagram.edges, alloc, masses):
-        perp = 1j * e.direction / abs(e.direction)
+        offset = 1j * e.direction / abs(e.direction) * SKELETON_JITTER * diagram.scale
         for i in range(k):
             t = edge_quantile(e, (i + 0.5) / k * mass, diagram.d)
-            pts.append(e.point(t) + perp * jitter * diagram.scale * rng.standard_normal())
+            pts.append(e.point(t) + offset * rng.standard_normal())
     return np.array(pts, dtype=complex)
 
 

@@ -8,10 +8,11 @@ factors; the two-pole residual also comes back raw on request.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from . import _poly
-from .errors import AtPole
+from .errors import AtPole, CoefficientOverflow
 
 __all__ = [
     "PowerSumFunction",
@@ -44,16 +45,20 @@ class PowerSumFunction:
         return len(self.poles)
 
     def derivative_at(self, n, z):
-        """Q^{(n)}(z) = (-1)^n (s)_n sum_j w_j (z - z_j)^{-s-n}."""
+        """Q^{(n)}(z) = (-1)^n (s)_n sum_j w_j (z - z_j)^{-s-n}, in log space.
+
+        A value past the double range raises CoefficientOverflow.
+        """
         z = complex(z)
-        poch = 1.0
-        for k in range(n):
-            poch *= self.s + k
-        sign = -1.0 if n % 2 else 1.0
-        acc = 0.0 + 0.0j
-        for zj, wj in zip(self.poles, self.weights):
-            acc += complex(wj) * (z - complex(zj)) ** (-self.s - n)
-        return sign * poch * acc
+        # (z - z_j)^(-s-n) on the principal branch, over a common scale
+        logs = [(-self.s - n) * cmath.log(z - complex(zj)) for zj in self.poles]
+        top = max(lg.real for lg in logs)
+        acc = sum(complex(w) * cmath.exp(lg - top) for w, lg in zip(self.weights, logs))
+        scale = top + math.lgamma(self.s + n) - math.lgamma(self.s)  # + log (s)_n
+        try:
+            return (-1) ** n * cmath.exp(scale + cmath.log(acc)) if acc else acc
+        except OverflowError:
+            raise CoefficientOverflow(f"order n={n} overflowed: Q^(n)(z) is too large") from None
 
 
 def powersum_residual(f, n, z):

@@ -97,7 +97,7 @@ class PolarForm:
 
     def evaluate(self, z):
         """Value of the function at z (z not a pole)."""
-        return derivative_state(self).evaluate(z)
+        return derivative_state(self, 0).evaluate(z)
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def _times_binomial(c, k, n):
 
 
 @_poly.workprec()
-def derivative_state(form, n=0):
+def derivative_state(form, n):
     """DerivativeState of Q^{(n)}/n!, in closed form, not by stepping.
 
     c_{i,j,n} = a_{i,j} (-1)^n C(j+n-1, n); pp^(n)/n! has C(k, n) pp_k at

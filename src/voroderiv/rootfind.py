@@ -90,8 +90,8 @@ class RootSet:
     roots: np.ndarray
     residuals: np.ndarray
     converged: np.ndarray
-    active_trace: tuple = ()
-    certified: int = 0
+    active_trace: tuple
+    certified: int
 
     def __len__(self):
         return len(self.roots)
@@ -382,15 +382,20 @@ def _newton_passes(eval_pd, tolerance, start):
 def _disjoint(centers, radii):
     """Mask of the disks that meet no other one (touching disks meet).
 
-    Sorted along the axis of wider spread, disk k is tested only against
-    the centers within r_k + max r of its own: no m x m matrix is formed.
+    Sorted by left end x - r along the axis of wider spread, disk k is
+    tested only against the later disks that start by its right end
+    x_k + r_k: each x-overlapping pair once, no m x m matrix.
     """
     m = len(centers)
     if m and np.ptp(centers.imag) > np.ptp(centers.real):
         centers = -1j * centers
-    order = np.argsort(centers.real, kind="stable")
+    order = np.argsort(centers.real - radii, kind="stable")
     z, r = centers[order], radii[order]
-    reach = np.searchsorted(z.real, z.real + r + r.max(initial=0.0), side="right")
+    # the right ends widened by 4 eps (|x + r| + max r), more than the
+    # rounding of x - r, x + r and the distance test can move a meeting
+    # pair's ends apart
+    right = z.real + r + 4 * np.finfo(float).eps * (np.abs(z.real + r) + r.max(initial=0.0))
+    reach = np.searchsorted(z.real - r, right, side="right")
     meets = np.zeros(m, dtype=bool)
     k = np.arange(m)
     for t in range(1, (reach - k).max(initial=1)):
@@ -485,7 +490,7 @@ def solve(p, tolerance=1e-12, evaluator=None, start=None):
             dp = _poly.polyder(p) if precision == EXTENDED else None
         if bound == 0.0:
             roots = _poly.zeros(m, precision)
-            return RootSet(roots=roots, residuals=np.zeros(m), converged=np.ones(m, dtype=bool))
+            return RootSet(roots, np.zeros(m), np.ones(m, dtype=bool), (), 0)
         if dp is None:
             evaluator = lambda z: _horner_scaled(p, z)
         else:

@@ -41,7 +41,7 @@ def _clip_edge(edge, center, half):
     return lo, hi
 
 
-def render_svg(path, diagram, window, roots=()):
+def render_svg(path, diagram, window, roots):
     """Write the diagram (and optional roots) as an SVG overlay.
 
     window is (center, half_side); unbounded skeleton rays are drawn to

@@ -61,7 +61,7 @@ def test_empirical_measure_weights():
 
 def test_empty_rootset_rejected():
     rs = rootfind.RootSet(np.array([], dtype=complex), np.array([]),
-                          np.array([], dtype=bool))
+                          np.array([], dtype=bool), (), 0)
     with pytest.raises(asympt.EmptyRootSet):
         asympt.empirical(rs, 5)
 
@@ -113,7 +113,7 @@ def project_and_bin_reference(measure, diagram, cutoff=0.5):
     return assignments, ks
 
 
-def test_project_and_bin_matches_loop_reference():
+def test_project_and_bin_matches_loop_reference(monkeypatch):
     # criterion 13's eight poles at n = 50: 350 atoms over many edges
     rng = np.random.default_rng(11)
     poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
@@ -122,7 +122,8 @@ def test_project_and_bin_matches_loop_reference():
     diagram = voronoi.build(poles)
     # a tight cutoff also sends some atoms off the skeleton
     for cutoff in (0.5, 0.01):
-        rep = asympt.project_and_bin(emp, diagram, off_skeleton_cutoff=cutoff)
+        monkeypatch.setattr(asympt, "OFF_SKELETON_CUTOFF", cutoff)
+        rep = asympt.project_and_bin(emp, diagram)
         ref, ref_ks = project_and_bin_reference(emp, diagram, cutoff)
         assert [a[:2] for a in rep.assignments] == [a[:2] for a in ref]
         off = sum(a[1] is None for a in ref)

@@ -1,6 +1,8 @@
 """Command line entry points, artifact formats, and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -31,9 +33,12 @@ LEMNISCATE = {
 }
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "voroderiv.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+def run_cli(*args):
+    """cli.main(args) in this process, as a finished subprocess would report it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
 
 
 @pytest.fixture()
@@ -329,6 +334,18 @@ def test_duplicate_pole_exits_2(tmp_path):
     p.write_text(json.dumps({"poles": [pole, pole]}))
     r = run_cli("voronoi", "--problem", str(p))
     assert r.returncode == 2
+
+
+def test_module_entry_exit_codes(problem, tmp_path):
+    # python -m voroderiv.cli passes main's code on as the process's
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({"poles": TWO_POLE["poles"][:1] * 2}))
+    for path, code in ((problem, 0), (dup, 2)):
+        r = subprocess.run([sys.executable, "-m", "voroderiv.cli", "voronoi",
+                            "--problem", str(path), "--out", str(tmp_path)],
+                           capture_output=True, text=True)
+        assert r.returncode == code, r.stderr
+    assert (tmp_path / "voronoi.json").exists()
 
 
 MIXED_ORDERS = {"poles": [dict(TWO_POLE["poles"][0], order=2, coeffs=[0.0, [0.0, -0.5]]),

@@ -91,18 +91,20 @@ def test_cauchy_residual_vanishes():
         assert abs(measure.cauchy_residual((1j, -1j), z, d)) < 1e-10
 
 
-def test_skeleton_starts_count_and_placement():
+def test_skeleton_starts_count_and_placement(monkeypatch):
     d = cube_diagram()
-    pts = measure.skeleton_starts(d, 12, seed=3)
+    monkeypatch.setattr(measure, "SKELETON_SEED", 3)
+    pts = measure.skeleton_starts(d, 12)
     assert len(pts) == 12
     # starts hug the skeleton: all within a small multiple of the jitter
     for z in pts:
         assert voronoi.distance_to_skeleton(d, z) < 0.2 * d.scale
 
 
-def test_skeleton_starts_proportional_allocation():
+def test_skeleton_starts_proportional_allocation(monkeypatch):
     d = cube_diagram()
-    pts = measure.skeleton_starts(d, 9, jitter=0.0, seed=0)
+    monkeypatch.setattr(measure, "SKELETON_JITTER", 0.0)
+    pts = measure.skeleton_starts(d, 9)
     counts = [0, 0, 0]
     for z in pts:
         dists = [e.project(z)[1] for e in d.edges]

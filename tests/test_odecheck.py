@@ -1,7 +1,9 @@
 """Differential equations satisfied by the derivative numerators."""
 
+import mpmath
 import pytest
 
+from voroderiv.errors import CoefficientOverflow
 from voroderiv.odecheck import (AtPole, PowerSumFunction,
                                 d2_numerator_residual, powersum_residual)
 
@@ -47,6 +49,18 @@ def test_powersum_derivative_at_matches_finite_differences():
     h = 1e-6
     fd = (f.derivative_at(0, z + h) - f.derivative_at(0, z - h)) / (2.0 * h)
     assert abs(f.derivative_at(1, z) - fd) < 1e-7 * abs(fd)
+
+
+def test_powersum_derivative_at_high_order():
+    # (s)_n and (z - z_j)^(-s-n) each overflow a double at n = 200 though
+    # their product fits; past the double range the value raises
+    f = PowerSumFunction(1, (1.0, -1.0, 1.0j), (1.0, 1.0, 1.0))
+    with mpmath.workdps(30):
+        exact = complex(mpmath.rf(1, 200) * sum((5 - mpmath.mpc(p)) ** -201 for p in f.poles))
+    assert abs(f.derivative_at(200, 5.0) - exact) < 1e-12 * abs(exact)
+    for z in (40.0, 0.3 + 0.7j):
+        with pytest.raises(CoefficientOverflow, match="n=1000"):
+            f.derivative_at(1000, z)
 
 
 def test_powersum_residual_vanishes():

@@ -85,7 +85,7 @@ def test_polar_decompose_rounds_an_extended_decomposition():
 def test_derivative_matches_finite_differences():
     form = polar_form([1.0, -1.0 + 0.5j], [1, 2],
                       [[2.0], [1.0 - 1.0j, 0.5]], polynomial_part=[0.25])
-    st0 = derivative_state(form)
+    st0 = derivative_state(form, 0)
     st1 = derivative_state(st0.base, st0.n + 1)
     z = 0.4 + 0.9j
     h = 1e-6

@@ -462,6 +462,25 @@ def test_disjoint_disks_match_the_dense_reference():
             radii[rng.integers(m)] = 5.0  # wider than the whole set
         assert np.array_equal(rootfind._disjoint(centers, radii),
                               dense_disjoint(centers, radii))
+    # radii over eleven decades, centres on a 0.01 lattice (ties), pairs
+    # made to touch, and now and then one disk of radius 3
+    for trial in range(300):
+        m = int(rng.integers(2, 400))
+        centers = np.round(rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m), 2)
+        radii = 10.0 ** rng.uniform(-12, -1, m)
+        k = np.arange(0, m - 1, 7)
+        radii[k + 1] = np.maximum(np.abs(centers[k + 1] - centers[k]) - radii[k], 0.0)
+        if trial % 3 == 0:
+            radii[rng.integers(m)] = 3.0
+        assert np.array_equal(rootfind._disjoint(centers, radii),
+                              dense_disjoint(centers, radii))
+    # two disks one ulp either side of touching, where the rounding of
+    # x - r and x + r can disagree with the distance test
+    for trial in range(500):
+        x, r, s = rng.integers(-20, 20) / 4, rng.integers(1, 40, 2) / 10, rng.integers(-1, 2)
+        far = x + r.sum()
+        centers = np.array([x, far + s * np.spacing(far)], dtype=complex)
+        assert np.array_equal(rootfind._disjoint(centers, r), dense_disjoint(centers, r))
 
 
 @pytest.mark.parametrize("centers, radii, free", [
@@ -469,6 +488,7 @@ def test_disjoint_disks_match_the_dense_reference():
     ([1.0 + 1j], [3.0], [True]),
     ([0.0, 2.0], [0.5, 0.5], [True, True]),
     ([0.0, 2.0], [1.0, 1.0], [False, False]),  # touching disks meet
+    ([-2.5, 2.5000000000000004], [1.5, 3.5], [False, False]),  # touching once rounded
     ([0.0, 2.0j, 5.0], [1.0, 1.0, 1.0], [False, False, True]),
     ([0.0, 0.5, 3.0, 9.0 + 1j], [0.1, 0.1, 0.1, 20.0], [False] * 4),
 ])

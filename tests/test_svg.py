@@ -35,7 +35,7 @@ def test_render_is_deterministic(tmp_path):
 
 def test_render_clips_rays_to_window(tmp_path):
     out = tmp_path / "c.svg"
-    render_svg(str(out), cube_diagram(), window=(0.0, 0.5))
+    render_svg(str(out), cube_diagram(), window=(0.0, 0.5), roots=())
     text = out.read_text()
     # all coordinates stay on the finite canvas
     assert "inf" not in text
