@@ -100,6 +100,10 @@ class EdgeComparison:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """assignments is four arrays in atom order: the points, the index of
+    each atom's nearest edge in edges (-1 off the skeleton), its t on
+    that edge and its distance to it."""
+
     n: int
     m_n: int
     edges: tuple
@@ -129,14 +133,6 @@ class ComparisonReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def _ks_statistic(ts, edge, d):
-    """Sup gap between the empirical CDF of ts and the edge's CDF / mass."""
-    ts = np.sort(ts)
-    f = edge_cdf(edge, ts, d) / edge_mass(edge, d)
-    steps = np.arange(len(ts) + 1) / len(ts)  # empirical CDF below, at ts
-    return float(max(np.abs(steps[1:] - f).max(), np.abs(steps[:-1] - f).max()))
-
-
 def project_and_bin(measure, diagram):
     """Assign each atom to its nearest edge and compare CDFs per edge.
 
@@ -144,39 +140,54 @@ def project_and_bin(measure, diagram):
     (distance from the projected edge point to the defining sites) counts
     as off-skeleton mass; on a tie the first edge wins.  Per-edge KS is
     computed in t against the exact CDF normalized by the edge mass.
+
+    Edge-major: per edge, t and the distance (EdgeSegment.project, t in
+    real arithmetic, the distance by numpy's complex abs) are formed on
+    contiguous atom arrays, and a strict < keeps the nearest edge.  A
+    lexsort by (edge, t) puts each edge's on-skeleton atoms into one
+    sorted run, so the CDF gaps take one pass and KS a max per run.
     """
-    edges = diagram.edges
-    z = np.asarray(measure.points, dtype=complex)[:, None]
+    edges, d = diagram.edges, diagram.d
+    z = np.asarray(measure.points, dtype=complex)
+    m, x, y = len(z), z.real.copy(), z.imag.copy()
     mid = np.array([e.midpoint for e in edges])
     w = np.array([e.direction for e in edges])
-    # EdgeSegment.project on every (atom, edge) pair: t in real arithmetic,
-    # the distance by numpy's complex abs (np.hypot runs one element at a time)
-    dx, dy = z.real - mid.real, z.imag - mid.imag
-    t = (dx * w.real + dy * w.imag) / np.array([abs(v) ** 2 for v in w])
-    t = np.clip(t, [e.t_lo for e in edges], [e.t_hi for e in edges])
-    dist = np.abs(z - (mid + t * w))
-    best = np.argmin(dist, axis=1)
-    rows = np.arange(len(z))
-    t, dist = t[rows, best], dist[rows, best]
+    for k, e in enumerate(edges):
+        tk = ((x - mid[k].real) * w[k].real + (y - mid[k].imag) * w[k].imag) / abs(w[k]) ** 2
+        tk = np.clip(tk, e.t_lo, e.t_hi)
+        dk = np.abs(z - (mid[k] + tk * w[k]))
+        if k == 0:
+            best, t, dist = np.zeros(m, dtype=int), tk, dk
+            continue
+        nearer = dk < dist
+        for kept, new in ((best, k), (t, tk), (dist, dk)):
+            np.copyto(kept, new, where=nearer)
     gap = np.array([e.gap for e in edges])[best]
     on = dist <= OFF_SKELETON_CUTOFF * (gap * np.sqrt(0.25 + t * t))
+    edge = np.where(on, best, -1)
 
-    m = len(z)
-    comparisons = []
-    for k, e in enumerate(edges):
-        ts = t[on & (best == k)]
-        comparisons.append(EdgeComparison(
-            pair=e.pair, theoretical_mass=edge_mass(e, diagram.d),
-            empirical_fraction=len(ts) / m,
-            ks=_ks_statistic(ts, e, diagram.d) if len(ts) else 1.0))
-    pairs = [edges[k].pair if a else None for k, a in zip(best.tolist(), on.tolist())]
+    # the on-skeleton atoms by (edge, t); run k holds edge k's atoms
+    ts = t[np.lexsort((t, edge))[m - np.count_nonzero(on):]]
+    counts = np.bincount(edge[on], minlength=len(edges))
+    first = np.cumsum(counts) - counts
+    masses = [edge_mass(e, d) for e in edges]
+    f = np.concatenate([edge_cdf(e, ts[a:a + c], d) / mass
+                        for e, mass, a, c in zip(edges, masses, first, counts)])
+    size, rank = np.repeat(counts, counts), np.arange(len(ts)) - np.repeat(first, counts)
+    # the empirical CDF just below and at each atom's t
+    gaps = np.maximum(np.abs((rank + 1) / size - f), np.abs(rank / size - f))
+    ks = np.ones(len(edges))  # an edge without atoms
+    ks[counts > 0] = np.maximum.reduceat(gaps, first[counts > 0])
+    comparisons = tuple(
+        EdgeComparison(pair=e.pair, theoretical_mass=mass, empirical_fraction=c / m, ks=s)
+        for e, mass, c, s in zip(edges, masses, counts.tolist(), ks.tolist()))
     return ComparisonReport(
         n=measure.n,
         m_n=m,
-        edges=tuple(comparisons),
-        off_skeleton_fraction=int((~on).sum()) / m,
+        edges=comparisons,
+        off_skeleton_fraction=(m - len(ts)) / m,
         mean_distance=float(np.mean(dist)),
-        assignments=tuple(zip(z[:, 0].tolist(), pairs, t.tolist(), dist.tolist())),
+        assignments=(z, edge, t, dist),
     )
 
 

@@ -128,17 +128,16 @@ def cmd_measure(args, out):
 def cmd_compare(args, out):
     form = _form(args)
     diagram = form.diagram
-    labels = {e.pair: f"{e.pair[0]}-{e.pair[1]}" for e in diagram.edges}
-    labels[None] = ""
+    # by edge index; index -1, an atom off the skeleton, reads the last, ""
+    labels = [f"{i}-{j}" for i, j in (e.pair for e in diagram.edges)] + [""]
     reports = []
     for n in _n_list(args):
         rep = asympt.project_and_bin(asympt.empirical(rational.zeros(form, n), n), diagram)
         reports.append(rep.as_dict())
-        z, pairs, t, dist = zip(*rep.assignments)
-        z = np.array(z)
-        edges = [labels[pair] for pair in pairs]
+        z, edge, t, dist = rep.assignments
         _write_csv(out / f"atoms_{n}.csv", ["re", "im", "edge", "t", "distance"],
-                   [z.real.tolist(), z.imag.tolist(), edges, t, dist])
+                   [z.real.tolist(), z.imag.tolist(), [labels[k] for k in edge.tolist()],
+                    t.tolist(), dist.tolist()])
     (out / "compare.json").write_text(
         json.dumps(reports, sort_keys=True, indent=1) + "\n")
     return 0

@@ -333,8 +333,9 @@ def newton_evaluator(state):
 
 
 def _far_field_evaluator(state, degree):
-    """newton_evaluator's (N, N') and N' - h N, with N/(N' - h N) the
-    Newton step of G(z) = z^K Q^(n)(z)/n! = z^K N(z) / prod_k (z - z_k)^t_k.
+    """newton_evaluator's (N, N') and a callable that forms N' - h N, with
+    N/(N' - h N) the Newton step of G(z) = z^K Q^(n)(z)/n! = z^K N(z) /
+    prod_k (z - z_k)^t_k; only the Newton passes call it.
 
     t_k = n + r_k are the model's column maxima, K = sum_k t_k - degree
     and h = sum_k t_k/(z - z_k) - K/z.  G has the zeros of R_n and tends
@@ -356,10 +357,15 @@ def _far_field_evaluator(state, degree):
 
     def eval_pdq(z):
         p, dp = evaluate(z)
-        z, q = np.atleast_1d(z), np.empty_like(dp)
-        for s in range(0, len(z), rootfind.EVAL_BLOCK):
-            b = slice(s, s + rootfind.EVAL_BLOCK)
-            q[b] = dp[b] - pull(z[b]) * p[b]
+        z = np.atleast_1d(z)
+
+        def q():
+            out = np.empty_like(dp)
+            for s in range(0, len(z), rootfind.EVAL_BLOCK):
+                b = slice(s, s + rootfind.EVAL_BLOCK)
+                out[b] = dp[b] - pull(z[b]) * p[b]
+            return out
+
         return p, dp, q
 
     return eval_pdq

@@ -12,14 +12,16 @@ Newton passes, O(m) each, while they converge (from a circle the second
 pass halves no step and ends them), and freezes the points whose
 inclusion disks |z - x| <= m|p(x)/p'(x)| (Henrici 1974) meet no other
 such disk, so each holds a zero of its own.  An evaluator may return a
-third output q with p/q the Newton step of a function with p's zeros
-(rational.zeros steps on z^K Q^(n), whose poles cancel the pull of
-about m/z that R_n's m zeros exert far out): a point whose step p/p'
-has not passed then moves by p/q if that stays inside its disk; the
-step test and the disks stay on p/p'.  These passes are the only Newton
-polish of the start points.  Jacobi sweeps then correct the rest
-from the positions at the start of each sweep and freeze a root once
-its correction falls below the tolerance.  A sweep evaluates only the
+third output, a zero-argument callable that forms q, with p/q the
+Newton step of a function with p's zeros (rational.zeros steps on
+z^K Q^(n), whose poles cancel the pull of about m/z that R_n's m zeros
+exert far out): a Newton pass calls it, and a point whose step p/p' has
+not passed then moves by p/q if that stays inside its disk; the step
+test and the disks stay on p/p', and the sweeps and the residuals never
+form q.  These passes are the only Newton polish of the start points.
+Jacobi sweeps then correct the rest from the positions at the start of
+each sweep and freeze a root once its correction falls below the
+tolerance.  A sweep evaluates only the
 active roots and forms their Cauchy sums against all m roots in
 cache-sized row blocks of at most CHUNK_ELEMENTS entries: O(active * m)
 time, bounded memory.  Each row is summed over all m columns in index
@@ -330,12 +332,13 @@ def _newton_pass(eval_pd, tolerance, roots, step, idx):
     """One Newton pass on roots[idx], in place: (passed, halved) masks.
 
     Each point moves by its step s = N/N' (0 if not finite), stored in
-    step[idx], or, if eval_pd returns a third output Q, by g = N/Q where
-    s has not passed the sweep's test |s| < tolerance * (1 + |z - s|) and
-    |g| <= m|s|, so that g stays inside the point's Henrici disk.  A step
-    halves when |s| is at most half the point's last one.  A function of
-    its own, so that a pass's arrays are freed before the next pass
-    evaluates: they would raise the solve's memory peak.
+    step[idx], or, if eval_pd returns a third output, a callable that
+    forms Q, by g = N/Q where s has not passed the sweep's test
+    |s| < tolerance * (1 + |z - s|) and |g| <= m|s|, so that g stays
+    inside the point's Henrici disk.  A step halves when |s| is at most
+    half the point's last one.  A function of its own, so that a pass's
+    arrays are freed before the next pass evaluates: they would raise
+    the solve's memory peak.
     """
     z = roots[idx]
     pv, dv, *prelude = eval_pd(z)
@@ -346,7 +349,7 @@ def _newton_pass(eval_pd, tolerance, roots, step, idx):
     roots[idx] = z - np.where(finite, s, 0.0)
     passed = finite & (np.abs(s) < tolerance * (1.0 + np.abs(roots[idx])))
     if prelude:
-        g = _ratio(pv, prelude[0])
+        g = _ratio(pv, prelude[0]())
         inside = finite & ~passed & (np.abs(g) <= len(roots) * np.abs(s))
         roots[idx[inside]] = z[inside] - g[inside]
     return passed, halved
@@ -462,11 +465,13 @@ def solve(p, tolerance=1e-12, evaluator=None, start=None):
     An evaluator maps an array of points to (p, p') up to a common
     per-point scale (rational.newton_evaluator for numerators whose
     expanded coefficients are too ill-scaled to evaluate), or to
-    (p, p', q) with q on the same scale, where p/q is the Newton step of
-    a function with the same zeros: the Newton passes then step by p/q
-    where p/p' fails the step test and |p/q| <= m|p/p'|, and everything
-    else reads p/p' alone.  No coefficient is read: start is required,
-    and its length is the degree.  Each output must depend only on its
+    (p, p', q) with q a zero-argument callable that forms an array on
+    the same scale, where p/q is the Newton step of a function with the
+    same zeros: each Newton pass calls q once and steps by p/q where p/p'
+    fails the step test and |p/q| <= m|p/p'|; the sweeps and the final
+    residual call never call it, and everything else reads p/p' alone.
+    No coefficient is read: start is required, and its length is the
+    degree.  Each output must depend only on its
     own input point: a Newton pass and the final call for the residuals
     pass all m roots, a sweep only the roots still active.
     """

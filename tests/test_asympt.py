@@ -125,13 +125,15 @@ def test_project_and_bin_matches_loop_reference(monkeypatch):
         monkeypatch.setattr(asympt, "OFF_SKELETON_CUTOFF", cutoff)
         rep = asympt.project_and_bin(emp, diagram)
         ref, ref_ks = project_and_bin_reference(emp, diagram, cutoff)
-        assert [a[:2] for a in rep.assignments] == [a[:2] for a in ref]
+        z, edge, t, dist = rep.assignments
+        pairs = [diagram.edges[k].pair if k >= 0 else None for k in edge.tolist()]
+        assert list(zip(z.tolist(), pairs)) == [a[:2] for a in ref]
         off = sum(a[1] is None for a in ref)
         assert rep.off_skeleton_fraction == off / len(ref)
         assert cutoff == 0.5 or off > 0
-        for a, b in zip(rep.assignments, ref):
-            assert abs(a[2] - b[2]) <= 1e-12 and abs(a[3] - b[3]) <= 1e-12
-            assert type(a[2]) is float and type(a[3]) is float
+        assert len(t) == len(dist) == len(ref)
+        for a, b in zip(zip(t.tolist(), dist.tolist()), ref):
+            assert abs(a[0] - b[2]) <= 1e-12 and abs(a[1] - b[3]) <= 1e-12
         assert rep.mean_distance == pytest.approx(
             np.mean([a[3] for a in ref]), rel=1e-12)
         for ec in rep.edges:
@@ -139,6 +141,72 @@ def test_project_and_bin_matches_loop_reference(monkeypatch):
                 assert abs(ec.ks - ref_ks[ec.pair]) <= 1e-12
             else:
                 assert ec.ks == 1.0 and ec.empirical_fraction == 0.0
+
+
+def test_project_and_bin_tie_goes_to_the_first_edge():
+    # the square's four edges meet at its centre 0, which is not on edge
+    # 0, the bisector of the far site 6 and 1 + 1j; an atom there is at
+    # distance 0 from each of the four, and the lowest index wins
+    diagram = voronoi.build([6.0, 1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+    at_zero = [k for k, e in enumerate(diagram.edges) if e.project(0j)[1] == 0.0]
+    assert len(at_zero) == 4 and at_zero[0] > 0
+    measure = asympt.EmpiricalMeasure(points=np.array([0j]), n=1, excluded=0)
+    rep = asympt.project_and_bin(measure, diagram)
+    assert rep.assignments[1].tolist()[0] == at_zero[0]
+    assert rep.assignments[3].tolist()[0] == 0.0
+
+
+def broadcast_project_and_bin(measure, diagram, cutoff):
+    """The (atoms, edges) broadcast projection and per-edge KS that
+    project_and_bin used before it went edge-major, kept verbatim:
+    (best, on, t, dist, [ks per edge])."""
+
+    def ks_statistic(ts, edge, d):
+        ts = np.sort(ts)
+        f = edge_cdf(edge, ts, d) / edge_mass(edge, d)
+        steps = np.arange(len(ts) + 1) / len(ts)
+        return float(max(np.abs(steps[1:] - f).max(), np.abs(steps[:-1] - f).max()))
+
+    edges = diagram.edges
+    z = np.asarray(measure.points, dtype=complex)[:, None]
+    mid = np.array([e.midpoint for e in edges])
+    w = np.array([e.direction for e in edges])
+    dx, dy = z.real - mid.real, z.imag - mid.imag
+    t = (dx * w.real + dy * w.imag) / np.array([abs(v) ** 2 for v in w])
+    t = np.clip(t, [e.t_lo for e in edges], [e.t_hi for e in edges])
+    dist = np.abs(z - (mid + t * w))
+    best = np.argmin(dist, axis=1)
+    rows = np.arange(len(z))
+    t, dist = t[rows, best], dist[rows, best]
+    gap = np.array([e.gap for e in edges])[best]
+    on = dist <= cutoff * (gap * np.sqrt(0.25 + t * t))
+    ks = []
+    for k, e in enumerate(edges):
+        ts = t[on & (best == k)]
+        ks.append(ks_statistic(ts, e, diagram.d) if len(ts) else 1.0)
+    return best, on, t, dist, ks
+
+
+def test_project_and_bin_matches_the_broadcast_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(11)
+    eight = list(rng.normal(size=8) + 1j * rng.normal(size=8))
+    cube = [np.exp(2j * np.pi * k / 3) for k in range(3)]
+    cases = [(rational.polar_decompose([1.0], [(p, 1) for p in eight]), 50),
+             (rational.polar_form(cube, (1, 1, 1), ((1.0,), (2.0,), (1.0 + 1j,))), 100)]
+    for form, n in cases:
+        emp = asympt.empirical(rational.zeros(form, n), n)
+        for cutoff in (0.5, 0.01):
+            monkeypatch.setattr(asympt, "OFF_SKELETON_CUTOFF", cutoff)
+            rep = asympt.project_and_bin(emp, form.diagram)
+            best, on, t, dist, ks = broadcast_project_and_bin(emp, form.diagram, cutoff)
+            z, edge, t_new, dist_new = rep.assignments
+            assert z.tobytes() == emp.points.tobytes()
+            assert edge.tolist() == np.where(on, best, -1).tolist()
+            assert t_new.tobytes() == t.tobytes() and dist_new.tobytes() == dist.tobytes()
+            assert [ec.ks for ec in rep.edges] == ks
+            assert rep.mean_distance == float(np.mean(dist))
+            assert [ec.empirical_fraction for ec in rep.edges] == [
+                int((on & (best == k)).sum()) / len(z) for k in range(len(ks))]
 
 
 def test_ks_decreases_with_n():

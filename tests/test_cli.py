@@ -182,8 +182,9 @@ def test_compare_atoms_match_the_csv_module(problem, tmp_path):
     form = rational.polar_form(*cli.load_problem(problem))
     rep = asympt.project_and_bin(asympt.empirical(rational.zeros(form, 8), 8),
                                  voronoi.build([complex(z) for z in form.poles]))
-    rows = [(z.real, z.imag, "" if pair is None else f"{pair[0]}-{pair[1]}", t, dist)
-            for z, pair, t, dist in rep.assignments]
+    pairs = [e.pair for e in rep.edges]
+    rows = [(z.real, z.imag, "" if k < 0 else f"{pairs[k][0]}-{pairs[k][1]}", t, dist)
+            for z, k, t, dist in zip(*(column.tolist() for column in rep.assignments))]
     written = (tmp_path / "atoms_8.csv").read_bytes()
     assert written == csv_module_bytes(
         tmp_path / "reference.csv", ["re", "im", "edge", "t", "distance"], rows)

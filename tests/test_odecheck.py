@@ -82,6 +82,14 @@ def test_at_pole_guard():
         powersum_residual(f, 2, 1.0)
 
 
+def test_derivative_at_pole_raises_at_pole():
+    # the log-space powers would take log 0 there
+    f = PowerSumFunction(1, (1.0, -1.0, 1.0j), (1.0, 1.0, 1.0))
+    for z in (1.0, 1.0j):
+        with pytest.raises(AtPole):
+            f.derivative_at(3, z)
+
+
 @pytest.mark.parametrize("n", [200, 1000, 10000])
 def test_powersum_residual_at_high_order(n):
     # (s)_n and (z - z_j)^(-s-n) each overflow a double from n ~ 140 on;

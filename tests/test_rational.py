@@ -599,10 +599,60 @@ def test_far_field_evaluator_sums_pole_by_pole():
     h = sum(t / (z - zk) for t, zk in zip(tops, state.base.poles)) - (sum(tops) - degree) / z
     evaluate = rational._far_field_evaluator(state, degree)
     p, dp, q = evaluate(z)
+    q = q()
     assert q.tobytes() == (dp - h * p).tobytes()
     for size in (1, 2, 3):
-        parts = [evaluate(z[s:s + size])[2] for s in range(0, len(z), size)]
+        parts = [evaluate(z[s:s + size])[2]() for s in range(0, len(z), size)]
         assert np.concatenate(parts).tobytes() == q.tobytes()
+
+
+def test_far_field_q_is_formed_only_by_the_newton_passes(monkeypatch):
+    # criterion 13's draw: each evaluator call records whether its q was
+    # formed; the Newton passes (the first calls) form it once each, the
+    # sweeps and the residual call never, and forming q at every call
+    # instead gives the same RootSet
+    rng = np.random.default_rng(11)
+    poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
+    form = polar_decompose([1.0], [(p, 1) for p in poles])
+    far_field = rational._far_field_evaluator
+
+    def counting(state, degree):
+        evaluate = far_field(state, degree)
+
+        def eval_pdq(z):
+            p, dp, q = evaluate(z)
+            calls.append(0)
+
+            def counted():
+                calls[-1] += 1
+                return q()
+
+            return p, dp, counted
+
+        return eval_pdq
+
+    def eager(state, degree):
+        evaluate = far_field(state, degree)
+
+        def eval_pdq(z):
+            p, dp, q = evaluate(z)
+            q = q()
+            return p, dp, lambda: q
+
+        return eval_pdq
+
+    calls = []
+    monkeypatch.setattr(rational, "_far_field_evaluator", counting)
+    lazy = rational.zeros(form, 300)
+    passes = calls.index(0)
+    assert 1 <= passes <= rootfind.NEWTON_PASSES and calls[:passes] == [1] * passes
+    assert calls[passes:] == [0] * (lazy.sweeps + 1)
+    monkeypatch.setattr(rational, "_far_field_evaluator", eager)
+    formed = rational.zeros(form, 300)
+    assert lazy.roots.tobytes() == formed.roots.tobytes()
+    assert lazy.residuals.tobytes() == formed.residuals.tobytes()
+    assert np.array_equal(lazy.converged, formed.converged)
+    assert lazy.active_trace == formed.active_trace and lazy.certified == formed.certified
 
 
 def test_returned_roots_have_disjoint_inclusion_disks():
