@@ -10,6 +10,7 @@ non-convergence).
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -80,7 +81,15 @@ def _n_list(args):
 
 
 def _window(args):
-    cx, cy, h = (float(s) for s in args.window.split(","))
+    """(centre, half-side) of --window; ValueError (exit 1) unless the
+    centre is finite and the half-side positive and finite."""
+    try:
+        cx, cy, h = (float(s) for s in args.window.split(","))
+    except ValueError:
+        raise ValueError(f"--window takes cx,cy,half_side, not {args.window!r}") from None
+    if not (math.isfinite(cx) and math.isfinite(cy) and 0.0 < h < math.inf):
+        raise ValueError(f"--window {args.window!r} needs a finite centre and a "
+                         "positive, finite half-side")
     return complex(cx, cy), h
 
 
@@ -144,11 +153,12 @@ def cmd_compare(args, out):
 
 
 def cmd_potential(args, out):
+    window = _window(args)
     form = _form(args)
     diagram = form.diagram
     n_list = _n_list(args)
     l1 = [asympt.potential_l1(rational.zeros(form, n).converged_roots(), diagram,
-                              _window(args), grid=args.grid, seed=args.seed)
+                              window, grid=args.grid, seed=args.seed)
           for n in n_list]
     _write_csv(out / "potential_l1.csv", ["n", "l1_discrepancy"], [n_list, l1])
     return 0
@@ -207,11 +217,11 @@ def cmd_lemniscate(args, out):
 
 
 def cmd_render(args, out):
+    center, half = _window(args)
     form = _form(args)
     diagram = form.diagram
     n = int(args.n)
     rs = rational.zeros(form, n)
-    center, half = _window(args)
     svg.render_svg(out / f"render_{n}.svg", diagram,
                    roots=[complex(z) for z in rs.roots],
                    window=(center, half))

@@ -26,7 +26,11 @@ active roots and forms their Cauchy sums against all m roots in
 cache-sized row blocks of at most CHUNK_ELEMENTS entries: O(active * m)
 time, bounded memory.  Each row is summed over all m columns in index
 order, so with a pointwise evaluator the roots do not depend on the
-block size or on which other roots are still active.
+block size or on which other roots are still active.  The residuals
+|p|/|p'| are formed on their first read (RootSet.residuals), by one
+call of the solve's evaluator on all m roots in the solve's precision,
+so a solve whose caller reads only the roots and their flags makes no
+pass beyond its Newton passes and sweeps.
 
 SumOfProducts models both structural numerators (rational._model,
 lemniscate._model) and reads as a dense expansion or as a point
@@ -43,6 +47,7 @@ its last bit.  Like _aberth both run on complex arrays or on object
 arrays of mpmath.mpc.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,18 +87,38 @@ EVAL_BLOCK = 512
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots with per-root residuals |p|/|p'| and convergence flags.
+    """Roots with convergence flags, and per-root residuals |p|/|p'| on demand.
 
     certified counts the roots the Newton passes froze, active_trace the
     roots moving at the start of each Aberth sweep after them, and sweeps
-    those sweeps.
+    those sweeps.  evaluator is the solve's point evaluator, kept for
+    residuals; roots and converged are made read-only, so that residuals
+    always reads the roots that were returned.
     """
 
     roots: np.ndarray
-    residuals: np.ndarray
     converged: np.ndarray
     active_trace: tuple
     certified: int
+    evaluator: object
+
+    def __post_init__(self):
+        self.roots.flags.writeable = False
+        self.converged.flags.writeable = False
+
+    @functools.cached_property
+    def residuals(self):
+        """|p|/|p'| at each root, as floats, or the distance to the nearest
+        other root where |p'| < TINY: one evaluator call on all m roots,
+        at _poly.workprec() as in the solve, on the first read only."""
+        with _poly.workprec():
+            pv, dv = self.evaluator(self.roots)[:2]
+            guard = np.abs(dv) < TINY
+            resid = (np.abs(pv) / np.where(guard, TINY, np.abs(dv))).astype(float)
+            if guard.any():
+                # derivative underflow: fall back to nearest-neighbour cluster radius
+                resid[guard] = _nearest_distance(self.roots, np.flatnonzero(guard))
+        return resid
 
     def __len__(self):
         return len(self.roots)
@@ -426,14 +451,8 @@ def _aberth(eval_pd, tolerance, start, max_sweeps):
         roots[idx] -= corr
         done = np.abs(corr) < tolerance * (1.0 + np.abs(roots[idx]))
         converged[idx[done]] = True
-    pv, dv = eval_pd(roots)[:2]
-    guard = np.abs(dv) < TINY
-    resid = (np.abs(pv) / np.where(guard, TINY, np.abs(dv))).astype(float)
-    if guard.any():
-        # derivative underflow: fall back to nearest-neighbour cluster radius
-        resid[guard] = _nearest_distance(roots, np.flatnonzero(guard))
-    return RootSet(roots=roots, residuals=resid, converged=converged,
-                   active_trace=tuple(trace), certified=certified)
+    return RootSet(roots=roots, converged=converged, active_trace=tuple(trace),
+                   certified=certified, evaluator=eval_pd)
 
 
 def _start_points(m, radius, precision):
@@ -468,12 +487,14 @@ def solve(p, tolerance=1e-12, evaluator=None, start=None):
     (p, p', q) with q a zero-argument callable that forms an array on
     the same scale, where p/q is the Newton step of a function with the
     same zeros: each Newton pass calls q once and steps by p/q where p/p'
-    fails the step test and |p/q| <= m|p/p'|; the sweeps and the final
-    residual call never call it, and everything else reads p/p' alone.
+    fails the step test and |p/q| <= m|p/p'|; the sweeps and the
+    residuals never call it, and everything else reads p/p' alone.
     No coefficient is read: start is required, and its length is the
     degree.  Each output must depend only on its
-    own input point: a Newton pass and the final call for the residuals
-    pass all m roots, a sweep only the roots still active.
+    own input point: the first Newton pass passes all m roots, and each
+    later call only the roots still moving.  The solve makes no residual
+    call: RootSet keeps the evaluator, and the first read of its
+    residuals passes all m roots, at _poly.workprec().
     """
     if (p is None) == (evaluator is None):
         raise ValueError("pass exactly one of coefficients and an evaluator")
@@ -493,15 +514,15 @@ def solve(p, tolerance=1e-12, evaluator=None, start=None):
             p = p / p[-1]
             bound = fujiwara_bound(p)
             dp = _poly.polyder(p) if precision == EXTENDED else None
-        if bound == 0.0:
-            roots = _poly.zeros(m, precision)
-            return RootSet(roots, np.zeros(m), np.ones(m, dtype=bool), (), 0)
         if dp is None:
             evaluator = lambda z: _horner_scaled(p, z)
         else:
             # as columns, Horner starts from an array: an mpc times an ndarray
             # would first format the whole array into mpmath's conversion error
             evaluator = lambda z: (_poly.polyval(p[:, None], z), _poly.polyval(dp[:, None], z))
+        if bound == 0.0:
+            # z^m: every root is 0, and every residual reads 0
+            return RootSet(_poly.zeros(m, precision), np.ones(m, dtype=bool), (), 0, evaluator)
         if start is None:
             start = _start_points(m, 0.5 * bound, precision)
     if len(start) != m:

@@ -60,8 +60,8 @@ def test_empirical_measure_weights():
 
 
 def test_empty_rootset_rejected():
-    rs = rootfind.RootSet(np.array([], dtype=complex), np.array([]),
-                          np.array([], dtype=bool), (), 0)
+    # no residual is read, so the RootSet needs no evaluator
+    rs = rootfind.RootSet(np.array([], dtype=complex), np.array([], dtype=bool), (), 0, None)
     with pytest.raises(asympt.EmptyRootSet):
         asympt.empirical(rs, 5)
 

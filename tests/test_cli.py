@@ -374,6 +374,20 @@ def test_rejected_arguments_exit_1_and_write_nothing(tmp_path, capsys, data, arg
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["render", "potential", "lemniscate"])
+@pytest.mark.parametrize("window", ["0,0,0", "0,0,-1", "0,0,nan", "0,0,inf", "nan,0,1",
+                                    "0,inf,1", "0,0", "0,0,x"])
+def test_bad_window_exits_1_and_writes_nothing(tmp_path, capsys, command, window):
+    # a zero half-side divided by zero in the SVG, a negative one mirrored
+    # it and a NaN one wrote NaN coordinates
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps(LEMNISCATE if command == "lemniscate" else TWO_POLE))
+    assert cli.main([command, "--problem", str(p), "--n", "4", "--window", window,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --window") and "Traceback" not in err
+    assert [f for f in tmp_path.rglob("*") if f.is_file()] == [p]
+
 def test_unknown_flag_exits_1(problem, tmp_path):
     r = run_cli("roots", "--problem", str(problem), "--no-extended-retry",
                 "--out", str(tmp_path))

@@ -609,8 +609,8 @@ def test_far_field_evaluator_sums_pole_by_pole():
 def test_far_field_q_is_formed_only_by_the_newton_passes(monkeypatch):
     # criterion 13's draw: each evaluator call records whether its q was
     # formed; the Newton passes (the first calls) form it once each, the
-    # sweeps and the residual call never, and forming q at every call
-    # instead gives the same RootSet
+    # sweeps and the residual call at the first read of the residuals
+    # never, and forming q at every call instead gives the same RootSet
     rng = np.random.default_rng(11)
     poles = list(rng.normal(size=8) + 1j * rng.normal(size=8))
     form = polar_decompose([1.0], [(p, 1) for p in poles])
@@ -646,6 +646,8 @@ def test_far_field_q_is_formed_only_by_the_newton_passes(monkeypatch):
     lazy = rational.zeros(form, 300)
     passes = calls.index(0)
     assert 1 <= passes <= rootfind.NEWTON_PASSES and calls[:passes] == [1] * passes
+    assert calls[passes:] == [0] * lazy.sweeps
+    lazy.residuals
     assert calls[passes:] == [0] * (lazy.sweeps + 1)
     monkeypatch.setattr(rational, "_far_field_evaluator", eager)
     formed = rational.zeros(form, 300)

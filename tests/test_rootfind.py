@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -416,6 +417,9 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
         with _poly.workprec():
             again = rootfind._aberth(counted(eval_pd, sizes), 1e-12, start, 200)
         assert same_roots(again.roots, rs.roots)
+    solved = list(sizes)  # the solve's calls, before any residual is read
+    if case is extended_case:
+        assert again.residuals.tobytes() == resid.tobytes()
     assert same_roots(rs.roots, roots)
     assert rs.residuals.tobytes() == resid.tobytes()
     assert np.array_equal(rs.converged, conv)
@@ -424,10 +428,10 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     if sizes:
         # the first Newton pass evaluates all m roots, each later one
         # and each sweep only the roots still moving after the previous
-        # call, and the residual pass all of them
+        # call, and the first read of the residuals all of them
         assert prelude[0] == m and prelude == sorted(prelude, reverse=True)
-        assert sizes[:len(prelude)] == prelude
-        assert sizes[len(prelude):-1] == trace and sizes[-1] == m
+        assert solved[:len(prelude)] == prelude
+        assert solved[len(prelude):] == trace and sizes == solved + [m]
 
 
 def test_circle_starts_certify_nothing():
@@ -543,6 +547,110 @@ def test_extended_residual_falls_back_to_nearest_neighbour():
     guarded = np.isin(zs, flat)
     assert np.array_equal(rs.residuals[guarded], near[guarded])
     assert np.all(rs.residuals[~guarded] == 0.0)
+
+
+def extended_evaluator_case():
+    """An evaluator solve in extended precision: three simple poles at n = 10."""
+    form = rational.polar_form([1j, -1j, 2.0], (1, 1, 1), ((1.0,), (2.0,), (1.0 + 1j,)),
+                               precision=_poly.EXTENDED)
+    state = rational.derivative_state(form, 10)
+    degree = rational.leading_term(state)[0]
+    start = _poly.asarray(rational.balance_starts(state, form.diagram, degree), _poly.EXTENDED)
+    return None, rational.newton_evaluator(state), start
+
+
+def eager_residuals(eval_pd, roots):
+    """|p|/|p'| at each root, or its nearest-neighbour distance where
+    |p'| < TINY, formed at once at _poly.workprec()."""
+    with _poly.workprec():
+        pv, dv = eval_pd(roots)[:2]
+        guard = np.abs(dv) < rootfind.TINY
+        resid = (np.abs(pv) / np.where(guard, rootfind.TINY, np.abs(dv))).astype(float)
+        resid[guard] = rootfind._nearest_distance(roots, np.flatnonzero(guard))
+    return resid
+
+
+@pytest.mark.parametrize("case", [horner_case, eight_pole_case, extended_evaluator_case])
+def test_residuals_are_formed_on_first_read(monkeypatch, case):
+    p, eval_pd, start = case()
+    m = len(start)
+    prelude = []
+    with _poly.workprec():
+        rootfind._newton_passes(counted(eval_pd, prelude), 1e-12, start)
+    sizes = []
+    if p is None:
+        rs = solve(None, 1e-12, evaluator=counted(eval_pd, sizes), start=start)
+    else:
+        # the coefficient path evaluates by _horner_scaled
+        horner = rootfind._horner_scaled
+        monkeypatch.setattr(rootfind, "_horner_scaled",
+                            lambda p, z: sizes.append(len(z)) or horner(p, z))
+        rs = solve(p, 1e-12)
+    # the solve calls the evaluator for its Newton passes and its sweeps
+    # alone; the first read of the residuals calls it once on all m
+    # roots, and a second read not at all
+    solved = list(sizes)
+    assert rs.sweeps and solved == prelude + list(rs.active_trace)
+    first = rs.residuals
+    assert sizes == solved + [m]
+    assert rs.residuals is first and sizes == solved + [m]
+
+
+@pytest.mark.parametrize("case", [horner_case, extended_case, eight_pole_case,
+                                  extended_evaluator_case])
+def test_residuals_match_the_eager_formula(case):
+    # the coefficient and the evaluator path, in double and in extended
+    p, eval_pd, start = case()
+    rs = solve(None, 1e-12, evaluator=eval_pd, start=start) if p is None else solve(p, 1e-12)
+    assert rs.residuals.dtype == float and len(rs.residuals) == len(start)
+    assert rs.residuals.tobytes() == eager_residuals(eval_pd, rs.roots).tobytes()
+
+
+@pytest.mark.parametrize("precision", [_poly.DOUBLE, _poly.EXTENDED])
+def test_zero_bound_residuals_are_zero(precision):
+    # z^3 returns from its Fujiwara bound 0 without sweeping; its
+    # residuals are still formed on first read
+    rs = solve(_poly.asarray([0.0, 0.0, 0.0, 1.0], precision))
+    assert rs.sweeps == 0 and rs.residuals.tobytes() == np.zeros(3).tobytes()
+
+
+def test_extended_residuals_are_read_at_the_solve_precision():
+    # the same bytes read outside any workprec() block, inside one and at
+    # 8 digits: formed at 15 or 8 digits they would differ
+    _, eval_pd, start = extended_evaluator_case()
+    solves = [solve(None, 1e-12, evaluator=eval_pd, start=start) for _ in range(3)]
+    outside = solves[0].residuals
+    with _poly.workprec():
+        inside = solves[1].residuals
+    with mpmath.workdps(8):
+        low = solves[2].residuals
+    assert outside.tobytes() == inside.tobytes() == low.tobytes()
+    assert outside.tobytes() == eager_residuals(eval_pd, solves[0].roots).tobytes()
+
+
+def test_no_convergence_rootset_yields_residuals(monkeypatch):
+    rng = np.random.default_rng(3)
+    p = rng.normal(size=40).astype(complex)
+    monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 1)
+    with pytest.raises(NoConvergence) as e:
+        solve(p, tolerance=1e-15)
+    rs = e.value.rootset
+    monic = p / p[-1]
+    want = eager_residuals(lambda z: rootfind._horner_scaled(monic, z), rs.roots)
+    assert len(rs.residuals) == 39 and np.isfinite(rs.residuals).all()
+    assert rs.residuals.tobytes() == want.tobytes()
+
+
+def test_returned_arrays_are_read_only(monkeypatch):
+    # residuals read the roots that were returned: no caller can move them
+    rootsets = [solve([-1.0, 0.0, 0.0, 1.0]), solve([0.0, 0.0, 1.0])]
+    monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 1)
+    with pytest.raises(NoConvergence) as e:
+        solve(np.random.default_rng(3).normal(size=40), tolerance=1e-15)
+    for rs in rootsets + [e.value.rootset]:
+        for a in (rs.roots, rs.converged):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
 
 
 def test_sweep_trace_on_every_path():
