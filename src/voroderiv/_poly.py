@@ -18,11 +18,11 @@ EXTENDED = "extended"
 # 40 digits ~ 133 bits; comfortably above the 64 fractional bits needed.
 EXTENDED_DPS = 40
 
-# Relative floor below which a coefficient of the order-0 pole-part
-# numerator R' counts as zero (rational.leading_term), against the
-# magnitudes summed into its slot.  The double value sits well above the
-# rounding of that short sum; the extended value leaves ~15 digits of
-# headroom.
+# Relative floor below which a Laurent coefficient mu_j of Q's pole part
+# at infinity counts as zero (rational.leading_term), against the
+# magnitudes of the terms summed into it.  The double value sits well
+# above the rounding of that short sum; the extended value leaves ~15
+# digits of headroom.
 DEGREE_FLOOR = {DOUBLE: 1e-12, EXTENDED: 1e-25}
 
 
@@ -31,7 +31,7 @@ def workprec():
     return mpmath.workdps(EXTENDED_DPS)
 
 
-def scalar(x, precision=DOUBLE):
+def scalar(x, precision):
     if precision == DOUBLE:
         return complex(x)
     with workprec():
@@ -40,7 +40,7 @@ def scalar(x, precision=DOUBLE):
         return mpmath.mpc(x)
 
 
-def asarray(coeffs, precision=DOUBLE):
+def asarray(coeffs, precision):
     if precision == DOUBLE:
         a = np.asarray(coeffs, dtype=complex)
         if a.ndim == 0:
@@ -55,7 +55,7 @@ def asarray(coeffs, precision=DOUBLE):
     return out
 
 
-def zeros(n, precision=DOUBLE):
+def zeros(n, precision):
     return np.full(n, scalar(0.0, precision), dtype=complex if precision == DOUBLE else object)
 
 
@@ -92,9 +92,7 @@ def polyval(p, z):
 
 
 def polypow(p, k):
-    """p**k by binary exponentiation."""
-    if k == 0:
-        return asarray([1.0], precision_of(p))
+    """p**k by binary exponentiation, k >= 1."""
     result = None
     base = p
     while k:

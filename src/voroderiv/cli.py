@@ -21,40 +21,58 @@ from ._poly import DOUBLE, EXTENDED
 from .errors import VoroderivError
 
 
-def _parse_complex(v):
-    if isinstance(v, dict):
-        return complex(float(v["re"]), float(v.get("im", 0.0)))
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"cannot parse complex number from {v!r}")
+# what _check asks of a JSON value, by the Python types json.loads gives it
+_NUMBER = (int, float)
+_KINDS = {dict: "an object", list: "a list", int: "an integer", _NUMBER: "a finite number"}
+
+
+def _check(v, kind, field):
+    """v if it is of kind (a bool is no number), else ValueError naming field."""
+    ok = isinstance(v, kind) and not isinstance(v, bool)
+    if ok and (kind != _NUMBER or abs(v) <= sys.float_info.max):  # not NaN, inf or a huge int
+        return v
+    raise ValueError(f"{field} must be {_KINDS[kind]}, not {v!r}")
+
+
+def _items(v, field, parse):
+    """parse(item, its field) for each item of the list v."""
+    return [parse(x, f"{field}[{k}]") for k, x in enumerate(_check(v, list, field))]
+
+
+def _integer(v, field):
+    """An order or multiplier: an int, or a float with an integer value."""
+    return int(v) if isinstance(v, float) and v.is_integer() else _check(v, int, field)
+
+
+def _parse_complex(v, field):
+    """A complex number from {"re": x, "im": y}, [x, y] or a number x."""
+    parts = {".re": v.get("re"), ".im": v.get("im", 0.0)} if isinstance(v, dict) else (
+        dict(zip(("[0]", "[1]"), v)) if isinstance(v, list) and len(v) == 2 else {"": v})
+    return complex(*(_check(x, _NUMBER, field + s) for s, x in parts.items()))
+
+
+_complexes = functools.partial(_items, parse=_parse_complex)
 
 
 def load_problem(path):
-    """Pole-set problem JSON -> (poles, orders, coeffs, polynomial part)."""
-    doc = json.loads(Path(path).read_text())
+    """Pole-set JSON -> (poles, orders, coeffs, polynomial part); ValueError names a bad field."""
+    doc = _check(json.loads(Path(path).read_text()), dict, "problem")
     poles, orders, coeffs = [], [], []
-    for p in doc["poles"]:
-        poles.append(_parse_complex(p))
-        orders.append(int(p.get("order", 1)))
-        cs = p.get("coeffs")
-        if cs is None:
-            cs = [{"re": 1.0, "im": 0.0}] * orders[-1]
-        coeffs.append([_parse_complex(c) for c in cs])
-    poly_part = [_parse_complex(c) for c in doc.get("polynomial_part", [0.0])]
-    return poles, orders, coeffs, poly_part
+    for i, p in enumerate(_check(doc.get("poles"), list, "poles")):
+        poles.append(_parse_complex(_check(p, dict, f"poles[{i}]"), f"poles[{i}]"))
+        orders.append(_integer(p.get("order", 1), f"poles[{i}].order"))
+        coeffs.append(_complexes(p.get("coeffs", [1.0] * orders[-1]), f"poles[{i}].coeffs"))
+    return poles, orders, coeffs, _complexes(doc.get("polynomial_part", [0.0]), "polynomial_part")
 
 
 def load_lemniscate_problem(path):
-    doc = json.loads(Path(path).read_text())
-    spec = doc["lemniscate"]
-    polys = [[_parse_complex(c) for c in p] for p in spec["polynomials"]]
+    """Lemniscate JSON -> LemniscateProblem; ValueError names a bad field."""
+    doc = _check(json.loads(Path(path).read_text()), dict, "problem")
+    spec = _check(doc.get("lemniscate"), dict, "lemniscate")
+    polys = _items(spec.get("polynomials"), "lemniscate.polynomials", _complexes)
     mult = spec.get("multipliers")
-    return lemniscate.LemniscateProblem(
-        polynomials=tuple(polys),
-        multipliers=tuple(int(m) for m in mult) if mult else None,
-    )
+    return lemniscate.LemniscateProblem(tuple(polys), mult if mult is None else tuple(
+        _items(mult, "lemniscate.multipliers", _integer)))
 
 
 def _form(args):

@@ -14,7 +14,7 @@ class SharedRoot(VoroderivError):
 
 
 class DegreeCollapse(VoroderivError):
-    """Every coefficient of the order-0 pole-part numerator fell below the floor.
+    """The Laurent coefficients mu_1..mu_r of Q's pole part all fell below the floor.
 
     Signals catastrophic cancellation (rational.leading_term).  Nothing
     retries automatically: rebuild the form with precision="extended" to

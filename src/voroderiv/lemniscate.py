@@ -45,7 +45,7 @@ class LemniscateProblem:
     multipliers: tuple = None
 
     def __post_init__(self):
-        polys = tuple(_poly.trim(_poly.asarray(p)) for p in self.polynomials)
+        polys = tuple(_poly.trim(_poly.asarray(p, _poly.DOUBLE)) for p in self.polynomials)
         object.__setattr__(self, "polynomials", polys)
         if len(polys) < 2:
             raise ValueError("need at least two summands")
@@ -78,8 +78,8 @@ class LemniscateProblem:
 def _model(problem, n):
     """R_n's cleared numerator as a rootfind.SumOfProducts, every weight 1."""
     rows = tuple(_term_exponents(problem, n))
-    return rootfind.SumOfProducts(problem.polynomials, rows,
-                                  (_poly.asarray([1.0]),) * len(rows), (0.0,) * len(rows))
+    weights = (_poly.asarray([1.0], _poly.DOUBLE),) * len(rows)
+    return rootfind.SumOfProducts(problem.polynomials, rows, weights, (0.0,) * len(rows))
 
 
 def build_rn(problem, n):

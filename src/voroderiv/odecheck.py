@@ -84,7 +84,7 @@ def powersum_residual(f, n, z):
     """
     shifts, _, powers = f._scaled_powers(n, z)
     # prod_j (t + z - z_j) = sum_i e_i t^(d-i)
-    e = _poly.product([_poly.asarray([u, 1.0]) for u in shifts], [1] * f.d)[::-1]
+    e = _poly.product([_poly.asarray([u, 1.0], _poly.DOUBLE) for u in shifts], [1] * f.d)[::-1]
     terms = [e[i] * (-1) ** i * sum(p * u ** -i for p, u in zip(powers, shifts))
              for i in range(f.d + 1)]
     acc = sum(terms)
@@ -105,8 +105,8 @@ def d2_numerator_residual(z1, z2, n, z, printed=False, relative=True):
     if n < 1:
         raise ValueError("n must be >= 1")
     z1, z2, z = complex(z1), complex(z2), complex(z)
-    lin1 = _poly.asarray([-z1, 1.0])
-    lin2 = _poly.asarray([-z2, 1.0])
+    lin1 = _poly.asarray([-z1, 1.0], _poly.DOUBLE)
+    lin2 = _poly.asarray([-z2, 1.0], _poly.DOUBLE)
     r = _poly.polypow(lin1, n + 1) + _poly.polypow(lin2, n + 1)
     r = r / r[-1]
     dr = _poly.polyder(r)

@@ -11,11 +11,13 @@ part: numerator and newton_evaluator add its term while pp^(n) is
 nonzero, so one numerator serves any Q = R/P, one pole or many.
 
 deg R_n and alpha_n / n! have one source, leading_term, a closed form
-from Q at infinity.  R_n itself is one rootfind.SumOfProducts (_model),
-read two ways: its dense expansion (numerator) serves only where it is
-short or is the output; zeros with two or more poles iterates on its
-point evaluator (newton_evaluator) in either precision, and its Newton
-prelude steps on z^K Q^(n) (_far_field_evaluator).
+from Q at infinity, where the pole part decays like mu_j z^(-j) with
+mu_j = sum_{i,k} a_{i,k} C(j-1, k-1) z_i^(j-k).  R_n itself is one
+rootfind.SumOfProducts (_model), read two ways: its dense expansion
+(numerator) serves only where it is short or is the output; zeros with
+two or more poles iterates on its point evaluator (newton_evaluator) in
+either precision, and its Newton prelude steps on z^K Q^(n)
+(_far_field_evaluator).
 """
 
 import cmath
@@ -273,34 +275,26 @@ def leading_term(state):
     so P P0^n is exactly the denominator of Q^{(n)}, and Q at infinity
     gives both numbers.  With a polynomial part of degree q >= n:
     deg R_n = r + q + n(d-1), alpha_n/n! = lc(pp) C(q, n).  Otherwise,
-    with D' = deg R' and lambda' = lc R' for the pole part R'/P:
-    deg R_n = D' + n(d-1), alpha_n/n! = lambda' (-1)^n C(r-D'-1+n, n).
-    The one floor decision is on the short order-0 expansion R': a
-    coefficient counts as zero when it is at most _poly.DEGREE_FLOOR
-    times the magnitudes summed into its slot.  Raises DegreeCollapse
-    if all of R' does.
+    with mu_j z^(-j) the pole part's first Laurent term at infinity,
+    deg R_n = r - j + n(d-1) and alpha_n/n! = mu_j (-1)^n C(j+n-1, n):
+    mu_j = sum_{i,k} a_{i,k} C(j-1, k-1) z_i^(j-k) over nonzero a_{i,k}, k <= j.
+    The one floor decision: j is the first of 1, 2, ... whose |mu_j| exceeds
+    _poly.DEGREE_FLOOR times the magnitudes of its terms summed.  Raises
+    DegreeCollapse if mu_1..mu_r all fall below the floor.
     """
-    base = state.base
-    n, precision = state.n, base.precision
+    base, n = state.base, state.n
     pp = _poly.trim(base.polynomial_part)
     q = _poly.degree(pp)
     if not _poly.is_zero(pp) and n <= q:
         return base.r + q + n * (base.d - 1), _times_binomial(pp[-1], q, n)
-    pole_part = DerivativeState(base, 0, base.coeffs, _poly.zeros(1, precision))
-    total = _poly.zeros(base.r, precision)
-    mags = np.zeros(base.r)
-    for term in _model(pole_part).terms(base.r):
-        total[: len(term)] += term
-        mags[: len(term)] += [float(abs(c)) for c in term]
-    top = base.r - 1
-    while top >= 0 and abs(total[top]) <= _poly.DEGREE_FLOOR[precision] * mags[top]:
-        top -= 1
-    if top < 0:
-        raise DegreeCollapse("numerator collapsed below the coefficient floor")
-    # Q ~ lambda' z^(-j), j = r - D', at infinity, so alpha_n/n! is the
-    # closed form of derivative_state for the top coefficient of a pole of order j
-    alpha, j = total[top], base.r - top
-    return top + n * (base.d - 1), _times_binomial(-alpha if n % 2 else alpha, j + n - 1, n)
+    nonzero = [(k, a, zi) for zi, cs in zip(base.poles, base.coeffs)
+               for k, a in enumerate(cs, 1) if a != 0]
+    for j in range(1, base.r + 1):
+        terms = [_times_binomial(a * zi ** (j - k), j - 1, k - 1) for k, a, zi in nonzero if k <= j]
+        mu = sum(terms)
+        if abs(mu) > _poly.DEGREE_FLOOR[base.precision] * sum(float(abs(t)) for t in terms):
+            return base.r - j + n * (base.d - 1), _times_binomial(-mu if n % 2 else mu, j + n - 1, n)
+    raise DegreeCollapse("mu_1..mu_r all fell below the coefficient floor")
 
 
 @_poly.workprec()

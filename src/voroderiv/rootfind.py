@@ -33,14 +33,15 @@ so a solve whose caller reads only the roots and their flags makes no
 pass beyond its Newton passes and sweeps.
 
 SumOfProducts models both structural numerators (rational._model,
-lemniscate._model) and reads as a dense expansion or as a point
-evaluator that forms its products of powers in log space, each row by
-its complement against the column maxima (its logarithmic derivative as
-a sum shared by all rows minus the complement's): O(d) per point for the
-d-pole numerator.  Its elementwise functions are chosen per precision:
-in double a log is log|p| + i arg p (_log), since numpy's complex log
-also runs one element at a time.  The evaluator is row-stacked:
-a fixed number of numpy calls on (rows, points) arrays per block.  It
+lemniscate._model) and reads two ways: as a dense expansion (expand)
+or as a point evaluator (evaluator) that forms its products of powers
+in log space, each row by its complement against the column maxima (its
+logarithmic derivative as a sum shared by all rows minus the
+complement's): O(d) per point for the d-pole numerator.  Its elementwise
+functions are chosen per precision: in double a log is log|p| + i arg p
+(_log), since numpy's complex log also runs one element at a time.  The
+evaluator is row-stacked: a fixed number of numpy calls on (rows,
+points) arrays per block.  It
 sums over rows only on two or more points, as numpy sums one column
 pairwise, and keeps each complex product's operand order, which sets
 its last bit.  Like _aberth both run on complex arrays or on object
@@ -217,18 +218,14 @@ class SumOfProducts:
     weights: tuple
     centres: tuple
 
-    def terms(self, length):
-        """Each term expanded in powers of z, cut to length slots (None: whole)."""
-        for row, w, c in zip(self.exponents, self.weights, self.centres):
-            # w(z - c) in powers of z
-            yield np.convolve(_poly.product(self.factors, row), _poly.taylor_shift(w, -c))[:length]
-
     def expand(self, length):
-        """The first length coefficients of N, the terms added by Kahan's
-        compensated summation."""
+        """The first length coefficients of N, each term expanded in powers
+        of z and the terms added by Kahan's compensated summation."""
         precision = _poly.precision_of(self.factors[0])
         total, comp = _poly.zeros(length, precision), _poly.zeros(length, precision)
-        for term in self.terms(length):
+        for row, w, c in zip(self.exponents, self.weights, self.centres):
+            # w(z - c) in powers of z
+            term = np.convolve(_poly.product(self.factors, row), _poly.taylor_shift(w, -c))[:length]
             k = len(term)
             y = term - comp[:k]
             t = total[:k] + y

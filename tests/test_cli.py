@@ -374,6 +374,48 @@ def test_rejected_arguments_exit_1_and_write_nothing(tmp_path, capsys, data, arg
         assert not (tmp_path / "out").exists()
 
 
+def _with_pole(**changes):
+    return {"poles": [dict(TWO_POLE["poles"][0], **changes), TWO_POLE["poles"][1]]}
+
+
+TWO_LEMNISCATE = {"lemniscate": {"polynomials": [[-1.0, 1.0], [1.0, 1.0]]}}
+
+
+def _with_lemniscate(**changes):
+    return {"lemniscate": dict(TWO_LEMNISCATE["lemniscate"], **changes)}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"poles": [1, -1]}, "poles[0] must be an object, not 1"),
+    ({"poles": [[1, 0], [0, 1]]}, "poles[0] must be an object, not [1, 0]"),
+    ([TWO_POLE], "problem must be an object"),
+    (_with_pole(coeffs=5), "poles[0].coeffs must be a list, not 5"),
+    (dict(TWO_POLE, polynomial_part=3), "polynomial_part must be a list, not 3"),
+    (_with_pole(im=None), "poles[0].im must be a finite number, not None"),
+    (_with_pole(coeffs=[{"re": 1.0, "im": None}]), "poles[0].coeffs[0].im must be a finite number"),
+    (_with_pole(order=2.5), "poles[0].order must be an integer, not 2.5"),
+    (_with_pole(re=math.inf), "poles[0].re must be a finite number, not inf"),
+    (_with_lemniscate(polynomials=5), "lemniscate.polynomials must be a list, not 5"),
+    (_with_lemniscate(multipliers=2), "lemniscate.multipliers must be a list, not 2"),
+    (_with_lemniscate(multipliers=[1, None]), "lemniscate.multipliers[1] must be an integer"),
+    (_with_lemniscate(multipliers=[1.7, 1]), "lemniscate.multipliers[0] must be an integer"),
+], ids=["poles-numbers", "poles-pairs", "top-level-list", "coeffs-number", "pp-number",
+        "im-null", "coeff-im-null", "order-fraction", "re-inf", "polynomials-number",
+        "multipliers-number", "multiplier-null", "multiplier-fraction"])
+def test_malformed_problem_exits_1_and_writes_nothing(tmp_path, capsys, data, message):
+    # each shape crashed main with a traceback, or (order 2.5, multiplier
+    # 1.7) ran truncated to an integer and exited 0
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps(data))
+    lemniscate_file = isinstance(data, dict) and "lemniscate" in data
+    command = ["lemniscate", "--n", "4"] if lemniscate_file else ["roots", "--n", "2"]
+    assert cli.main(command + ["--problem", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert "Traceback" not in err
+    assert [f for f in tmp_path.rglob("*") if f.is_file()] == [p]
+
+
 @pytest.mark.parametrize("command", ["render", "potential", "lemniscate"])
 @pytest.mark.parametrize("window", ["0,0,0", "0,0,-1", "0,0,nan", "0,0,inf", "nan,0,1",
                                     "0,inf,1", "0,0", "0,0,x"])

@@ -1,6 +1,7 @@
 """Polar form derivatives, numerators, and the structural evaluator."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 from math import comb
@@ -194,15 +195,22 @@ def test_degree_collapse_raised_for_absurd_floor(monkeypatch):
         numerator(derivative_state(form, 4))
 
 
+def model_terms(state):
+    """Each term of rational._model(state), expanded in powers of z."""
+    model = rational._model(state)
+    for row, w, c in zip(model.exponents, model.weights, model.centres):
+        yield np.convolve(_poly.product(model.factors, row), _poly.taylor_shift(w, -c))
+
+
 def expansion_lead(state):
     """(degree, top coefficient) of the dense order-n expansion itself.
 
-    Sums the numerator's terms at order n, not at order 0 as
-    leading_term does, and drops top slots that are at most 1e-9 (1e-30
-    in extended precision) of the magnitudes summed into them.
+    Sums the numerator's terms at order n, and drops top slots that are
+    at most 1e-9 (1e-30 in extended precision) of the magnitudes summed
+    into them.
     """
     precision = state.base.precision
-    terms = list(rational._model(state).terms(None))
+    terms = list(model_terms(state))
     width = max(len(t) for t in terms)
     total, mags = _poly.zeros(width, precision), np.zeros(width)
     with _poly.workprec():
@@ -214,6 +222,36 @@ def expansion_lead(state):
     while abs(total[top]) <= floor * mags[top]:
         top -= 1
     return top, total[top]
+
+
+@_poly.workprec()
+def order0_leading_term(state):
+    """leading_term by expanding the pole part's numerator R' at order 0.
+
+    The reference for the Laurent coefficients: the top coefficient of R'
+    that passes _poly.DEGREE_FLOOR against the magnitudes summed into its
+    slot gives D' = deg R' and lambda' = lc R', and with j = r - D',
+    deg R_n = D' + n(d-1), alpha_n/n! = lambda' (-1)^n C(j+n-1, n).
+    """
+    base, n = state.base, state.n
+    pp = _poly.trim(base.polynomial_part)
+    q = _poly.degree(pp)
+    if not _poly.is_zero(pp) and n <= q:
+        return base.r + q + n * (base.d - 1), rational._times_binomial(pp[-1], q, n)
+    pole_part = dataclasses.replace(state, n=0, scaled_coeffs=base.coeffs,
+                                    poly_part_scaled=_poly.zeros(1, base.precision))
+    total = _poly.zeros(base.r, base.precision)
+    mags = np.zeros(base.r)
+    for term in model_terms(pole_part):  # each of degree at most r - 1
+        total[: len(term)] += term
+        mags[: len(term)] += [float(abs(c)) for c in term]
+    top = base.r - 1
+    while top >= 0 and abs(total[top]) <= _poly.DEGREE_FLOOR[base.precision] * mags[top]:
+        top -= 1
+    if top < 0:
+        raise DegreeCollapse("numerator collapsed below the coefficient floor")
+    alpha, j = total[top], base.r - top
+    return top + n * (base.d - 1), rational._times_binomial(-alpha if n % 2 else alpha, j + n - 1, n)
 
 
 CANCELLING = dict(poles=[1.0, -1.0], orders=[1, 1], coeffs=[[0.5], [-0.5]])
@@ -242,6 +280,35 @@ def test_closed_form_matches_the_expansion(spec, precision, orders):
         res = numerator(state)
         assert res.degree == degree and res.alpha_over_factorial == alpha
         assert abs(res.r_n[-1] - 1) < 1e-15  # monic
+
+
+def _orders_300(precision):
+    # one order-300 pole off the origin with only its top coefficient set:
+    # mu_1..mu_299 have no terms at all
+    return polar_form([0.7 - 0.4j], [300], [[0.0] * 299 + [1.5 - 0.5j]], precision=precision)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_laurent_leading_term_matches_the_order0_expansion(precision):
+    cube = [np.exp(2j * np.pi * k / 3) for k in range(3)]
+    specs = [dict(poles=f.poles, orders=f.orders, coeffs=f.coeffs, polynomial_part=f.polynomial_part)
+             for f, _ in itertools.islice(multi_pole_draws(), 0, None, 10)]
+    specs += [CANCELLING, WITH_PP, dict(poles=cube, **MIXED)]
+    for spec in specs:
+        form = polar_form(precision=precision, **spec)
+        for n in (0, 1, 2):
+            state = derivative_state(form, n)
+            # bit-identical, degree and alpha alike
+            assert rational.leading_term(state) == order0_leading_term(state)
+    form = _orders_300(precision)
+    for n in (0, 1, 5, 300):
+        state = derivative_state(form, n)
+        degree, alpha = rational.leading_term(state)
+        assert (degree, alpha) == order0_leading_term(state)
+        assert degree == 0
+        with _poly.workprec():
+            exact = form.coeffs[0][-1] * (-1) ** n * mpmath.mpf(math.comb(299 + n, n))
+            assert abs(alpha - exact) <= (1e-15 if precision == "double" else 1e-35) * abs(exact)
 
 
 def test_numerator_raises_on_an_overflowing_expansion():
