@@ -12,7 +12,6 @@ finite at the sites, and only log|z - atom| is unbounded.
 """
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -78,16 +77,14 @@ class EmpiricalMeasure:
 
     points: np.ndarray
     n: int
-    excluded: int
 
 
 def empirical(rootset, n):
-    """Equal-weight measure on the converged roots; exclusions counted."""
+    """Equal-weight measure on the converged roots."""
     pts = np.asarray(rootset.roots).astype(complex)[rootset.converged]
     if len(pts) == 0:
         raise EmptyRootSet("no converged roots")
-    return EmpiricalMeasure(points=pts, n=n,
-                            excluded=int((~rootset.converged).sum()))
+    return EmpiricalMeasure(points=pts, n=n)
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ class ComparisonReport:
     assignments: tuple = field(repr=False, default=())
 
     def as_dict(self):
-        """The report without its assignments, as to_json writes it."""
+        """The report without its assignments, as the CLI writes it."""
         return {
             "n": self.n,
             "m_n": self.m_n,
@@ -128,9 +125,6 @@ class ComparisonReport:
             "off_skeleton_fraction": self.off_skeleton_fraction,
             "mean_distance_to_skeleton": self.mean_distance,
         }
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def project_and_bin(measure, diagram):

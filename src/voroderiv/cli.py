@@ -60,8 +60,13 @@ def load_problem(path):
     poles, orders, coeffs = [], [], []
     for i, p in enumerate(_check(doc.get("poles"), list, "poles")):
         poles.append(_parse_complex(_check(p, dict, f"poles[{i}]"), f"poles[{i}]"))
-        orders.append(_integer(p.get("order", 1), f"poles[{i}].order"))
-        coeffs.append(_complexes(p.get("coeffs", [1.0] * orders[-1]), f"poles[{i}].coeffs"))
+        # a pole without coeffs is simple, with coefficient 1
+        coeffs.append(_complexes(p["coeffs"], f"poles[{i}].coeffs") if "coeffs" in p else [1.0])
+        orders.append(_integer(p.get("order", len(coeffs[-1])), f"poles[{i}].order"))
+        if orders[-1] != len(coeffs[-1]):
+            given = f"coeffs of length {len(coeffs[-1])}" if "coeffs" in p else "no coeffs"
+            raise ValueError(f"poles[{i}].order must be {len(coeffs[-1])} with {given}, "
+                             f"not {p['order']!r}")
     return poles, orders, coeffs, _complexes(doc.get("polynomial_part", [0.0]), "polynomial_part")
 
 
@@ -186,13 +191,10 @@ def cmd_odecheck(args, out):
     poles, orders, coeffs, poly_part = load_problem(args.problem)
     s = orders[0]
     if any(r != s for r in orders):
-        print("odecheck requires a common pole order", file=sys.stderr)
-        return 1
+        raise ValueError("odecheck requires a common pole order")
     # the power-sum identity holds for sum_i w_i (z - z_i)^-s alone
     if any(poly_part) or any(any(cs[:-1]) for cs in coeffs):
-        print("odecheck takes no polynomial part and only top pole coefficients",
-              file=sys.stderr)
-        return 1
+        raise ValueError("odecheck takes no polynomial part and only top pole coefficients")
     weights = [cs[-1] for cs in coeffs]
     f = odecheck.PowerSumFunction(s=s, poles=tuple(poles), weights=tuple(weights))
     rng = np.random.default_rng(args.seed)
@@ -283,20 +285,17 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    if args.grid < 16:
-        print("grid resolution must be >= 16", file=sys.stderr)
-        return 1
-    # these commands write the output of one derivative order
-    if args.command in ("derive", "roots", "render") and "," in args.n:
-        print(f"--n takes one order for {args.command}, not a list", file=sys.stderr)
-        return 1
     out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return 1
-    try:
+        if args.grid < 16:
+            raise ValueError("grid resolution must be >= 16")
+        # these commands write the output of one derivative order
+        if args.command in ("derive", "roots", "render") and "," in args.n:
+            raise ValueError(f"--n takes one order for {args.command}, not a list")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OSError(f"cannot create output directory: {exc}") from None
         return COMMANDS[args.command](args, out)
     except (OSError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

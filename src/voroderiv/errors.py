@@ -23,7 +23,7 @@ class DegreeCollapse(VoroderivError):
 
 
 class CoefficientOverflow(VoroderivError):
-    """An expansion's coefficients, or a derivative's value, at the requested order overflow."""
+    """An expansion's coefficients at the requested order overflow."""
 
 
 class ZeroPolynomial(VoroderivError):
@@ -33,7 +33,7 @@ class ZeroPolynomial(VoroderivError):
 class NoConvergence(VoroderivError):
     """Root iteration did not converge; best-effort result attached."""
 
-    def __init__(self, message, rootset=None):
+    def __init__(self, message, rootset):
         super().__init__(message)
         self.rootset = rootset
 

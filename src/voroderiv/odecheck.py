@@ -8,11 +8,10 @@ factors; the two-pole residual also comes back raw on request.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 
 from . import _poly
-from .errors import AtPole, CoefficientOverflow
+from .errors import AtPole
 
 __all__ = [
     "PowerSumFunction",
@@ -45,31 +44,17 @@ class PowerSumFunction:
         return len(self.poles)
 
     def _scaled_powers(self, n, z):
-        """(shifts, top, powers): the z - z_j, and w_j (z - z_j)^(-s-n) on
-        the principal branch, formed in log space and divided by e^top,
-        their largest modulus.  Raises AtPole when z is a pole."""
+        """(shifts, powers): the z - z_j, and w_j (z - z_j)^(-s-n) on the
+        principal branch, formed in log space and divided by their largest
+        modulus.  Raises AtPole when z is a pole."""
         z = complex(z)
         if any(z == complex(zj) for zj in self.poles):
             raise AtPole("z coincides with a pole")
         shifts = [z - complex(zj) for zj in self.poles]
         logs = [(-self.s - n) * cmath.log(u) for u in shifts]
         top = max(lg.real for lg in logs)
-        return shifts, top, [complex(w) * cmath.exp(lg - top)
-                             for w, lg in zip(self.weights, logs)]
-
-    def derivative_at(self, n, z):
-        """Q^{(n)}(z) = (-1)^n (s)_n sum_j w_j (z - z_j)^{-s-n}, in log space.
-
-        A value past the double range raises CoefficientOverflow, and z at
-        a pole AtPole.
-        """
-        _, top, powers = self._scaled_powers(n, z)
-        acc = sum(powers)
-        scale = top + math.lgamma(self.s + n) - math.lgamma(self.s)  # + log (s)_n
-        try:
-            return (-1) ** n * cmath.exp(scale + cmath.log(acc)) if acc else acc
-        except OverflowError:
-            raise CoefficientOverflow(f"order n={n} overflowed: Q^(n)(z) is too large") from None
+        return shifts, [complex(w) * cmath.exp(lg - top)
+                        for w, lg in zip(self.weights, logs)]
 
 
 def powersum_residual(f, n, z):
@@ -82,7 +67,7 @@ def powersum_residual(f, n, z):
     factor (-1)^n (s)_n cancels, and the powers are formed in log space
     and scaled by their largest modulus, so no n overflows.
     """
-    shifts, _, powers = f._scaled_powers(n, z)
+    shifts, powers = f._scaled_powers(n, z)
     # prod_j (t + z - z_j) = sum_i e_i t^(d-i)
     e = _poly.product([_poly.asarray([u, 1.0], _poly.DOUBLE) for u in shifts], [1] * f.d)[::-1]
     terms = [e[i] * (-1) ** i * sum(p * u ** -i for p, u in zip(powers, shifts))

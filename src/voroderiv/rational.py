@@ -43,7 +43,6 @@ __all__ = [
     "newton_evaluator",
     "balance_starts",
     "zeros",
-    "degree_diagnostics",
 ]
 
 
@@ -142,11 +141,6 @@ class NumeratorResult:
     alpha_over_factorial: complex
     degree: int
     n: int
-
-    @property
-    def log_factorial_over_alpha(self):
-        """log |n! / alpha_n| computed without forming n!."""
-        return -math.log(abs(self.alpha_over_factorial))
 
 
 def polar_form(poles, orders, coeffs, polynomial_part=None, precision=DOUBLE):
@@ -334,31 +328,24 @@ def _far_field_evaluator(state, degree):
     t_k = n + r_k are the model's column maxima, K = sum_k t_k - degree
     and h = sum_k t_k/(z - z_k) - K/z.  G has the zeros of R_n and tends
     to a constant at infinity, so the poles' pull on a far-out point,
-    about m/z in N/N', cancels.  h is formed EVAL_BLOCK points at a
-    time, which bounds its temporaries, as one (poles, points) array
-    summed pole by pole, so each output depends on its own point only.
+    about m/z in N/N', cancels.  h is summed pole by pole on whole point
+    arrays, so each output depends on its own point only.
     """
     evaluate = newton_evaluator(state)
-    tops = np.array([state.n + r for r in state.base.orders], dtype=float)[:, None]
-    poles = _poly.asarray(state.base.poles, state.base.precision)[:, None]
+    tops = np.array([state.n + r for r in state.base.orders], dtype=float)
+    poles = _poly.asarray(state.base.poles, state.base.precision)
     excess = tops.sum() - degree
-
-    def pull(z):
-        if len(z) == 1:  # numpy sums one column pairwise: pair a single point
-            return pull(np.repeat(z, 2))[:1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (tops / (z - poles)).sum(axis=0) - excess / z
 
     def eval_pdq(z):
         p, dp = evaluate(z)
         z = np.atleast_1d(z)
 
         def q():
-            out = np.empty_like(dp)
-            for s in range(0, len(z), rootfind.EVAL_BLOCK):
-                b = slice(s, s + rootfind.EVAL_BLOCK)
-                out[b] = dp[b] - pull(z[b]) * p[b]
-            return out
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = tops[0] / (z - poles[0])
+                for t, zk in zip(tops[1:], poles[1:]):
+                    h = h + t / (z - zk)
+                return dp - (h - excess / z) * p
 
         return p, dp, q
 
@@ -444,13 +431,3 @@ def zeros(form, n):
     starts = _poly.asarray(balance_starts(state, form.diagram, degree), form.precision)
     return rootfind.solve(None, evaluator=_far_field_evaluator(state, degree), start=starts)
 
-
-def degree_diagnostics(results):
-    """Sequences (n, deg R_n / n, log|n!/alpha_n| / n) per result."""
-    rows = []
-    for res in results:
-        n = res.n
-        if n == 0:
-            continue
-        rows.append((n, res.degree / n, res.log_factorial_over_alpha / n))
-    return rows

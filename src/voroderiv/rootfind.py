@@ -20,8 +20,8 @@ not passed then moves by p/q if that stays inside its disk; the step
 test and the disks stay on p/p', and the sweeps and the residuals never
 form q.  These passes are the only Newton polish of the start points.
 Jacobi sweeps then correct the rest from the positions at the start of
-each sweep and freeze a root once its correction falls below the
-tolerance.  A sweep evaluates only the
+each sweep and freeze a root once its correction falls below
+TOLERANCE.  A sweep evaluates only the
 active roots and forms their Cauchy sums against all m roots in
 cache-sized row blocks of at most CHUNK_ELEMENTS entries: O(active * m)
 time, bounded memory.  Each row is summed over all m columns in index
@@ -68,6 +68,10 @@ MAX_SWEEPS = {DOUBLE: 200, EXTENDED: 500}
 
 # Newton passes, at most, before the first Aberth sweep
 NEWTON_PASSES = 6
+
+# a step passes below TOLERANCE * (1 + |z|), in every solve; solve reads
+# it at call time
+TOLERANCE = 1e-12
 
 # guards |p'| and the Aberth denominator against division by zero
 TINY = 1e-300
@@ -356,7 +360,8 @@ def _newton_pass(eval_pd, tolerance, roots, step, idx):
     Each point moves by its step s = N/N' (0 if not finite), stored in
     step[idx], or, if eval_pd returns a third output, a callable that
     forms Q, by g = N/Q where s has not passed the sweep's test
-    |s| < tolerance * (1 + |z - s|) and |g| <= m|s|, so that g stays
+    |s| < tolerance * (1 + |z - s|), tolerance being TOLERANCE in every
+    solve, and |g| <= m|s|, so that g stays
     inside the point's Henrici disk.  A step halves when |s| is at most
     half the point's last one.  A function of its own, so that a pass's
     arrays are freed before the next pass evaluates: they would raise
@@ -459,7 +464,7 @@ def _start_points(m, radius, precision):
     return _poly.asarray(radius * np.exp(1j * angles), precision)
 
 
-def solve(p, tolerance=1e-12, evaluator=None, start=None):
+def solve(p, evaluator=None, start=None):
     """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
 
     The polynomial is given either by its coefficients p or, with p None,
@@ -468,10 +473,10 @@ def solve(p, tolerance=1e-12, evaluator=None, start=None):
     an evaluator, is one (_poly.asarray(x, "extended")), else on complex.
     Newton passes freeze the roots they certify (RootSet.certified), and
     active-set Jacobi sweeps run on the rest (RootSet.sweeps counts these)
-    until each step is below tolerance * (1 + |z|): 1e-12 in every solve
-    of the package.  One attempt: NoConvergence is raised, with its
-    RootSet attached, if it leaves unconverged roots; near the zeros a
-    stall is the evaluation's rounding floor, which a restart does not lift.
+    until each step is below TOLERANCE * (1 + |z|), read at call time.
+    One attempt: NoConvergence is raised, with its RootSet attached, if
+    it leaves unconverged roots; near the zeros a stall is the
+    evaluation's rounding floor, which a restart does not lift.
 
     Coefficients must be finite (ValueError).  p is made monic and
     evaluated by scaled Horner (_horner_scaled) or, in extended
@@ -526,7 +531,7 @@ def solve(p, tolerance=1e-12, evaluator=None, start=None):
         raise ValueError("start must supply one point per root")
     start = _poly.asarray(start, precision)
     with _poly.workprec():
-        result = _aberth(evaluator, tolerance, start, MAX_SWEEPS[precision])
+        result = _aberth(evaluator, TOLERANCE, start, MAX_SWEEPS[precision])
     if not result.all_converged:
         raise NoConvergence(
             f"{int((~result.converged).sum())} of {m} roots unconverged, "

@@ -27,7 +27,6 @@ __all__ = [
     "build",
     "cell_branch",
     "locate",
-    "phi",
     "psi",
     "distance_to_skeleton",
 ]
@@ -172,11 +171,6 @@ def locate(diagram, z):
     tol = COINCIDENCE_REL_TOL * diagram.scale
     ties = [k for k, dist in enumerate(dists) if dist - dists[i] <= tol]
     return i, ties
-
-
-def phi(sites, z):
-    """min_i |z - z_i|."""
-    return min(abs(complex(z) - complex(s)) for s in sites)
 
 
 def branch_logs(branches, z):

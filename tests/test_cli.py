@@ -395,16 +395,27 @@ def _with_lemniscate(**changes):
     (_with_pole(coeffs=[{"re": 1.0, "im": None}]), "poles[0].coeffs[0].im must be a finite number"),
     (_with_pole(order=2.5), "poles[0].order must be an integer, not 2.5"),
     (_with_pole(re=math.inf), "poles[0].re must be a finite number, not inf"),
+    (_with_pole(order=1e300), "poles[0].order must be 1 with coeffs of length 1, not 1e+300"),
+    ({"poles": [{"re": 0.0, "im": 1.0, "order": 1e300}, TWO_POLE["poles"][1]]},
+     "poles[0].order must be 1 with no coeffs, not 1e+300"),
+    ({"poles": [{"re": 0.0, "im": 1.0, "order": 1000000000}, TWO_POLE["poles"][1]]},
+     "poles[0].order must be 1 with no coeffs, not 1000000000"),
+    (_with_pole(order=3, coeffs=[1.0, 2.0]),
+     "poles[0].order must be 2 with coeffs of length 2, not 3"),
     (_with_lemniscate(polynomials=5), "lemniscate.polynomials must be a list, not 5"),
     (_with_lemniscate(multipliers=2), "lemniscate.multipliers must be a list, not 2"),
     (_with_lemniscate(multipliers=[1, None]), "lemniscate.multipliers[1] must be an integer"),
     (_with_lemniscate(multipliers=[1.7, 1]), "lemniscate.multipliers[0] must be an integer"),
 ], ids=["poles-numbers", "poles-pairs", "top-level-list", "coeffs-number", "pp-number",
-        "im-null", "coeff-im-null", "order-fraction", "re-inf", "polynomials-number",
+        "im-null", "coeff-im-null", "order-fraction", "re-inf", "order-huge",
+        "order-huge-no-coeffs", "order-1e9-no-coeffs", "order-past-coeffs", "polynomials-number",
         "multipliers-number", "multiplier-null", "multiplier-fraction"])
 def test_malformed_problem_exits_1_and_writes_nothing(tmp_path, capsys, data, message):
     # each shape crashed main with a traceback, or (order 2.5, multiplier
-    # 1.7) ran truncated to an integer and exited 0
+    # 1.7) ran truncated to an integer and exited 0; a huge order
+    # overflowed building all-ones coefficients, an order of 1e9 would
+    # have allocated them first, and an order unlike its coeffs' count
+    # was reported without the field's name
     p = tmp_path / "problem.json"
     p.write_text(json.dumps(data))
     lemniscate_file = isinstance(data, dict) and "lemniscate" in data

@@ -46,7 +46,7 @@ def test_solve_makes_one_attempt(monkeypatch):
 
 def test_repeated_root_bound():
     # z^3: a triple root is resolved to about tol^(1/3)
-    rs = solve([0.0, 0.0, 0.0, 1.0], tolerance=1e-12)
+    rs = solve([0.0, 0.0, 0.0, 1.0])
     assert np.abs(rs.roots).max() < 1e-3
 
 
@@ -71,14 +71,15 @@ def test_non_finite_coefficients_rejected(coeffs):
         solve(_poly.asarray(coeffs, _poly.EXTENDED))
 
 
-def test_reconstruction_invariant_degree_200():
+def test_reconstruction_invariant_degree_200(monkeypatch):
     # random degree-200 polynomial: rebuild from the computed roots and
     # compare coefficients relatively; the expansion itself is done in
     # extended precision so the check measures root accuracy only
     import mpmath
     rng = np.random.default_rng(7)
     p = rng.normal(size=201) + 1j * rng.normal(size=201)
-    rs = solve(list(p), tolerance=1e-13)
+    monkeypatch.setattr(rootfind, "TOLERANCE", 1e-13)
+    rs = solve(list(p))
     assert rs.converged.all()
     with mpmath.workdps(60):
         rebuilt = [mpmath.mpc(p[-1])]
@@ -93,14 +94,15 @@ def test_reconstruction_invariant_degree_200():
     assert rel / np.abs(p).max() < 1e-6
 
 
-def test_cotangent_expansion_roots():
+def test_cotangent_expansion_roots(monkeypatch):
     # numerator of the 30th derivative of 1/(z^2+1) has the 30 roots
     # cot(k pi / 31), k = 1..30
     from voroderiv import rational
     form = rational.polar_decompose([1.0], [(1j, 1), (-1j, 1)])
     res = rational.numerator(rational.derivative_state(form, 30))
     assert res.degree == 30
-    rs = solve(res.r_n, tolerance=1e-13)
+    monkeypatch.setattr(rootfind, "TOLERANCE", 1e-13)
+    rs = solve(res.r_n)
     expected = [1.0 / math.tan(k * math.pi / 31) for k in range(1, 31)]
     assert multiset_distance(rs.roots, expected) < 5e-13
 
@@ -109,15 +111,17 @@ def test_no_convergence_carries_partial_rootset(monkeypatch):
     rng = np.random.default_rng(3)
     p = list(rng.normal(size=40))
     monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 1)
+    monkeypatch.setattr(rootfind, "TOLERANCE", 1e-15)
     with pytest.raises(NoConvergence) as e:
-        solve(p, tolerance=1e-15)
+        solve(p)
     rs = e.value.rootset
     assert len(rs.roots) == 39
     assert not rs.converged.all()
 
 
-def test_extended_precision_path():
-    rs = solve(_poly.asarray([-1.0, 0.0, 0.0, 1.0], "extended"), tolerance=1e-20)
+def test_extended_precision_path(monkeypatch):
+    monkeypatch.setattr(rootfind, "TOLERANCE", 1e-20)
+    rs = solve(_poly.asarray([-1.0, 0.0, 0.0, 1.0], "extended"))
     r = sorted(rs.roots, key=lambda w: (round(float(w.real), 6),
                                         float(w.imag)))
     assert abs(complex(r[-1]) - 1.0) < 1e-20
@@ -407,10 +411,10 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     assert conv.all() and any(k % 3 and k > 3 for k in trace)
     sizes = []
     if p is None:
-        rs = solve(None, 1e-12, evaluator=counted(eval_pd, sizes), start=start)
+        rs = solve(None, evaluator=counted(eval_pd, sizes), start=start)
     else:
         # the coefficient path of either precision
-        rs = solve(p, 1e-12)
+        rs = solve(p)
     if case is extended_case:
         # solve builds its own evaluator from the coefficients, so count
         # the calls of the shared sweep on the same inputs directly
@@ -579,13 +583,13 @@ def test_residuals_are_formed_on_first_read(monkeypatch, case):
         rootfind._newton_passes(counted(eval_pd, prelude), 1e-12, start)
     sizes = []
     if p is None:
-        rs = solve(None, 1e-12, evaluator=counted(eval_pd, sizes), start=start)
+        rs = solve(None, evaluator=counted(eval_pd, sizes), start=start)
     else:
         # the coefficient path evaluates by _horner_scaled
         horner = rootfind._horner_scaled
         monkeypatch.setattr(rootfind, "_horner_scaled",
                             lambda p, z: sizes.append(len(z)) or horner(p, z))
-        rs = solve(p, 1e-12)
+        rs = solve(p)
     # the solve calls the evaluator for its Newton passes and its sweeps
     # alone; the first read of the residuals calls it once on all m
     # roots, and a second read not at all
@@ -601,7 +605,7 @@ def test_residuals_are_formed_on_first_read(monkeypatch, case):
 def test_residuals_match_the_eager_formula(case):
     # the coefficient and the evaluator path, in double and in extended
     p, eval_pd, start = case()
-    rs = solve(None, 1e-12, evaluator=eval_pd, start=start) if p is None else solve(p, 1e-12)
+    rs = solve(None, evaluator=eval_pd, start=start) if p is None else solve(p)
     assert rs.residuals.dtype == float and len(rs.residuals) == len(start)
     assert rs.residuals.tobytes() == eager_residuals(eval_pd, rs.roots).tobytes()
 
@@ -618,7 +622,7 @@ def test_extended_residuals_are_read_at_the_solve_precision():
     # the same bytes read outside any workprec() block, inside one and at
     # 8 digits: formed at 15 or 8 digits they would differ
     _, eval_pd, start = extended_evaluator_case()
-    solves = [solve(None, 1e-12, evaluator=eval_pd, start=start) for _ in range(3)]
+    solves = [solve(None, evaluator=eval_pd, start=start) for _ in range(3)]
     outside = solves[0].residuals
     with _poly.workprec():
         inside = solves[1].residuals
@@ -632,8 +636,9 @@ def test_no_convergence_rootset_yields_residuals(monkeypatch):
     rng = np.random.default_rng(3)
     p = rng.normal(size=40).astype(complex)
     monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 1)
+    monkeypatch.setattr(rootfind, "TOLERANCE", 1e-15)
     with pytest.raises(NoConvergence) as e:
-        solve(p, tolerance=1e-15)
+        solve(p)
     rs = e.value.rootset
     monic = p / p[-1]
     want = eager_residuals(lambda z: rootfind._horner_scaled(monic, z), rs.roots)
@@ -645,18 +650,20 @@ def test_returned_arrays_are_read_only(monkeypatch):
     # residuals read the roots that were returned: no caller can move them
     rootsets = [solve([-1.0, 0.0, 0.0, 1.0]), solve([0.0, 0.0, 1.0])]
     monkeypatch.setitem(rootfind.MAX_SWEEPS, "double", 1)
+    monkeypatch.setattr(rootfind, "TOLERANCE", 1e-15)
     with pytest.raises(NoConvergence) as e:
-        solve(np.random.default_rng(3).normal(size=40), tolerance=1e-15)
+        solve(np.random.default_rng(3).normal(size=40))
     for rs in rootsets + [e.value.rootset]:
         for a in (rs.roots, rs.converged):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[1]
 
 
-def test_sweep_trace_on_every_path():
+def test_sweep_trace_on_every_path(monkeypatch):
     # from the extended Fujiwara circle the Newton passes certify one
     # root of z^3 - 1, and the sweeps run on the other two
-    rs = solve(_poly.asarray([-1.0, 0.0, 0.0, 1.0], "extended"), tolerance=1e-20)
+    monkeypatch.setattr(rootfind, "TOLERANCE", 1e-20)
+    rs = solve(_poly.asarray([-1.0, 0.0, 0.0, 1.0], "extended"))
     assert rs.sweeps == len(rs.active_trace) >= 1
     assert rs.certified == 1 and rs.active_trace[0] == 2
     assert list(rs.active_trace) == sorted(rs.active_trace, reverse=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from voroderiv import voronoi
-from voroderiv.voronoi import DuplicateSites, build, locate, phi, psi
+from voroderiv.voronoi import DuplicateSites, build, locate, psi
 
 
 def cube_roots():
@@ -294,17 +294,10 @@ def test_balanced_matches_a_per_pair_ranking(seed, monkeypatch):
         assert kept.tobytes() == per_pair_balanced(pairs, points, branches, degree).tobytes()
 
 
-def test_phi_is_min_distance():
-    sites = cube_roots()
-    z = 1.7 - 0.4j
-    assert phi(sites, z) == pytest.approx(min(abs(z - s) for s in sites))
-
-
 def test_cell_branch_of_nearest_cell_is_psi():
     sites = (1j, -1j)
     z = 0.3 + 1.5j  # in cell 0
     assert voronoi.cell_branch(sites, 0, z) == pytest.approx(psi(sites, z))
-    assert phi(sites, z) == pytest.approx(abs(z - 1j))
 
 
 def test_json_round_trip():
