@@ -734,7 +734,7 @@ def test_a_duplicated_start_is_never_certified_twice():
     copy = starts.copy()
     for offset in (0.0, 1e-9):
         copy[-1] = starts[0] + offset
-        _, frozen = rootfind._newton_passes(evaluator, 1e-12, copy)
+        _, frozen = rootfind._newton_passes(evaluator, rootfind.TOLERANCE, copy)
         assert not (frozen[0] and frozen[-1])
     copy[-1] = starts[0]
     with np.errstate(all="ignore"), pytest.raises(
@@ -760,7 +760,7 @@ def test_zeros_makes_one_attempt(monkeypatch):
     with np.errstate(all="ignore"):
         with pytest.raises(NoConvergence) as info:
             rational.zeros(state.base, 12)
-        direct = rootfind._aberth(newton_evaluator(state), 1e-12, start,
+        direct = rootfind._aberth(newton_evaluator(state), rootfind.TOLERANCE, start,
                                   rootfind.MAX_SWEEPS["double"])
     assert not direct.all_converged
     assert info.value.rootset.roots.tobytes() == direct.roots.tobytes()

@@ -406,8 +406,9 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
     # the reference sweeps from where the Newton passes leave the roots
     prelude = []
     with _poly.workprec():
-        begin, frozen = rootfind._newton_passes(counted(eval_pd, prelude), 1e-12, start)
-        roots, resid, conv, trace = dense_aberth(eval_pd, begin, 1e-12, 200, frozen)
+        begin, frozen = rootfind._newton_passes(counted(eval_pd, prelude), rootfind.TOLERANCE,
+                                                start)
+        roots, resid, conv, trace = dense_aberth(eval_pd, begin, rootfind.TOLERANCE, 200, frozen)
     assert conv.all() and any(k % 3 and k > 3 for k in trace)
     sizes = []
     if p is None:
@@ -419,7 +420,7 @@ def test_active_set_sweep_matches_dense_reference(monkeypatch, case, chunk):
         # solve builds its own evaluator from the coefficients, so count
         # the calls of the shared sweep on the same inputs directly
         with _poly.workprec():
-            again = rootfind._aberth(counted(eval_pd, sizes), 1e-12, start, 200)
+            again = rootfind._aberth(counted(eval_pd, sizes), rootfind.TOLERANCE, start, 200)
         assert same_roots(again.roots, rs.roots)
     solved = list(sizes)  # the solve's calls, before any residual is read
     if case is extended_case:
@@ -444,7 +445,7 @@ def test_circle_starts_certify_nothing():
     # sweeps run on every root
     p, eval_pd, start = horner_case()
     calls = []
-    roots, frozen = rootfind._newton_passes(counted(eval_pd, calls), 1e-12, start)
+    roots, frozen = rootfind._newton_passes(counted(eval_pd, calls), rootfind.TOLERANCE, start)
     assert calls == [60, 60] and not frozen.any()
     assert roots.tobytes() == start.tobytes()
     rs = solve(p)
@@ -580,7 +581,7 @@ def test_residuals_are_formed_on_first_read(monkeypatch, case):
     m = len(start)
     prelude = []
     with _poly.workprec():
-        rootfind._newton_passes(counted(eval_pd, prelude), 1e-12, start)
+        rootfind._newton_passes(counted(eval_pd, prelude), rootfind.TOLERANCE, start)
     sizes = []
     if p is None:
         rs = solve(None, evaluator=counted(eval_pd, sizes), start=start)
